@@ -35,7 +35,8 @@ from .sampler import (Box, Configuration, sample_dpp_batch, sample_log_gas_batch
                       sample_poisson)
 from .spectral import nystrom_decompose
 from .statistics import (correlation_to_csv, crosscheck_density,
-                         density_crosscheck_csv, estimate_correlation, rho_det)
+                         density_crosscheck_csv, estimate_correlation,
+                         rho_det_box_mean)
 from .svg import Figure
 
 EXPERIMENTS = ("validate", "sample", "correlations", "density-crosscheck",
@@ -197,9 +198,9 @@ def _exp_correlations(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
     with open(path1, "w") as fh:
         fh.write("bin_lo,bin_hi,value,std_error,n_samples,oracle\n")
         for b, v, se in zip(est1.bins, est1.values, est1.std_errors):
-            center = 0.5 * (b[0] + b[1])
+            oracle = rho_det_box_mean(kernel, [b])
             fh.write(f"{float(b[0])!r},{float(b[1])!r},{float(v)!r},{float(se)!r},"
-                     f"{est1.n_samples},{float(rho_det(kernel, [center]))!r}\n")
+                     f"{est1.n_samples},{oracle!r}\n")
     artifacts.append("rho1.csv")
 
     pair_bins = _param(cfg, "pair_bins", [[-0.1, 0.1], [0.4, 0.6]])
@@ -208,11 +209,10 @@ def _exp_correlations(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
     path2 = out / "rho2.csv"
     with open(path2, "w") as fh:
         fh.write("bin_i,bin_j,value,std_error,n_samples,oracle\n")
-        centers = [0.5 * (b[0] + b[1]) for b in bins2]
         for (i, j), v, se in zip(est2.pairs, est2.values, est2.std_errors):
-            oracle = rho_det(kernel, [centers[i], centers[j]])
+            oracle = rho_det_box_mean(kernel, [bins2[i], bins2[j]])
             fh.write(f"{i},{j},{float(v)!r},{float(se)!r},"
-                     f"{est2.n_samples},{float(oracle)!r}\n")
+                     f"{est2.n_samples},{oracle!r}\n")
     artifacts.append("rho2.csv")
     return 0, {"rho1_mean": float(est1.values.mean())}
 
@@ -248,6 +248,9 @@ def _exp_convergence(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
     n_samples = _param(cfg, "n_samples", [200_000, 400_000, 400_000])
     if isinstance(n_samples, int):
         n_samples = [n_samples] * len(ns)
+    if len(n_samples) != len(ns):
+        raise ConfigError(f"n_samples has {len(n_samples)} entries for "
+                          f"{len(ns)} values of Ns")
     half = float(_param(cfg, "bin_halfwidth", 0.15))
     workers = _workers(cfg)
     rows = []
@@ -282,6 +285,12 @@ def _exp_dynamics(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
     deltas = _param(cfg, "delta_sweep", None) or [float(_param(cfg, "delta", 1e-3))]
     c_dt = float(_param(cfg, "c_dt", 2e-3))
     dt_max = float(_param(cfg, "dt_max", 1e-3))
+    if model == "distorted":
+        # one decomposition, hence one cached drift table, for every delta
+        decomp = nystrom_decompose(_require_kernel(cfg), cfg.window or (-1.0, 1.0),
+                                   _param(cfg, "n_nodes", 400))
+    elif model != "dyson":
+        raise ConfigError(f"unknown dynamics model {model!r}")
     results = []
     for k, delta in enumerate(deltas):
         rng = RngStream(cfg.seed, k << 32)
@@ -290,14 +299,9 @@ def _exp_dynamics(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
                                           float(delta), rng,
                                           rho_bar=float(_param(cfg, "rho_bar", 0.5)),
                                           dt_max=dt_max, c_dt=c_dt)
-        elif model == "distorted":
-            kernel = _require_kernel(cfg)
-            window = cfg.window or (-1.0, 1.0)
-            decomp = nystrom_decompose(kernel, window, _param(cfg, "n_nodes", 400))
+        else:
             stats = distorted_pair_collision_probe(decomp, n_paths, T, float(delta),
                                                    rng, dt_max=dt_max, c_dt=c_dt)
-        else:
-            raise ConfigError(f"unknown dynamics model {model!r}")
         results.append(hitting_stats_json(stats))
     _write_json(out / "probe.json", results)
     artifacts.append("probe.json")

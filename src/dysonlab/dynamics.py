@@ -6,9 +6,10 @@ scheme:
 * the log-gas field, component i = sum_{j != i} 1/(x_i - x_j) - lam * x_i,
   which is half the gradient of the log of the quadratic-confinement
   ensemble density;
-* the gradient field half * grad log sigma_n of a windowed determinantal
-  density, evaluated by central differences of the spectral-route density
-  (particles conditioned to a fixed count n).
+* the gradient field half * grad log sigma_2 of a windowed determinantal
+  density in the two-point sector, interpolated from a PairDriftTable of
+  the series-route density (one table per decomposition, built once and
+  shared by every probe on it).
 
 The step rule is dt = min(dt_max, c_dt * g_min^2) with g_min the current
 minimum gap; a proposal that breaks the strict ordering is rejected and
@@ -30,13 +31,14 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import (IntegrationFailureError, NearSingularDensityError,
                      SingularConfigurationError)
 from .rng import RngStream
 from .sampler import Configuration, DppSampler, lambda_n, sample_log_gas_batch
 from .spectral import SpectralDecomposition
-from .statistics import sigma_fredholm, sigma_fredholm_batch
+from .statistics import sigma_fredholm
 
 log = logging.getLogger(__name__)
 
@@ -336,10 +338,27 @@ def _series_sigma2_grid(kernel, window, x1: np.ndarray, x2: np.ndarray,
     direct kernel determinants (resolves the near-coincidence exponent at
     every scale, unlike the finite eigenexpansion).
 
-    The inner integrals use a fixed n_quad-node Gauss rule; the z-block
-    Schur factors are shared across all pairs.
+    The integrals use a fixed n_quad-node Gauss rule (z, w) on the window.
+    With A the pair block, B = [[K(x1,z_i), K(x1,z_j)], [K(x2,z_i), K(x2,z_j)]]
+    and C the z-pair block, the 4x4 determinant is
+
+        det C det A - a11 P22 - a22 P11 + 2 a12 P12 + det B^2,
+        P = B adj(C) B^T,
+
+    and every term factors over (i, j).  With u = K(x1, z) w, v = K(x2, z) w,
+    Kzz = K(z_i, z_j) and t = sum_j w_j K(z_j, z_j), the double integral is
+
+        rho2 (t^2 - w^T (Kzz o Kzz) w)
+        - 2 k11 (sum w K(x2,z)^2 t - v^T Kzz v)
+        - 2 k22 (sum w K(x1,z)^2 t - u^T Kzz u)
+        + 4 k12 (sum w K(x1,z) K(x2,z) t - u^T Kzz v)
+        + 2 (sum w K(x1,z)^2 sum w K(x2,z)^2 - (sum w K(x1,z) K(x2,z))^2),
+
+    and the single integral of the 3x3 determinant is
+    rho2 t - k11 sum w K(x2,z)^2 + 2 k12 sum w K(x1,z) K(x2,z) - k22 sum w K(x1,z)^2.
+    The cost is one m x n_quad by n_quad x n_quad product per quadratic
+    form, O(m n_quad^2) in BLAS; nothing larger than m x n_quad is held.
     """
-    from numpy.polynomial.legendre import leggauss
     a, b = window
     z0, w0 = leggauss(n_quad)
     z = 0.5 * (b - a) * z0 + 0.5 * (b + a)
@@ -347,47 +366,30 @@ def _series_sigma2_grid(kernel, window, x1: np.ndarray, x2: np.ndarray,
 
     x1 = np.asarray(x1, dtype=float).ravel()
     x2 = np.asarray(x2, dtype=float).ravel()
-    m = x1.size
     k11 = kernel.eval(x1, x1)
     k22 = kernel.eval(x2, x2)
     k12 = kernel.eval(x1, x2)
     rho2 = k11 * k22 - k12 * k12
 
-    # single z integral of the 3x3 determinant
     k1z = kernel.eval(x1[:, None], z[None, :])
     k2z = kernel.eval(x2[:, None], z[None, :])
-    kzz = kernel.eval(z, z)
-    det3 = (k11[:, None] * (k22[:, None] * kzz[None, :] - k2z ** 2)
-            - k12[:, None] * (k12[:, None] * kzz[None, :] - k2z * k1z)
-            + k1z * (k12[:, None] * k2z - k22[:, None] * k1z))
-    int3 = det3 @ w
+    kzz = kernel.eval(z[:, None], z[None, :])
+    t = w @ np.diag(kzz)
+    u = k1z * w
+    v = k2z * w
+    su2 = np.einsum("ij,ij->i", u, k1z)
+    sv2 = np.einsum("ij,ij->i", v, k2z)
+    suv = np.einsum("ij,ij->i", u, k2z)
+    uk = u @ kzz
+    vk = v @ kzz
+    uku = np.einsum("ij,ij->i", uk, u)
+    vkv = np.einsum("ij,ij->i", vk, v)
+    ukv = np.einsum("ij,ij->i", uk, v)
 
-    # double z integral of the 4x4 determinant via the shared z-pair block
-    z1, z2 = np.meshgrid(z, z, indexing="ij")
-    zp1, zp2 = z1.ravel(), z2.ravel()
-    ww = (w[:, None] * w[None, :]).ravel()
-    c11 = kernel.eval(zp1, zp1)
-    c22 = kernel.eval(zp2, zp2)
-    c12 = kernel.eval(zp1, zp2)
-    det_c = c11 * c22 - c12 * c12
-    safe = np.where(det_c > 1e-14, det_c, np.inf)
-    i11, i22, i12 = c22 / safe, c11 / safe, -c12 / safe
-    int4 = np.empty(m)
-    chunk = max(1, (1 << 21) // max(zp1.size, 1))
-    for s in range(0, m, chunk):
-        e = min(s + chunk, m)
-        b1 = kernel.eval(x1[s:e, None], zp1[None, :])
-        b2 = kernel.eval(x1[s:e, None], zp2[None, :])
-        d1 = kernel.eval(x2[s:e, None], zp1[None, :])
-        d2 = kernel.eval(x2[s:e, None], zp2[None, :])
-        # S = A - B C^-1 B^T for A the fixed 2x2 pair block
-        q11 = b1 * (i11 * b1 + i12 * b2) + b2 * (i12 * b1 + i22 * b2)
-        q22 = d1 * (i11 * d1 + i12 * d2) + d2 * (i12 * d1 + i22 * d2)
-        q12 = b1 * (i11 * d1 + i12 * d2) + b2 * (i12 * d1 + i22 * d2)
-        s11 = k11[s:e, None] - q11
-        s22 = k22[s:e, None] - q22
-        s12 = k12[s:e, None] - q12
-        int4[s:e] = ((s11 * s22 - s12 * s12) * det_c) @ ww
+    int3 = rho2 * t - k11 * sv2 + 2.0 * k12 * suv - k22 * su2
+    int4 = (rho2 * (t * t - w @ (kzz * kzz) @ w)
+            - 2.0 * k11 * (sv2 * t - vkv) - 2.0 * k22 * (su2 * t - uku)
+            + 4.0 * k12 * (suv * t - ukv) + 2.0 * (su2 * sv2 - suv * suv))
     return rho2 - int3 + 0.5 * int4
 
 
@@ -395,14 +397,14 @@ class PairDriftTable:
     """Gradient drift of a two-particle windowed density on a
     (log gap) x (sum) grid with bilinear interpolation.
 
-    The tabulated density is the series route by default; tabulating
-    d log sigma / d log g keeps relative accuracy uniform down to tiny
-    gaps, where the drift behaves like a/(2 g).
+    The tabulated density is the series route of _series_sigma2_grid;
+    tabulating d log sigma / d log g keeps relative accuracy uniform down
+    to tiny gaps, where the drift behaves like a/(2 g).
     """
 
     def __init__(self, decomp: SpectralDecomposition, g_min: float = 1e-5,
                  g_max: float | None = None, n_g: int = 240, n_s: int = 161,
-                 floor: float = 1e-300, route: str = "series", n_quad: int = 48):
+                 floor: float = 1e-300, n_quad: int = 48):
         a, b = decomp.window
         g_max = g_max or 2.2 * (b - a)
         self.gs = np.geomspace(g_min, g_max, n_g)
@@ -410,14 +412,8 @@ class PairDriftTable:
         G, S = np.meshgrid(self.gs, self.ss, indexing="ij")
         x1 = (S - G) / 2.0
         x2 = (S + G) / 2.0
-        if route == "series":
-            vals = _series_sigma2_grid(decomp.kernel, decomp.window,
-                                       x1.ravel(), x2.ravel(), n_quad)
-        elif route == "spectral":
-            tuples = np.stack([x1.ravel(), x2.ravel()], axis=1)
-            vals = sigma_fredholm_batch(decomp, tuples)
-        else:
-            raise ValueError(f"unknown drift table route {route!r}")
+        vals = _series_sigma2_grid(decomp.kernel, decomp.window,
+                                   x1.ravel(), x2.ravel(), n_quad)
         u = np.log(np.maximum(vals, floor)).reshape(G.shape)
         self.du_dlng = np.gradient(u, np.log(self.gs[1] / self.gs[0]), axis=0)
         self.du_ds = np.gradient(u, self.ss[1] - self.ss[0], axis=1)

@@ -167,18 +167,6 @@ def l_matrix(decomp: SpectralDecomposition, points) -> np.ndarray:
     return (p * fac) @ p.T
 
 
-def l_matrix_batch(decomp: SpectralDecomposition, tuples: np.ndarray) -> np.ndarray:
-    """L on each row of ``tuples`` (shape (m, n)); returns (m, n, n)."""
-    tuples = np.asarray(tuples, dtype=float)
-    m, n = tuples.shape
-    kept, fac = _l_weights(decomp)
-    if kept.size == 0:
-        return np.zeros((m, n, n))
-    p, _ = eigenfunction_values(decomp, tuples.ravel())
-    p = p.reshape(m, n, kept.size)
-    return np.einsum("mik,mjk->mij", p * fac, p)
-
-
 def mercer_reconstruction(decomp: SpectralDecomposition, x) -> np.ndarray:
     """sum_i lambda_i phi_i(x) phi_i(x')^T on an arbitrary grid."""
     p, kept = eigenfunction_values(decomp, x)

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from math import lgamma
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.stats import qmc
 
 from .sampler import Box, Configuration
@@ -55,6 +56,18 @@ def rho_det(kernel, points) -> float:
         return 1.0
     mat = kernel.eval(pts[:, None], pts[None, :])
     return float(np.linalg.det(mat))
+
+
+def rho_det_box_mean(kernel, box) -> float:
+    """Mean of rho_n over a box, one (lo, hi) interval per coordinate, by a
+    tensor Gauss-Legendre rule with 16 nodes per coordinate; this is what a
+    binned correlation estimate converges to."""
+    t, w = leggauss(16)
+    axes = [0.5 * (hi - lo) * t + 0.5 * (hi + lo) for lo, hi in box]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    ww = np.prod([g.ravel() for g in np.meshgrid(*[0.5 * w] * len(box),
+                                                 indexing="ij")], axis=0)
+    return float(_det_small(kernel.eval(pts[:, :, None], pts[:, None, :])) @ ww)
 
 
 def _det_small(m: np.ndarray) -> np.ndarray:
@@ -177,12 +190,6 @@ def sigma_fredholm(decomp: SpectralDecomposition, points) -> float:
     if pts.size == 0:
         return det
     return det * float(np.linalg.det(l_matrix(decomp, pts)))
-
-
-def sigma_fredholm_batch(decomp: SpectralDecomposition, tuples: np.ndarray) -> np.ndarray:
-    from .spectral import l_matrix_batch
-    det = fredholm_det(decomp)
-    return det * _det_small(l_matrix_batch(decomp, np.asarray(tuples, dtype=float)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,14 @@
 The Metropolis pair sampler targets the two-particle confinement ensemble
 directly through its energy, with no matrix machinery, and certifies the
 eigenvalue-based sampler's variance convention.
+
+The pair-series oracle evaluates the truncated window-density series
+pair by pair and node pair by node pair, through the Schur complement of
+each 2x2 z-pair block, with no contraction across nodes.
 """
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from dysonlab import RngStream
 from dysonlab.dynamics import loggas_energy
@@ -51,3 +56,58 @@ def check_density_matches_energy(lam, rng_seed=5, n=25, tol=1e-10):
         b = -0.5 * loggas_energy(x, 2 * lam)
         worst = max(worst, abs(a - b))
     return worst < tol
+
+
+def series_sigma2_grid_oracle(kernel, window, x1, x2, n_quad=48):
+    """rho_2 - int det3 + 1/2 int int det4 at each pair (x1[i], x2[i]).
+
+    Every 4x4 determinant is det C * det(A - B C^-1 B^T) with A the pair
+    block and C the z-pair block, summed over the n_quad^2 node pairs of
+    a Gauss-Legendre rule on the window.
+    """
+    a, b = window
+    z0, w0 = leggauss(n_quad)
+    z = 0.5 * (b - a) * z0 + 0.5 * (b + a)
+    w = 0.5 * (b - a) * w0
+
+    x1 = np.asarray(x1, dtype=float).ravel()
+    x2 = np.asarray(x2, dtype=float).ravel()
+    m = x1.size
+    k11 = kernel.eval(x1, x1)
+    k22 = kernel.eval(x2, x2)
+    k12 = kernel.eval(x1, x2)
+    rho2 = k11 * k22 - k12 * k12
+
+    k1z = kernel.eval(x1[:, None], z[None, :])
+    k2z = kernel.eval(x2[:, None], z[None, :])
+    kzz = kernel.eval(z, z)
+    det3 = (k11[:, None] * (k22[:, None] * kzz[None, :] - k2z ** 2)
+            - k12[:, None] * (k12[:, None] * kzz[None, :] - k2z * k1z)
+            + k1z * (k12[:, None] * k2z - k22[:, None] * k1z))
+    int3 = det3 @ w
+
+    z1, z2 = np.meshgrid(z, z, indexing="ij")
+    zp1, zp2 = z1.ravel(), z2.ravel()
+    ww = (w[:, None] * w[None, :]).ravel()
+    c11 = kernel.eval(zp1, zp1)
+    c22 = kernel.eval(zp2, zp2)
+    c12 = kernel.eval(zp1, zp2)
+    det_c = c11 * c22 - c12 * c12
+    safe = np.where(det_c > 1e-14, det_c, np.inf)
+    i11, i22, i12 = c22 / safe, c11 / safe, -c12 / safe
+    int4 = np.empty(m)
+    chunk = max(1, (1 << 21) // max(zp1.size, 1))
+    for s in range(0, m, chunk):
+        e = min(s + chunk, m)
+        b1 = kernel.eval(x1[s:e, None], zp1[None, :])
+        b2 = kernel.eval(x1[s:e, None], zp2[None, :])
+        d1 = kernel.eval(x2[s:e, None], zp1[None, :])
+        d2 = kernel.eval(x2[s:e, None], zp2[None, :])
+        q11 = b1 * (i11 * b1 + i12 * b2) + b2 * (i12 * b1 + i22 * b2)
+        q22 = d1 * (i11 * d1 + i12 * d2) + d2 * (i12 * d1 + i22 * d2)
+        q12 = b1 * (i11 * d1 + i12 * d2) + b2 * (i12 * d1 + i22 * d2)
+        s11 = k11[s:e, None] - q11
+        s22 = k22[s:e, None] - q22
+        s12 = k12[s:e, None] - q12
+        int4[s:e] = ((s11 * s22 - s12 * s12) * det_c) @ ww
+    return rho2 - int3 + 0.5 * int4

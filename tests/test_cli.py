@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dysonlab import cli
+import dysonlab as dl
+from dysonlab import RngStream, cli
+from dysonlab.dynamics import hitting_stats_json
 from dysonlab.errors import ConfigError
 
 
@@ -95,6 +97,43 @@ def test_convergence_experiment_small(tmp_path):
     assert len(rows) == 3
 
 
+def test_convergence_rejects_mismatched_sample_counts(tmp_path):
+    path = write_config(tmp_path, {
+        "experiment": "convergence", "seed": 5,
+        "params": {"Ns": [4, 6, 8, 10], "n_samples": [2000, 2000]},
+        "output": str(tmp_path / "c")})
+    assert cli.main(["convergence", "--config", path]) == 2
+    assert not (tmp_path / "c" / "convergence.csv").exists()
+
+
+def test_distorted_delta_sweep_decomposes_once(tmp_path, monkeypatch):
+    holder = {"family": "product", "params": {"alpha": 0.5},
+              "domain": {"kind": "full_line"}}
+    base = {"experiment": "dynamics", "seed": 17, "kernel": holder,
+            "window": [-1, 1],
+            "params": {"model": "distorted", "n_nodes": 100, "n_paths": 30,
+                       "T": 0.05, "delta_sweep": [1e-3, 1e-2]}}
+    calls = []
+    decompose = cli.nystrom_decompose
+    monkeypatch.setattr(cli, "nystrom_decompose",
+                        lambda *a, **kw: calls.append(a) or decompose(*a, **kw))
+    path = write_config(tmp_path, dict(base, output=str(tmp_path / "sweep")))
+    assert cli.main(["dynamics", "--config", path]) == 0
+    assert len(calls) == 1
+    sweep = json.loads((tmp_path / "sweep" / "probe.json").read_text())
+    # delta k runs on stream k << 32 whatever the sweep; each single-delta
+    # reference builds its own decomposition, as every delta once did
+    single = dict(base, params=dict(base["params"], delta_sweep=[1e-3]),
+                  output=str(tmp_path / "one"))
+    path = write_config(tmp_path, single, name="one.json")
+    assert cli.main(["dynamics", "--config", path]) == 0
+    assert json.loads((tmp_path / "one" / "probe.json").read_text()) == sweep[:1]
+    fresh = decompose(dl.kernel_from_json(holder), (-1, 1), 100)
+    second = dl.distorted_pair_collision_probe(fresh, 30, 0.05, 1e-2,
+                                               RngStream(17, 1 << 32))
+    assert json.loads(json.dumps(hitting_stats_json(second))) == sweep[1]
+
+
 def test_dynamics_experiment_and_probe_json(tmp_path):
     path = write_config(tmp_path, {
         "experiment": "dynamics", "seed": 11,
@@ -134,6 +173,21 @@ def test_plot_rejects_missing_columns(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     assert cli.main(["plot", str(empty)]) == 2
+
+
+def test_correlations_oracle_is_bin_average(tmp_path):
+    path = write_config(tmp_path, {
+        "experiment": "correlations", "seed": 23, "kernel": SINE,
+        "window": [-3, 3], "output": str(tmp_path / "r"),
+        "params": {"n_samples": 50, "n_nodes": 64, "n_bins": 6}})
+    assert cli.main(["correlations", "--config", path]) == 0
+    rows = (tmp_path / "r" / "rho2.csv").read_text().splitlines()
+    oracle = float(rows[1].split(",")[-1])
+    # default pair bins [-0.1, 0.1] x [0.4, 0.6]; the centre value is 0.59472
+    assert oracle == pytest.approx(0.58921, abs=1e-5)
+    rho1 = [float(r.split(",")[-1]) for r in
+            (tmp_path / "r" / "rho1.csv").read_text().splitlines()[1:]]
+    assert rho1 == pytest.approx([1.0] * 6, abs=1e-12)
 
 
 def test_correlations_rerun_byte_identical(tmp_path):

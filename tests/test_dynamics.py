@@ -4,8 +4,9 @@ from scipy import stats
 
 import dysonlab as dl
 from dysonlab import RngStream
-from dysonlab.dynamics import PairDriftTable, log_gas_log_density
+from dysonlab.dynamics import PairDriftTable, _series_sigma2_grid, log_gas_log_density
 from dysonlab.errors import (NearSingularDensityError, SingularConfigurationError)
+from oracles import series_sigma2_grid_oracle
 
 
 def test_dyson_drift_single_particle():
@@ -90,6 +91,21 @@ def test_series_table_drift_asymptote(product_half_dyn_decomp):
 def test_distorted_drift_coincident_rejected(product_half_dyn_decomp):
     with pytest.raises((SingularConfigurationError, NearSingularDensityError)):
         dl.distorted_drift(product_half_dyn_decomp, [0.1, 0.1])
+
+
+def test_series_sigma2_grid_matches_schur_oracle(product_half_kernel):
+    # the closed-form contraction against the per-node-pair Schur
+    # complement, from the table's smallest gap to beyond 2 (b - a) and
+    # with sums that put one or both points outside the window
+    window = (-1.0, 1.0)
+    gs = np.array([1e-5, 3e-4, 1e-2, 0.3, 1.0, 3.9, 4.4])
+    ss = np.array([-3.0, -2.1, -0.7, 0.0, 0.35, 1.9, 3.0])
+    G, S = np.meshgrid(gs, ss, indexing="ij")
+    x1, x2 = ((S - G) / 2).ravel(), ((S + G) / 2).ravel()
+    fast = _series_sigma2_grid(product_half_kernel, window, x1, x2)
+    slow = series_sigma2_grid_oracle(product_half_kernel, window, x1, x2)
+    assert np.all(slow > 0)
+    assert np.max(np.abs(fast - slow) / slow) < 1e-11
 
 
 def test_pair_drift_table_matches_direct_series(product_half_dyn_decomp):

@@ -54,7 +54,9 @@ def test_mercer_error_decreases_with_nodes(sine_kernel):
     grid = np.linspace(-2.5, 2.5, 101)
     target = sine_kernel.eval(grid[:, None], grid[None, :])
     errs = []
-    for n in (16, 24, 32):
+    # below n = 18 the error still falls by > 100x per step; beyond it the
+    # comparison would only rank roundoff
+    for n in (12, 14, 16):
         d = dl.nystrom_decompose(sine_kernel, (-3, 3), n)
         errs.append(np.max(np.abs(dl.mercer_reconstruction(d, grid) - target)))
     assert errs[0] > errs[1] > errs[2]
