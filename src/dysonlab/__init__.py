@@ -10,28 +10,26 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, DegenerateProjectionError, DysonLabError,
                      IntegrationFailureError, KernelParameterError,
-                     KernelValidityError, NearSingularDensityError,
-                     SamplingError, SingularConfigurationError)
+                     KernelValidityError, SamplingError,
+                     SingularConfigurationError)
 from .kernels import (AmbientDomain, Kernel, ValidationReport, construct_kernel,
                       holder_envelope_check, kernel_from_json, validate_kernel)
-from .rng import RngStream, stream_batch
+from .rng import RngStream
 from .sampler import (Box, Configuration, DppSampler, lambda_n, restrict,
-                      sample_dpp, sample_dpp_batch, sample_log_gas,
-                      sample_log_gas_batch, sample_poisson)
+                      sample_dpp_batch, sample_log_gas, sample_log_gas_batch,
+                      sample_poisson)
 from .spectral import (SpectralDecomposition, decomposition_from_json,
                        eigenfunction_values, fredholm_det, l_kernel_eval,
                        l_matrix, mercer_reconstruction, nystrom_decompose)
 from .statistics import (CorrelationEstimate, DensityValue, SeriesEvaluator,
                          crosscheck_density, estimate_correlation,
                          fit_gap_exponent, rho_det, sigma_fredholm,
-                         sigma_series, verify_sigma_bounds)
-from .dynamics import (HittingStats, PairDriftTable, Trajectory,
-                       bessel_gap_hit_fraction, collision_probe,
-                       conditioned_pair_initials, distorted_drift,
+                         verify_sigma_bounds)
+from .dynamics import (EnsembleRun, HittingStats, PairDriftTable, Trajectory,
+                       bessel_gap_hit_fraction, conditioned_pair_initials,
                        distorted_pair_collision_probe, distorted_pair_dimension,
                        dyson_collision_probe, dyson_drift, dyson_pair_dimension,
-                       integrate_sde, log_gas_log_density, loggas_energy,
-                       wilson_interval)
+                       integrate_ensemble, loggas_energy, wilson_interval)
 from .capacity import (CapacityEstimate, DecayFit, decay_fit, estimate_I_eps,
                        estimate_I_eps_from_samples, h_eps, h_lin, pair_energy,
                        poisson_pair_count_oracle)

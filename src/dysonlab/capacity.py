@@ -27,6 +27,7 @@ import numpy as np
 
 from .sampler import Box, Configuration
 from .rng import RngStream
+from .statistics import _batch_se
 
 log = logging.getLogger(__name__)
 
@@ -136,14 +137,6 @@ class CapacityEstimate:
         return self.energy + self.l2_term
 
 
-def _batch_se(vals: np.ndarray, n_batches: int = 10) -> float:
-    n = vals.size
-    n_batches = min(n_batches, n)
-    edges = np.linspace(0, n, n_batches + 1).astype(int)
-    means = np.array([vals[a:b].mean() for a, b in zip(edges[:-1], edges[1:])])
-    return float(means.std(ddof=1) / np.sqrt(n_batches))
-
-
 def estimate_I_eps(sampler_handle, eps: float, n_samples: int, variant: str,
                    rng: RngStream, inner_window=None) -> CapacityEstimate:
     """Monte Carlo mean of the pair energy and of g^2 over equilibrium draws.
@@ -173,8 +166,8 @@ def estimate_I_eps_from_samples(samples: list[Configuration], eps: float,
     degenerate = n_active == 0
     if degenerate:
         log.warning("no active samples at eps=%g; degenerate interval", eps)
-    return CapacityEstimate(eps, float(e.mean()), _batch_se(e),
-                            float(g2.mean()), _batch_se(g2),
+    return CapacityEstimate(eps, float(e.mean()), float(_batch_se(e)),
+                            float(g2.mean()), float(_batch_se(g2)),
                             len(samples), n_active, variant, degenerate)
 
 

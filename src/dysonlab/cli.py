@@ -26,17 +26,17 @@ import numpy as np
 from . import __version__
 from .capacity import (CapacityEstimate, capacity_csv, decay_fit,
                        estimate_I_eps_from_samples, poisson_pair_count_oracle)
-from .dynamics import (distorted_pair_collision_probe, dyson_collision_probe,
-                       hitting_stats_json)
+from .dynamics import (PairDriftTable, Trajectory, conditioned_pair_initials,
+                       distorted_pair_collision_probe, dyson_collision_probe,
+                       dyson_drift, hitting_stats_json, integrate_ensemble)
 from .errors import ConfigError, DysonLabError
 from .kernels import kernel_from_json, validate_kernel
 from .rng import RngStream
-from .sampler import (Box, Configuration, sample_dpp_batch, sample_log_gas_batch,
-                      sample_poisson)
+from .sampler import (Box, Configuration, DppSampler, lambda_n, sample_dpp_batch,
+                      sample_log_gas, sample_log_gas_batch, sample_poisson)
 from .spectral import nystrom_decompose
-from .statistics import (correlation_to_csv, crosscheck_density,
-                         density_crosscheck_csv, estimate_correlation,
-                         rho_det_box_mean)
+from .statistics import (crosscheck_density, density_crosscheck_csv,
+                         estimate_correlation, rho_det_box_mean)
 from .svg import Figure
 
 EXPERIMENTS = ("validate", "sample", "correlations", "density-crosscheck",
@@ -286,9 +286,11 @@ def _exp_dynamics(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
     c_dt = float(_param(cfg, "c_dt", 2e-3))
     dt_max = float(_param(cfg, "dt_max", 1e-3))
     if model == "distorted":
-        # one decomposition, hence one cached drift table, for every delta
+        # one decomposition, drift table and sampler serve every delta
         decomp = nystrom_decompose(_require_kernel(cfg), cfg.window or (-1.0, 1.0),
                                    _param(cfg, "n_nodes", 400))
+        table = PairDriftTable(decomp)
+        sampler = DppSampler(decomp)
     elif model != "dyson":
         raise ConfigError(f"unknown dynamics model {model!r}")
     results = []
@@ -300,22 +302,21 @@ def _exp_dynamics(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
                                           rho_bar=float(_param(cfg, "rho_bar", 0.5)),
                                           dt_max=dt_max, c_dt=c_dt)
         else:
-            stats = distorted_pair_collision_probe(decomp, n_paths, T, float(delta),
+            initials = conditioned_pair_initials(sampler, n_paths, rng)
+            stats = distorted_pair_collision_probe(table, initials, T, float(delta),
                                                    rng, dt_max=dt_max, c_dt=c_dt)
         results.append(hitting_stats_json(stats))
     _write_json(out / "probe.json", results)
     artifacts.append("probe.json")
     if _param(cfg, "example_trajectory", False):
-        from .dynamics import dyson_drift, integrate_sde
-        from .sampler import sample_log_gas
         n = int(_param(cfg, "N", 8))
-        lam_rho = float(_param(cfg, "rho_bar", 0.5))
-        from .sampler import lambda_n
-        init = sample_log_gas(n, lam_rho, RngStream(cfg.seed, 1 << 48))
-        traj = integrate_sde(init, lambda x: dyson_drift(x, lambda_n(n, lam_rho)),
-                             T=min(T, 0.2), delta=0.0,
-                             rng=RngStream(cfg.seed, (1 << 48) + 1))
-        traj.to_csv(out / "trajectory.csv")
+        rho_bar = float(_param(cfg, "rho_bar", 0.5))
+        lam = lambda_n(n, rho_bar)
+        init = sample_log_gas(n, rho_bar, RngStream(cfg.seed, 1 << 48))
+        example = integrate_ensemble(init.points[None, :], lambda X: dyson_drift(X, lam),
+                                     T=min(T, 0.2), delta=0.0,
+                                     rng=RngStream(cfg.seed, (1 << 48) + 1), record=True)
+        Trajectory.from_run(example).to_csv(out / "trajectory.csv")
         artifacts.append("trajectory.csv")
     inconclusive = any(r["inconclusive"] for r in results)
     return (4 if inconclusive else 0), {"probes": len(results)}

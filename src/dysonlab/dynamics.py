@@ -1,21 +1,21 @@
 """Interacting-particle stochastic dynamics and collision statistics.
 
-Two drift fields are integrated with the same adaptive Euler-Maruyama
-scheme:
+One adaptive Euler-Maruyama engine, integrate_ensemble, advances every
+path set in lockstep; a single recorded trajectory is an ensemble of one.
+It integrates two drift fields:
 
-* the log-gas field, component i = sum_{j != i} 1/(x_i - x_j) - lam * x_i,
-  which is half the gradient of the log of the quadratic-confinement
-  ensemble density;
+* the log-gas field dyson_drift, component i = sum_{j != i} 1/(x_i - x_j)
+  - lam * x_i, which is half the gradient of the log of the
+  quadratic-confinement ensemble density, for one configuration or a stack;
 * the gradient field half * grad log sigma_2 of a windowed determinantal
   density in the two-point sector, interpolated from a PairDriftTable of
-  the series-route density (one table per decomposition, built once and
-  shared by every probe on it).
+  the series-route density.  The caller builds one table per
+  decomposition and passes it to every probe on it.
 
 The step rule is dt = min(dt_max, c_dt * g_min^2) with g_min the current
 minimum gap; a proposal that breaks the strict ordering is rejected and
-retried with dt/2 (at most 20 halvings, after which the path is marked hit
-if the gap is already below delta, else counted as an integration failure).
-Paths are independent jobs keyed by stream id.
+retried with dt/2 (at most 20 halvings, after which the path is counted as
+an integration failure).  Paths are independent jobs keyed by stream id.
 
 A "hit" means the minimum gap dropped to the threshold delta, the
 computational stand-in for a collision.  For a two-particle system with
@@ -27,20 +27,16 @@ probes measure.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import (IntegrationFailureError, NearSingularDensityError,
-                     SingularConfigurationError)
+from .errors import IntegrationFailureError, SingularConfigurationError
 from .rng import RngStream
-from .sampler import Configuration, DppSampler, lambda_n, sample_log_gas_batch
+from .sampler import DppSampler, lambda_n, sample_log_gas_batch
 from .spectral import SpectralDecomposition
-from .statistics import sigma_fredholm
-
-log = logging.getLogger(__name__)
 
 _MAX_HALVINGS = 20
 
@@ -50,13 +46,15 @@ _MAX_HALVINGS = 20
 # ---------------------------------------------------------------------------
 
 def dyson_drift(points, lam: float) -> np.ndarray:
-    """Pairwise-repulsion drift with quadratic confinement."""
+    """Pairwise-repulsion drift with quadratic confinement of one sorted
+    configuration (n,) or of a stack of them (..., n)."""
     x = np.asarray(points, dtype=float)
-    if x.size >= 2 and np.min(np.diff(x)) <= 0.0:
+    n = x.shape[-1]
+    if n >= 2 and np.min(np.diff(x, axis=-1)) <= 0.0:
         raise SingularConfigurationError("points must be strictly sorted")
-    d = x[:, None] - x[None, :]
-    np.fill_diagonal(d, np.inf)
-    return np.sum(1.0 / d, axis=1) - lam * x
+    d = x[..., :, None] - x[..., None, :]
+    d[..., np.arange(n), np.arange(n)] = np.inf
+    return np.sum(1.0 / d, axis=-1) - lam * x
 
 
 def loggas_energy(points, lam: float) -> float:
@@ -74,65 +72,87 @@ def loggas_energy(points, lam: float) -> float:
     return conf - 4.0 * float(np.sum(np.log(gaps)))
 
 
-def log_gas_log_density(points, lam: float) -> float:
-    """Unnormalized log density of the confinement ensemble,
-    2 sum_{i<j} log|x_i - x_j| - lam sum x_i^2.  Equals
-    -1/2 * loggas_energy(points, 2*lam); dyson_drift is half its gradient."""
-    x = np.asarray(points, dtype=float)
-    val = -lam * float(np.sum(x * x))
-    if x.size >= 2:
-        iu = np.triu_indices(x.size, 1)
-        gaps = np.abs(x[:, None] - x[None, :])[iu]
-        if np.any(gaps == 0.0):
-            return -np.inf
-        val += 2.0 * float(np.sum(np.log(gaps)))
-    return val
+# ---------------------------------------------------------------------------
+# the SDE engine
+# ---------------------------------------------------------------------------
+
+class EnsembleRun(NamedTuple):
+    """Per-path outcome of integrate_ensemble."""
+
+    hit: np.ndarray          # (n_paths,) bool
+    failed: np.ndarray       # (n_paths,) bool: step halvings exhausted
+    hit_time: np.ndarray     # (n_paths,) nan where no hit
+    final: np.ndarray        # (n_paths, n) states at the end
+    rejections: np.ndarray   # (n_paths,) proposals rejected for crossing
+    frames: list | None      # [(t, X)] at the start and after each iteration
 
 
-def distorted_drift(decomp: SpectralDecomposition, points, h: float | None = None) -> np.ndarray:
-    """half * grad log sigma_n by central differences of the spectral density.
+def integrate_ensemble(initials, drift, T: float, delta: float, rng: RngStream,
+                       dt_max: float = 1e-3, c_dt: float = 2e-3,
+                       record: bool = False) -> EnsembleRun:
+    """Adaptive Euler-Maruyama paths of dX = drift(X) dt + dB, all
+    advanced in lockstep with per-path steps.
 
-    The stencil step is floored at a few quadrature node spacings: between
-    nodes the extended eigenfunctions carry the quadrature error of the
-    kernel rows, so differencing below that scale amplifies noise rather
-    than resolving the density (visible for the cusped product family).
-    Each coordinate's stencil is also clamped to stay on its side of the
-    coincidence diagonal.
+    ``initials`` is (n_paths, n) with strictly increasing rows and
+    ``drift`` maps an (m, n) stack of states to its (m, n) drift.  A path
+    stops at T, at its first hit of a minimum gap <= delta (delta = 0
+    disables hit detection), or when 20 halvings of its step cannot keep
+    the ordering (a failure).  Noise is drawn per iteration for the active
+    set from rng, so results depend on the generator sequence but not on
+    any worker decomposition.  With ``record``, frames holds copies of
+    (t, X) for every path at the start and after every iteration.
     """
-    x = np.asarray(points, dtype=float)
-    n = x.size
-    if n >= 2:
-        gaps = np.abs(x[:, None] - x[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        g_min = float(gaps.min())
-        if g_min == 0.0:
-            raise SingularConfigurationError("coincident points have zero density")
-        nearest = gaps.min(axis=1)
-    else:
-        g_min = np.inf
-        nearest = np.full(n, np.inf)
-    if h is None:
-        a, b = decomp.window
-        h_floor = max(1e-4, 3.0 * (b - a) / decomp.n_nodes)
-        h = max(h_floor, 1e-2 * g_min) if np.isfinite(g_min) else h_floor
-    out = np.empty(n)
-    for i in range(n):
-        hi = min(h, 0.45 * nearest[i]) if np.isfinite(nearest[i]) else h
-        up, dn = x.copy(), x.copy()
-        up[i] += hi
-        dn[i] -= hi
-        s_up = sigma_fredholm(decomp, up)
-        s_dn = sigma_fredholm(decomp, dn)
-        if s_up <= 0.0 or s_dn <= 0.0:
-            raise NearSingularDensityError(
-                f"density nonpositive at stencil of coordinate {i}")
-        out[i] = 0.5 * (np.log(s_up) - np.log(s_dn)) / (2.0 * hi)
-    return out
+    X = np.array(initials, dtype=float, copy=True)
+    n_paths, n = X.shape
+    if n >= 2 and np.any(np.diff(X, axis=1) <= 0.0):
+        raise SingularConfigurationError("initial states must be strictly sorted")
+    gen = rng.generator()
+    t = np.zeros(n_paths)
+    hit = np.zeros(n_paths, dtype=bool)
+    failed = np.zeros(n_paths, dtype=bool)
+    hit_time = np.full(n_paths, np.nan)
+    rejections = np.zeros(n_paths, dtype=int)
+    if n >= 2 and delta > 0:
+        hit |= np.diff(X, axis=1).min(axis=1) <= delta
+        hit_time[hit] = 0.0
+    frames = [(t.copy(), X.copy())] if record else None
+    active = ~hit & (t < T)
 
+    while active.any():
+        idx = np.flatnonzero(active)
+        Xa = X[idx]
+        g = np.diff(Xa, axis=1).min(axis=1) if n >= 2 else np.full(idx.size, np.inf)
+        dt = np.minimum(dt_max, T - t[idx])
+        fin = np.isfinite(g)
+        dt[fin] = np.minimum(dt[fin], c_dt * g[fin] * g[fin])
+        dr = drift(Xa)
+        prop = Xa + dr * dt[:, None] + np.sqrt(dt)[:, None] * gen.normal(size=Xa.shape)
+        bad = (np.diff(prop, axis=1).min(axis=1) <= 0.0) if n >= 2 else np.zeros(idx.size, bool)
+        for _ in range(_MAX_HALVINGS):
+            if not bad.any():
+                break
+            rejections[idx[bad]] += 1
+            dt[bad] *= 0.5
+            prop[bad] = (Xa[bad] + dr[bad] * dt[bad, None]
+                         + np.sqrt(dt[bad])[:, None] * gen.normal(size=(int(bad.sum()), n)))
+            bad = np.diff(prop, axis=1).min(axis=1) <= 0.0
+        if bad.any():
+            # an active path's gap exceeds delta, so exhaustion is a failure
+            rejections[idx[bad]] += 1
+            failed[idx[bad]] = True
+            prop[bad] = Xa[bad]
+            dt[bad] = 0.0
+        X[idx] = prop
+        t[idx] = t[idx] + dt
+        if n >= 2 and delta > 0:
+            newly = np.diff(prop, axis=1).min(axis=1) <= delta
+            hit[idx[newly]] = True
+            hit_time[idx[newly]] = t[idx[newly]]
+        if record:
+            frames.append((t.copy(), X.copy()))
+        active = ~hit & ~failed & (t < T)
+    return EnsembleRun(hit, failed, hit_time, X, rejections, frames)
 
-# ---------------------------------------------------------------------------
-# single-path integrator
-# ---------------------------------------------------------------------------
 
 @dataclass
 class Trajectory:
@@ -143,6 +163,20 @@ class Trajectory:
     hit_time: float | None
     n_rejections: int = 0
 
+    @classmethod
+    def from_run(cls, run: EnsembleRun) -> "Trajectory":
+        """The recorded path of a one-path integrate_ensemble run."""
+        if run.failed[0]:
+            raise IntegrationFailureError(
+                f"step size underflow with gap {np.min(np.diff(run.final[0])):.3e}")
+        times = np.array([t[0] for t, _ in run.frames])
+        states = np.array([X[0] for _, X in run.frames])
+        gaps = (np.diff(states, axis=1).min(axis=1) if states.shape[1] >= 2
+                else np.full(times.size, np.inf))
+        hit = bool(run.hit[0])
+        return cls(times, states, gaps, hit, float(run.hit_time[0]) if hit else None,
+                   int(run.rejections[0]))
+
     def to_csv(self, path) -> None:
         n = self.states.shape[1]
         with open(path, "w") as fh:
@@ -150,122 +184,6 @@ class Trajectory:
             for t, row, g in zip(self.times, self.states, self.min_gap_series):
                 fh.write(f"{float(t)!r}," + ",".join(repr(float(v)) for v in row)
                          + f",{float(g)!r}\n")
-
-
-def _min_gap(x: np.ndarray) -> float:
-    return float(np.min(np.diff(x))) if x.size >= 2 else np.inf
-
-
-def integrate_sde(initial: Configuration, drift_fn, T: float, delta: float,
-                  rng: RngStream, dt_max: float = 1e-3, c_dt: float = 2e-3,
-                  stop_on_hit: bool = True, record: bool = True) -> Trajectory:
-    """Adaptive Euler-Maruyama path of dX = drift(X) dt + dB.
-
-    Records the min-gap series and the first time the gap reaches delta.
-    delta = 0 disables hit detection (used for equilibrium checks).
-    """
-    x = np.asarray(initial.points, dtype=float).copy()
-    if x.size >= 2 and np.min(np.diff(x)) <= 0.0:
-        raise SingularConfigurationError("initial configuration must be strictly sorted")
-    gen = rng.generator()
-    t = 0.0
-    times, states, gaps = [0.0], [x.copy()], [_min_gap(x)]
-    hit = gaps[0] <= delta if delta > 0 else False
-    hit_time = 0.0 if hit else None
-    rejections = 0
-
-    while t < T and not (hit and stop_on_hit):
-        g = _min_gap(x)
-        dt = min(dt_max, T - t) if not np.isfinite(g) else min(dt_max, c_dt * g * g, T - t)
-        drift = drift_fn(x)
-        for halving in range(_MAX_HALVINGS + 1):
-            prop = x + drift * dt + np.sqrt(dt) * gen.normal(size=x.size)
-            if x.size < 2 or np.min(np.diff(prop)) > 0.0:
-                break
-            dt *= 0.5
-            rejections += 1
-        else:
-            if _min_gap(x) <= delta:
-                hit, hit_time = True, t
-                break
-            raise IntegrationFailureError(
-                f"step size underflow at t={t:.6g} with gap {_min_gap(x):.3e}")
-        x = prop
-        t += dt
-        g_new = _min_gap(x)
-        if record:
-            times.append(t)
-            states.append(x.copy())
-            gaps.append(g_new)
-        if delta > 0 and g_new <= delta and not hit:
-            hit, hit_time = True, t
-    if not record:
-        times, states, gaps = [t], [x.copy()], [_min_gap(x)]
-    return Trajectory(np.array(times), np.array(states), np.array(gaps),
-                      hit, hit_time, rejections)
-
-
-# ---------------------------------------------------------------------------
-# vectorized path ensembles
-# ---------------------------------------------------------------------------
-
-def _ensemble_sde(initials: np.ndarray, drift_batch, T: float, delta: float,
-                  gen, dt_max: float, c_dt: float,
-                  record_final: bool = False):
-    """All paths advanced in lockstep with per-path adaptive steps.
-
-    Returns (hit flags, failure flags, hit times, final states or None).
-    Noise is drawn per iteration for the active set, so results depend on
-    the generator sequence but not on any worker decomposition.
-    """
-    X = np.array(initials, dtype=float, copy=True)
-    n_paths, n = X.shape
-    t = np.zeros(n_paths)
-    hit = np.zeros(n_paths, dtype=bool)
-    failed = np.zeros(n_paths, dtype=bool)
-    hit_time = np.full(n_paths, np.nan)
-    if delta > 0:
-        g0 = np.diff(X, axis=1).min(axis=1) if n >= 2 else np.full(n_paths, np.inf)
-        hit |= g0 <= delta
-        hit_time[hit] = 0.0
-    active = ~hit & (t < T)
-
-    while active.any():
-        Xa = X[active]
-        g = np.diff(Xa, axis=1).min(axis=1) if n >= 2 else np.full(Xa.shape[0], np.inf)
-        dt = np.minimum(dt_max, T - t[active])
-        fin = np.isfinite(g)
-        dt[fin] = np.minimum(dt[fin], c_dt * g[fin] * g[fin])
-        drift = drift_batch(Xa)
-        prop = Xa + drift * dt[:, None] + np.sqrt(dt)[:, None] * gen.normal(size=Xa.shape)
-        bad = (np.diff(prop, axis=1).min(axis=1) <= 0.0) if n >= 2 else np.zeros(len(Xa), bool)
-        for _ in range(_MAX_HALVINGS):
-            if not bad.any():
-                break
-            dt[bad] *= 0.5
-            prop[bad] = (Xa[bad] + drift[bad] * dt[bad, None]
-                         + np.sqrt(dt[bad])[:, None] * gen.normal(size=(int(bad.sum()), n)))
-            bad = (np.diff(prop, axis=1).min(axis=1) <= 0.0) if n >= 2 else bad & False
-        if bad.any():
-            # exhausted halvings: hit if already at the threshold, else failed
-            ga = np.diff(Xa, axis=1).min(axis=1)
-            idx = np.flatnonzero(active)[bad]
-            now_hit = ga[bad] <= delta
-            hit[idx[now_hit]] = True
-            hit_time[idx[now_hit]] = t[idx[now_hit]]
-            failed[idx[~now_hit]] = True
-            prop[bad] = Xa[bad]
-            dt[bad] = 0.0
-        X[active] = prop
-        t[active] = t[active] + dt
-        if n >= 2 and delta > 0:
-            g_new = np.diff(prop, axis=1).min(axis=1)
-            idx = np.flatnonzero(active)
-            newly = (g_new <= delta) & ~hit[idx]
-            hit[idx[newly]] = True
-            hit_time[idx[newly]] = t[idx[newly]]
-        active = ~hit & ~failed & (t < T)
-    return hit, failed, hit_time, (X if record_final else None)
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +236,9 @@ def dyson_collision_probe(N: int, n_paths: int, T: float, delta: float,
     lam = lambda_n(N, rho_bar)
     initials = sample_log_gas_batch(N, rho_bar, rng.seed, n_paths,
                                     base_stream=rng.stream_id)
-    gen = rng.child(0).generator()
-
-    def drift(Xa):
-        d = Xa[:, :, None] - Xa[:, None, :]
-        d[:, np.arange(N), np.arange(N)] = np.inf
-        return np.sum(1.0 / d, axis=2) - lam * Xa
-
-    hit, failed, _, _ = _ensemble_sde(initials, drift, T, delta, gen, dt_max, c_dt)
-    return _stats_from_flags(hit, failed, delta, T,
+    run = integrate_ensemble(initials, lambda X: dyson_drift(X, lam), T, delta,
+                             rng.child(0), dt_max, c_dt)
+    return _stats_from_flags(run.hit, run.failed, delta, T,
                              {"model": "dyson", "N": N, "rho_bar": rho_bar,
                               "c_dt": c_dt, "dt_max": dt_max})
 
@@ -430,7 +342,10 @@ class PairDriftTable:
                 + table[i, j + 1] * (1 - ti) * tj + table[i + 1, j + 1] * ti * tj)
 
     def drift(self, X: np.ndarray) -> np.ndarray:
+        """Half the gradient of log sigma_2 at each row (x1 < x2) of X."""
         g = X[:, 1] - X[:, 0]
+        if np.any(g <= 0.0):
+            raise SingularConfigurationError("pairs must be strictly sorted")
         s = X[:, 0] + X[:, 1]
         fi = np.clip((np.log(np.maximum(g, 1e-12)) - self._lng0) / self._dlng,
                      0.0, self.gs.size - 1.001)
@@ -440,18 +355,10 @@ class PairDriftTable:
         return 0.5 * np.stack([a - b, a + b], axis=1)
 
 
-def _cached_drift_table(decomp: SpectralDecomposition) -> PairDriftTable:
-    table = decomp._cache.get("pair_drift_table")
-    if table is None:
-        table = PairDriftTable(decomp)
-        decomp._cache["pair_drift_table"] = table
-    return table
-
-
-def conditioned_pair_initials(decomp: SpectralDecomposition, n_paths: int,
+def conditioned_pair_initials(sampler: DppSampler, n_paths: int,
                               rng: RngStream, max_tries: int = 400) -> np.ndarray:
-    """Equilibrium samples conditioned on exactly two points."""
-    sampler = DppSampler(decomp)
+    """Equilibrium samples conditioned on exactly two points; attempt i
+    draws from stream rng.stream_id + i."""
     out = np.empty((n_paths, 2))
     got = 0
     for i in range(max_tries * n_paths):
@@ -464,37 +371,14 @@ def conditioned_pair_initials(decomp: SpectralDecomposition, n_paths: int,
     raise IntegrationFailureError("could not draw enough two-point configurations")
 
 
-def distorted_pair_collision_probe(decomp: SpectralDecomposition, n_paths: int,
+def distorted_pair_collision_probe(table: PairDriftTable, initials: np.ndarray,
                                    T: float, delta: float, rng: RngStream,
-                                   dt_max: float = 1e-3, c_dt: float = 2e-3,
-                                   initial_gap: float | None = None) -> HittingStats:
-    """Hit frequency of the gradient dynamics on the two-point sector.
-
-    Initial states come from the conditioned equilibrium unless a fixed
-    starting gap is given (then paths start at +-gap/2).
-    """
-    if initial_gap is None:
-        initials = conditioned_pair_initials(decomp, n_paths, rng)
-    else:
-        initials = np.tile([-initial_gap / 2, initial_gap / 2], (n_paths, 1))
-    table = _cached_drift_table(decomp)
-    gen = rng.child(1).generator()
-    hit, failed, _, _ = _ensemble_sde(initials, table.drift, T, delta, gen, dt_max, c_dt)
-    return _stats_from_flags(hit, failed, delta, T,
+                                   dt_max: float = 1e-3, c_dt: float = 2e-3) -> HittingStats:
+    """Hit frequency of the gradient dynamics on the two-point sector from
+    the (n_paths, 2) initial pairs, e.g. conditioned_pair_initials."""
+    run = integrate_ensemble(initials, table.drift, T, delta, rng.child(1), dt_max, c_dt)
+    return _stats_from_flags(run.hit, run.failed, delta, T,
                              {"model": "distorted-pair", "c_dt": c_dt, "dt_max": dt_max})
-
-
-def collision_probe(model, n_paths: int, size: int, T: float, delta: float,
-                    rng: RngStream, **kw) -> HittingStats:
-    """Dispatch: model is "dyson" (size = particle count) or a spectral
-    decomposition (size must be 2, the conditioned sector)."""
-    if isinstance(model, str) and model == "dyson":
-        return dyson_collision_probe(size, n_paths, T, delta, rng, **kw)
-    if isinstance(model, SpectralDecomposition):
-        if size != 2:
-            raise ValueError("gradient dynamics probe supports the two-point sector only")
-        return distorted_pair_collision_probe(model, n_paths, T, delta, rng, **kw)
-    raise ValueError(f"unknown dynamics model {model!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -537,17 +421,11 @@ def gap_dimension_fit(drift_batch, g0: float, rng: RngStream, n_paths: int = 800
 def dyson_pair_dimension(rng: RngStream, rho_bar: float = 0.5, g0: float = 0.1,
                          **kw) -> float:
     lam = lambda_n(2, rho_bar)
-
-    def drift(Xa):
-        g = Xa[:, 1] - Xa[:, 0]
-        return np.stack([-1.0 / g, 1.0 / g], axis=1) - lam * Xa
-
-    return gap_dimension_fit(drift, g0, rng, **kw)
+    return gap_dimension_fit(lambda X: dyson_drift(X, lam), g0, rng, **kw)
 
 
-def distorted_pair_dimension(decomp: SpectralDecomposition, rng: RngStream,
+def distorted_pair_dimension(table: PairDriftTable, rng: RngStream,
                              g0: float = 0.1, **kw) -> float:
-    table = _cached_drift_table(decomp)
     return gap_dimension_fit(table.drift, g0, rng, **kw)
 
 
@@ -557,7 +435,6 @@ def bessel_gap_hit_fraction(dim: float, g0s: np.ndarray, delta: float, T: float,
     """Oracle: the gap-scale radial process dg = sqrt(2) dW + ((dim-1)/g) dt,
     integrated with the same step rule, absorbed at delta."""
     g0s = np.asarray(g0s, dtype=float)
-    gen = rng.generator()
     X = np.stack([-g0s / 2, g0s / 2], axis=1)
 
     def drift(Xa):
@@ -565,8 +442,8 @@ def bessel_gap_hit_fraction(dim: float, g0s: np.ndarray, delta: float, T: float,
         b = 0.5 * (dim - 1.0) / g
         return np.stack([-b, b], axis=1)
 
-    hit, failed, _, _ = _ensemble_sde(X, drift, T, delta, gen, dt_max, c_dt)
-    return _stats_from_flags(hit, failed, delta, T, {"model": "bessel", "dim": dim})
+    run = integrate_ensemble(X, drift, T, delta, rng, dt_max, c_dt)
+    return _stats_from_flags(run.hit, run.failed, delta, T, {"model": "bessel", "dim": dim})
 
 
 def hitting_stats_json(stats: HittingStats) -> dict:

@@ -22,10 +22,6 @@ class SingularConfigurationError(DysonLabError):
     """Operation requires pairwise-distinct points but received a tie."""
 
 
-class NearSingularDensityError(DysonLabError):
-    """Density hit zero (or below) at a finite-difference stencil point."""
-
-
 class IntegrationFailureError(DysonLabError):
     """Adaptive SDE step underflowed without reaching the hit threshold."""
 

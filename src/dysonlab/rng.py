@@ -39,9 +39,3 @@ class RngStream:
         """Derived stream, used when a routine needs several independent
         streams of its own (k is a small local index)."""
         return RngStream(self.seed, ((self.stream_id * 1_000_003) + k + 1) & _MASK64)
-
-
-def stream_batch(seed: int, n: int, base: int = 0) -> list[RngStream]:
-    """n consecutive streams; replica i always gets stream base+i, so
-    results do not depend on how a worker pool chunks the batch."""
-    return [RngStream(seed, base + i) for i in range(n)]

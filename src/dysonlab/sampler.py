@@ -192,15 +192,6 @@ class DppSampler:
         return Configuration(pts, self.decomp.window)
 
 
-def sample_dpp(decomp: SpectralDecomposition, rng: RngStream) -> Configuration:
-    """One exact draw of the determinantal field on the decomposition window."""
-    sampler = decomp._cache.get("dpp_sampler")
-    if sampler is None:
-        sampler = DppSampler(decomp)
-        decomp._cache["dpp_sampler"] = sampler
-    return sampler.sample(rng)
-
-
 def sample_dpp_batch(decomp: SpectralDecomposition, seed: int, n_samples: int,
                      base_stream: int = 0) -> list[Configuration]:
     """n_samples independent draws on streams base_stream + i."""

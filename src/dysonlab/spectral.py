@@ -22,7 +22,7 @@ discretization noise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -47,7 +47,6 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray     # column i = phi_i at nodes
     raw_eigenvalues: np.ndarray  # descending, before clamping
     clamp_tol: float = 1e-8
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:

@@ -4,7 +4,7 @@ Two independent routes compute the same window densities:
 
 * the spectral route, sigma_fredholm: det(Id - K) times the determinant of
   the resolvent-type kernel L = sum_i lambda_i/(1-lambda_i) phi_i phi_i';
-* the series route, sigma_series: the alternating expansion
+* the series route, SeriesEvaluator: the alternating expansion
 
       sigma_n(x) = sum_k (-1)^k / k! * int_{I^k} rho_{n+k}(x, y) dy,
 
@@ -165,18 +165,6 @@ def estimate_correlation(samples: list[Configuration], order: int, bins,
 def _r(x) -> str:
     # plain-float repr: numpy scalars stringify as np.float64(...) otherwise
     return repr(float(x))
-
-
-def correlation_to_csv(est: CorrelationEstimate, path) -> None:
-    with open(path, "w") as fh:
-        if est.order == 1:
-            fh.write("bin_lo,bin_hi,value,std_error,n_samples\n")
-            for b, v, se in zip(est.bins, est.values, est.std_errors):
-                fh.write(f"{_r(b[0])},{_r(b[1])},{_r(v)},{_r(se)},{est.n_samples}\n")
-        else:
-            fh.write("bin_i,bin_j,value,std_error,n_samples\n")
-            for (i, j), v, se in zip(est.pairs, est.values, est.std_errors):
-                fh.write(f"{i},{j},{_r(v)},{_r(se)},{est.n_samples}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +343,6 @@ class SeriesEvaluator:
         return total, self.remainder_bound(pts) + qmc_err
 
 
-def sigma_series(decomp: SpectralDecomposition, points, k_max: int = 6,
-                 qmc_points: int = 1 << 20) -> tuple[float, float]:
-    """One-shot series density; see :class:`SeriesEvaluator` for batches."""
-    ev = decomp._cache.get(("series", k_max, qmc_points))
-    if ev is None:
-        ev = SeriesEvaluator(decomp, k_max=k_max, qmc_points=qmc_points)
-        decomp._cache[("series", k_max, qmc_points)] = ev
-    out = ev.value_and_bound(points)
-    for k in range(ev.tensor_k + 1, k_max + 1):
-        ev.drop_block(k)   # the Sobol blocks are large; keep only tensor ones
-    return out
-
-
 # ---------------------------------------------------------------------------
 # cross-checks
 # ---------------------------------------------------------------------------
@@ -395,15 +370,6 @@ class DensityValue:
                 and abs(self.value_series - self.value_fredholm) <= self.tolerance)
 
 
-def _coarse_decomposition(decomp: SpectralDecomposition) -> SpectralDecomposition:
-    coarse = decomp._cache.get("quarter")
-    if coarse is None:
-        coarse = nystrom_decompose(decomp.kernel, decomp.window,
-                                   max(8, decomp.n_nodes // 4))
-        decomp._cache["quarter"] = coarse
-    return coarse
-
-
 def crosscheck_density(decomp: SpectralDecomposition, tuples,
                        k_max: int = 6, qmc_points: int = 1 << 20) -> list[DensityValue]:
     """Evaluate both routes at each tuple with a full error budget.
@@ -412,7 +378,8 @@ def crosscheck_density(decomp: SpectralDecomposition, tuples,
     void probability).  Sobol blocks are built once per k and shared.
     """
     ev = SeriesEvaluator(decomp, k_max=k_max, qmc_points=qmc_points)
-    coarse = _coarse_decomposition(decomp)
+    coarse = nystrom_decompose(decomp.kernel, decomp.window,
+                               max(8, decomp.n_nodes // 4))
     pts_list = [np.atleast_1d(np.asarray(t, dtype=float)) for t in tuples]
 
     terms = {i: 0.0 for i in range(len(pts_list))}

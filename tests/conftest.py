@@ -111,6 +111,16 @@ def product_lip_dyn_decomp(product_lip_kernel):
 
 
 @pytest.fixture(scope="session")
+def product_half_drift_table(product_half_dyn_decomp):
+    return dl.PairDriftTable(product_half_dyn_decomp)
+
+
+@pytest.fixture(scope="session")
+def product_lip_drift_table(product_lip_dyn_decomp):
+    return dl.PairDriftTable(product_lip_dyn_decomp)
+
+
+@pytest.fixture(scope="session")
 def gap_slope_half(product_half_decomp):
     return dl.fit_gap_exponent(product_half_decomp)
 

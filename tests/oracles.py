@@ -4,6 +4,10 @@ The Metropolis pair sampler targets the two-particle confinement ensemble
 directly through its energy, with no matrix machinery, and certifies the
 eigenvalue-based sampler's variance convention.
 
+The single-path integrator is the step-by-step form of the adaptive
+Euler-Maruyama scheme that dysonlab.integrate_ensemble runs in lockstep;
+a one-path ensemble must reproduce it exactly.
+
 The pair-series oracle evaluates the truncated window-density series
 pair by pair and node pair by node pair, through the Schur complement of
 each 2x2 z-pair block, with no contraction across nodes.
@@ -12,8 +16,9 @@ each 2x2 z-pair block, with no contraction across nodes.
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from dysonlab import RngStream
+from dysonlab import RngStream, Trajectory
 from dysonlab.dynamics import loggas_energy
+from dysonlab.errors import IntegrationFailureError, SingularConfigurationError
 
 
 def pair_log_density(x1, x2, lam):
@@ -111,3 +116,50 @@ def series_sigma2_grid_oracle(kernel, window, x1, x2, n_quad=48):
         s12 = k12[s:e, None] - q12
         int4[s:e] = ((s11 * s22 - s12 * s12) * det_c) @ ww
     return rho2 - int3 + 0.5 * int4
+
+
+def _min_gap(x):
+    return float(np.min(np.diff(x))) if x.size >= 2 else np.inf
+
+
+def integrate_sde_oracle(initial, drift_fn, T, delta, rng, dt_max=1e-3, c_dt=2e-3):
+    """One adaptive Euler-Maruyama path of dX = drift(X) dt + dB from the
+    sorted points ``initial``, stopped at T or at the first min gap <= delta.
+
+    Each step draws dt = min(dt_max, c_dt g^2, T - t) and halves it, with a
+    fresh normal draw, until the proposal keeps the ordering (at most 20
+    halvings).  Returns a Trajectory of every accepted step.
+    """
+    x = np.asarray(initial, dtype=float).copy()
+    if x.size >= 2 and np.min(np.diff(x)) <= 0.0:
+        raise SingularConfigurationError("initial configuration must be strictly sorted")
+    gen = rng.generator()
+    t = 0.0
+    times, states, gaps = [0.0], [x.copy()], [_min_gap(x)]
+    hit = gaps[0] <= delta if delta > 0 else False
+    hit_time = 0.0 if hit else None
+    rejections = 0
+
+    while t < T and not hit:
+        g = _min_gap(x)
+        dt = min(dt_max, T - t) if not np.isfinite(g) else min(dt_max, c_dt * g * g, T - t)
+        drift = drift_fn(x)
+        for _ in range(21):
+            prop = x + drift * dt + np.sqrt(dt) * gen.normal(size=x.size)
+            if x.size < 2 or np.min(np.diff(prop)) > 0.0:
+                break
+            dt *= 0.5
+            rejections += 1
+        else:
+            raise IntegrationFailureError(
+                f"step size underflow at t={t:.6g} with gap {_min_gap(x):.3e}")
+        x = prop
+        t += dt
+        g_new = _min_gap(x)
+        times.append(t)
+        states.append(x.copy())
+        gaps.append(g_new)
+        if delta > 0 and g_new <= delta:
+            hit, hit_time = True, t
+    return Trajectory(np.array(times), np.array(states), np.array(gaps),
+                      hit, hit_time, rejections)

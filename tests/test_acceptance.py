@@ -121,7 +121,8 @@ def test_criterion_3_density_oracle_equivalence(product_half_decomp,
         # void probability against the empty-sample fraction
         det = dl.fredholm_det(decomp)
         n = 6_000
-        empty = sum(dl.sample_dpp(decomp, RngStream(99_100, i)).count == 0
+        sampler = dl.DppSampler(decomp)
+        empty = sum(sampler.sample(RngStream(99_100, i)).count == 0
                     for i in range(n))
         se = np.sqrt(det * (1 - det) / n)
         assert abs(empty / n - det) <= 3 * se, (label, empty / n, det)
@@ -171,14 +172,18 @@ def test_criterion_5_non_collision():
     assert elapsed < 900
 
 
-def test_criterion_6_collision(product_half_dyn_decomp, product_lip_dyn_decomp):
+def test_criterion_6_collision(product_half_dyn_decomp, product_lip_dyn_decomp,
+                               product_half_drift_table, product_lip_drift_table):
     t0 = time.time()
-    holder = dl.distorted_pair_collision_probe(product_half_dyn_decomp, 1000,
-                                               T=1.0, delta=1e-3,
-                                               rng=RngStream(606, 0))
-    lipschitz = dl.distorted_pair_collision_probe(product_lip_dyn_decomp, 1000,
-                                                  T=1.0, delta=1e-3,
-                                                  rng=RngStream(606, 0))
+    rng = RngStream(606, 0)
+
+    def probe(decomp, table):
+        initials = dl.conditioned_pair_initials(dl.DppSampler(decomp), 1000, rng)
+        return dl.distorted_pair_collision_probe(table, initials, T=1.0, delta=1e-3,
+                                                 rng=rng)
+
+    holder = probe(product_half_dyn_decomp, product_half_drift_table)
+    lipschitz = probe(product_lip_dyn_decomp, product_lip_drift_table)
     ok_lower = holder.ci_low > 0.3 and not holder.inconclusive
     ok_sep = holder.ci_low > lipschitz.ci_high and not lipschitz.inconclusive
     elapsed = time.time() - t0

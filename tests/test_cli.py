@@ -117,9 +117,16 @@ def test_distorted_delta_sweep_decomposes_once(tmp_path, monkeypatch):
     decompose = cli.nystrom_decompose
     monkeypatch.setattr(cli, "nystrom_decompose",
                         lambda *a, **kw: calls.append(a) or decompose(*a, **kw))
+    builds = {"DppSampler": 0, "PairDriftTable": 0}
+    for cls in (dl.DppSampler, dl.PairDriftTable):
+        def counted(self, *a, _init=cls.__init__, _name=cls.__name__, **kw):
+            builds[_name] += 1
+            _init(self, *a, **kw)
+        monkeypatch.setattr(cls, "__init__", counted)
     path = write_config(tmp_path, dict(base, output=str(tmp_path / "sweep")))
     assert cli.main(["dynamics", "--config", path]) == 0
     assert len(calls) == 1
+    assert builds == {"DppSampler": 1, "PairDriftTable": 1}
     sweep = json.loads((tmp_path / "sweep" / "probe.json").read_text())
     # delta k runs on stream k << 32 whatever the sweep; each single-delta
     # reference builds its own decomposition, as every delta once did
@@ -129,8 +136,10 @@ def test_distorted_delta_sweep_decomposes_once(tmp_path, monkeypatch):
     assert cli.main(["dynamics", "--config", path]) == 0
     assert json.loads((tmp_path / "one" / "probe.json").read_text()) == sweep[:1]
     fresh = decompose(dl.kernel_from_json(holder), (-1, 1), 100)
-    second = dl.distorted_pair_collision_probe(fresh, 30, 0.05, 1e-2,
-                                               RngStream(17, 1 << 32))
+    rng = RngStream(17, 1 << 32)
+    initials = dl.conditioned_pair_initials(dl.DppSampler(fresh), 30, rng)
+    second = dl.distorted_pair_collision_probe(dl.PairDriftTable(fresh), initials,
+                                               0.05, 1e-2, rng)
     assert json.loads(json.dumps(hitting_stats_json(second))) == sweep[1]
 
 

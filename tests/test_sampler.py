@@ -25,26 +25,29 @@ def test_philox_known_value():
 
 
 def test_sample_dpp_deterministic(sine_decomp):
-    c1 = dl.sample_dpp(sine_decomp, RngStream(5, 3))
-    c2 = dl.sample_dpp(sine_decomp, RngStream(5, 3))
+    # a fresh sampler on the same decomposition replays the same draw
+    c1 = dl.DppSampler(sine_decomp).sample(RngStream(5, 3))
+    c2 = dl.DppSampler(sine_decomp).sample(RngStream(5, 3))
     assert np.array_equal(c1.points, c2.points)
 
 
 def test_zero_kernel_always_empty(zero_decomp):
+    sampler = dl.DppSampler(zero_decomp)
     for i in range(20):
-        assert dl.sample_dpp(zero_decomp, RngStream(1, i)).count == 0
+        assert sampler.sample(RngStream(1, i)).count == 0
 
 
 def test_rank1_projection_exactly_one_point():
-    d = synthetic_rank1_decomposition(eigenvalue=1.0)
-    counts = {dl.sample_dpp(d, RngStream(9, i)).count for i in range(200)}
+    sampler = dl.DppSampler(synthetic_rank1_decomposition(eigenvalue=1.0))
+    counts = {sampler.sample(RngStream(9, i)).count for i in range(200)}
     assert counts == {1}
 
 
 def test_rank1_projection_histogram():
     d = synthetic_rank1_decomposition(eigenvalue=1.0)
     phi = phi_of(d)
-    pts = np.array([dl.sample_dpp(d, RngStream(42, i)).points[0] for i in range(10_000)])
+    sampler = dl.DppSampler(d)
+    pts = np.array([sampler.sample(RngStream(42, i)).points[0] for i in range(10_000)])
     edges = np.linspace(-2.2, 2.2, 13)
     observed, _ = np.histogram(pts, bins=edges)
     fine = np.linspace(-3, 3, 4001)

@@ -77,13 +77,14 @@ def test_empty_batch_rejected():
 def test_sigma_zero_kernel(zero_decomp):
     assert dl.sigma_fredholm(zero_decomp, []) == 1.0
     assert dl.sigma_fredholm(zero_decomp, [0.3]) == 0.0
-    val, bound = dl.sigma_series(zero_decomp, [], k_max=3, qmc_points=256)
+    ev = dl.SeriesEvaluator(zero_decomp, k_max=3, qmc_points=256)
+    val, bound = ev.value_and_bound([])
     assert val == pytest.approx(1.0, abs=1e-14)
     assert bound == pytest.approx(0.0, abs=1e-14)
 
 
 def test_series_kmax0_is_rho(product_lip_decomp, product_lip_kernel):
-    val, _ = dl.sigma_series(product_lip_decomp, [0.2], k_max=0)
+    val, _ = dl.SeriesEvaluator(product_lip_decomp, k_max=0).value_and_bound([0.2])
     assert val == pytest.approx(dl.rho_det(product_lip_kernel, [0.2]), rel=1e-12)
 
 
@@ -111,8 +112,8 @@ def test_crosscheck_product_lip(product_lip_decomp):
 def test_void_probability_matches_sampling(product_lip_decomp):
     det = dl.fredholm_det(product_lip_decomp)
     n = 3000
-    empty = sum(dl.sample_dpp(product_lip_decomp, RngStream(55, i)).count == 0
-                for i in range(n))
+    sampler = dl.DppSampler(product_lip_decomp)
+    empty = sum(sampler.sample(RngStream(55, i)).count == 0 for i in range(n))
     frac = empty / n
     se = np.sqrt(det * (1 - det) / n)
     assert abs(frac - det) <= 3 * se
@@ -120,8 +121,8 @@ def test_void_probability_matches_sampling(product_lip_decomp):
 
 def test_count_sum_identity(product_lip_decomp):
     lam = product_lip_decomp.eigenvalues
-    counts = np.array([dl.sample_dpp(product_lip_decomp, RngStream(56, i)).count
-                       for i in range(3000)])
+    sampler = dl.DppSampler(product_lip_decomp)
+    counts = np.array([sampler.sample(RngStream(56, i)).count for i in range(3000)])
     se = counts.std(ddof=1) / np.sqrt(counts.size)
     assert abs(counts.mean() - lam.sum()) <= 3 * se
 
