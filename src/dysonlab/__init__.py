@@ -14,10 +14,10 @@ from .errors import (ConfigError, DegenerateProjectionError, DysonLabError,
                      SingularConfigurationError)
 from .kernels import (AmbientDomain, Kernel, ValidationReport, construct_kernel,
                       holder_envelope_check, kernel_from_json, validate_kernel)
-from .rng import RngStream
-from .sampler import (Box, Configuration, DppSampler, lambda_n, restrict,
-                      sample_dpp_batch, sample_log_gas, sample_log_gas_batch,
-                      sample_poisson)
+from .rng import RngStream, stream_generators
+from .sampler import (Box, Configuration, DppSampler, lambda_n,
+                      log_gas_window_counts, restrict, sample_dpp_batch,
+                      sample_log_gas, sample_log_gas_batch, sample_poisson)
 from .spectral import (SpectralDecomposition, decomposition_from_json,
                        eigenfunction_values, fredholm_det, l_kernel_eval,
                        l_matrix, mercer_reconstruction, nystrom_decompose)

@@ -189,6 +189,11 @@ class DecayFit:
     messages: list[str] = field(default_factory=list)
 
 
+def _spans_two_decades(eps_series) -> bool:
+    eps = np.asarray(list(eps_series), dtype=float)
+    return eps.size >= 3 and eps.max() / eps.min() >= 100.0
+
+
 def decay_fit(eps_series, estimates: list[CapacityEstimate]) -> DecayFit:
     """Least-squares fit of energy against 1/|log eps| through the origin.
 
@@ -198,7 +203,7 @@ def decay_fit(eps_series, estimates: list[CapacityEstimate]) -> DecayFit:
     the fit as inconclusive.
     """
     eps_arr = np.asarray(list(eps_series), dtype=float)
-    if eps_arr.size < 3 or eps_arr.max() / eps_arr.min() < 100.0:
+    if not _spans_two_decades(eps_arr):
         raise ValueError("need at least 3 eps values spanning two decades")
     order = np.argsort(eps_arr)[::-1]
     eps_arr = eps_arr[order]

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .capacity import (CapacityEstimate, capacity_csv, decay_fit,
+from .capacity import (CapacityEstimate, _spans_two_decades, capacity_csv, decay_fit,
                        estimate_I_eps_from_samples, poisson_pair_count_oracle)
 from .dynamics import (PairDriftTable, Trajectory, conditioned_pair_initials,
                        distorted_pair_collision_probe, dyson_collision_probe,
@@ -32,8 +32,9 @@ from .dynamics import (PairDriftTable, Trajectory, conditioned_pair_initials,
 from .errors import ConfigError, DysonLabError
 from .kernels import kernel_from_json, validate_kernel
 from .rng import RngStream
-from .sampler import (Box, Configuration, DppSampler, lambda_n, sample_dpp_batch,
-                      sample_log_gas, sample_log_gas_batch, sample_poisson)
+from .sampler import (Box, Configuration, DppSampler, lambda_n,
+                      log_gas_window_counts, sample_dpp_batch, sample_log_gas,
+                      sample_log_gas_batch, sample_poisson)
 from .spectral import nystrom_decompose
 from .statistics import (crosscheck_density, density_crosscheck_csv,
                          estimate_correlation, rho_det_box_mean)
@@ -43,6 +44,21 @@ EXPERIMENTS = ("validate", "sample", "correlations", "density-crosscheck",
                "convergence", "dynamics", "capacity")
 
 _TOP_KEYS = {"experiment", "kernel", "window", "seed", "params", "output", "workers"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_seed(value) -> int:
+    """The seed as given, if it is an integer in [0, 2^64)."""
+    if not _is_int(value) or not 0 <= value < 1 << 64:
+        raise ConfigError(f"seed must be an integer in [0, 2^64), got {value!r}")
+    return value
 
 
 @dataclass
@@ -68,7 +84,7 @@ class ExperimentConfig:
         if "seed" not in data:
             raise ConfigError("config needs a 'seed' field")
         window = tuple(data["window"]) if "window" in data else None
-        return ExperimentConfig(data["experiment"], int(data["seed"]),
+        return ExperimentConfig(data["experiment"], _check_seed(data["seed"]),
                                 data.get("kernel"), window,
                                 dict(data.get("params", {})),
                                 data.get("output"),
@@ -238,32 +254,41 @@ def _exp_density_crosscheck(cfg, out: Path, artifacts: list) -> tuple[int, dict]
 
 
 def _loggas_chunk(args):
-    n, rho_bar, seed, start, stop = args
-    return sample_log_gas_batch(n, rho_bar, seed, stop - start, base_stream=start)
+    n, rho_bar, seed, half, start, stop = args
+    return log_gas_window_counts(n, rho_bar, seed, stop - start, half, base_stream=start)
 
 
 def _exp_convergence(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
-    rho_bar = float(_param(cfg, "rho_bar", 1.0))
+    rho_bar = _param(cfg, "rho_bar", 1.0)
     ns = list(_param(cfg, "Ns", [8, 16, 32]))
     n_samples = _param(cfg, "n_samples", [200_000, 400_000, 400_000])
-    if isinstance(n_samples, int):
+    if _is_int(n_samples):
         n_samples = [n_samples] * len(ns)
-    if len(n_samples) != len(ns):
-        raise ConfigError(f"n_samples has {len(n_samples)} entries for "
-                          f"{len(ns)} values of Ns")
-    half = float(_param(cfg, "bin_halfwidth", 0.15))
+    if not isinstance(n_samples, list) or len(n_samples) != len(ns):
+        raise ConfigError(f"n_samples must be an integer or a list of one per N, "
+                          f"got {n_samples!r} for {len(ns)} values of Ns")
+    half = _param(cfg, "bin_halfwidth", 0.15)
+    if not all(_is_int(n) and n >= 1 for n in ns):
+        raise ConfigError(f"Ns must be integers >= 1, got {ns!r}")
+    if not all(_is_int(m) and m >= 2 for m in n_samples):
+        raise ConfigError(f"n_samples must be integers >= 2, got {n_samples!r}")
+    if not _is_real(half) or not 0.0 < half < np.inf:
+        raise ConfigError(f"bin_halfwidth must be a positive number, got {half!r}")
+    if not _is_real(rho_bar) or not 0.0 < rho_bar <= 1.0:
+        raise ConfigError(f"rho_bar must lie in (0, 1], got {rho_bar!r}")
+    rho_bar, half = float(rho_bar), float(half)
     workers = _workers(cfg)
     rows = []
     for idx, (n, m) in enumerate(zip(ns, n_samples)):
         if workers <= 1:
-            pts = sample_log_gas_batch(n, rho_bar, cfg.seed, m, base_stream=idx << 32)
+            in_bin = log_gas_window_counts(n, rho_bar, cfg.seed, m, half,
+                                           base_stream=idx << 32)
         else:
-            edges = np.linspace(0, m, workers + 1).astype(int)
-            args = [(n, rho_bar, cfg.seed, (idx << 32) + int(a), (idx << 32) + int(b))
+            edges = (idx << 32) + np.linspace(0, m, workers + 1).astype(int)
+            args = [(n, rho_bar, cfg.seed, half, int(a), int(b))
                     for a, b in zip(edges[:-1], edges[1:]) if b > a]
             with ProcessPoolExecutor(max_workers=workers) as ex:
-                pts = np.concatenate(list(ex.map(_loggas_chunk, args)), axis=0)
-        in_bin = np.sum((pts > -half) & (pts < half), axis=1)
+                in_bin = np.concatenate(list(ex.map(_loggas_chunk, args)))
         est = in_bin.mean() / (2 * half)
         se = in_bin.std(ddof=1) / np.sqrt(m) / (2 * half)
         rows.append((n, float(est), float(se), abs(float(est) - rho_bar)))
@@ -329,6 +354,9 @@ def _exp_capacity(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
     rows: list[CapacityEstimate] = []
     extra: dict = {"variant": variant}
     if variant == "log":
+        if not all(0.0 < e < 1.0 for e in eps_list) or not _spans_two_decades(eps_list):
+            raise ConfigError(f"the log variant needs at least 3 eps values in (0, 1) "
+                              f"spanning two decades, got {eps_list}")
         kernel = _require_kernel(cfg)
         window = cfg.window or (-3.0, 3.0)
         inner = tuple(_param(cfg, "inner", (-2.0, 2.0)))
@@ -508,7 +536,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"config is for {cfg.experiment!r}, "
                               f"command line says {args.experiment!r}")
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _check_seed(args.seed)
         return run(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,16 +5,25 @@ a (seed, stream_id) address into the Philox counter-based generator.
 Identical addresses reproduce identical draws bit for bit on every
 platform, and distinct stream ids are statistically independent, which
 is what makes embarrassingly parallel Monte Carlo reproducible: worker
-pools hand out stream ids, never generator state.
+pools hand out stream ids, never generator state.  Loops over many
+consecutive streams use :func:`stream_generators`, which rewinds one
+generator per stream instead of building a new one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+
+def _philox_key(seed: int, stream_id: int) -> np.ndarray:
+    """Philox key words of the address (seed, stream_id): the 128-bit key
+    (stream_id << 64) | seed, least significant word first."""
+    return np.array([seed, stream_id], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -32,10 +41,40 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
-        key = (self.stream_id << 64) | self.seed
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=_philox_key(self.seed,
+                                                                    self.stream_id)))
 
     def child(self, k: int) -> "RngStream":
         """Derived stream, used when a routine needs several independent
         streams of its own (k is a small local index)."""
         return RngStream(self.seed, ((self.stream_id * 1_000_003) + k + 1) & _MASK64)
+
+
+def stream_generators(seed: int, start: int, count: int) -> Iterator[np.random.Generator]:
+    """Generators of streams start, ..., start + count - 1, in order.
+
+    One Philox bit generator is rewound for each stream: key set to the
+    stream's address, counter to 0, output buffer emptied.  Each draw is
+    bit-identical to ``RngStream(seed, i).generator()``, at a fraction of
+    the cost of building a new generator.  A yielded generator is valid
+    only until the next one is yielded.
+    """
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    RngStream(seed, start)            # both ends of the range must be valid addresses
+    if count:
+        RngStream(seed, start + count - 1)
+    return _rewound(seed, start, count)
+
+
+def _rewound(seed: int, start: int, count: int) -> Iterator[np.random.Generator]:
+    bitgen = np.random.Philox()
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    for i in range(start, start + count):
+        state["state"]["key"][:] = _philox_key(seed, i)
+        state["state"]["counter"][:] = 0
+        state["buffer_pos"] = 4
+        state["has_uint32"] = 0
+        bitgen.state = state
+        yield gen

@@ -12,12 +12,17 @@ The log-gas sampler realizes the quadratic-confinement ensemble
 
     mu_N ~ prod_{i<j} |x_i - x_j|^2 * exp(-lam_N sum_i x_i^2)
 
-as the eigenvalues of a Hermitian Gaussian matrix with entry density
-proportional to exp(-lam_N tr H^2): real diagonal N(0, 1/(2 lam_N)),
-off-diagonal real and imaginary parts N(0, 1/(4 lam_N)).  The default
-confinement lam_N = (pi rho_bar)^2 / (2 N) puts the bulk density at the
-origin at rho_bar for every N, so the finite-N 1-point function converges
-to the sine field's constant density as N grows.
+as the eigenvalues of the Dumitriu-Edelman beta = 2 tridiagonal model: a
+real symmetric tridiagonal matrix with diagonal N(0, 1/(2 lam_N)) and
+off-diagonals chi_{2(N-k)} * sqrt(1/(4 lam_N)), k = 1..N-1.  It has the
+eigenvalue law of the Hermitian Gaussian matrix with entry density
+proportional to exp(-lam_N tr H^2), from N + (N-1) draws per sample.
+Counts of eigenvalues in a window (-h, h) need no eigensolve: a Sturm
+sequence (the LDL^T pivots of T - s I) counts the eigenvalues below s in
+O(N) steps.  The default confinement lam_N = (pi rho_bar)^2 / (2 N) puts
+the bulk density at the origin at rho_bar for every N, so the finite-N
+1-point function converges to the sine field's constant density as N
+grows.
 
 All samplers are pure functions of (inputs, RngStream): replicas with
 distinct stream ids can run on any number of workers and reproduce
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SamplingError
-from .rng import RngStream
+from .rng import RngStream, stream_generators
 from .spectral import SpectralDecomposition, eigenfunction_values
 
 log = logging.getLogger(__name__)
@@ -41,6 +46,8 @@ log = logging.getLogger(__name__)
 _RETAIN_CUTOFF = 1e-12
 _ZERO_DENSITY = 1e-12
 _MAX_POINT_RETRIES = 100
+# log-gas draws per block: bounds memory whatever n_samples is
+_LOG_GAS_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -204,54 +211,102 @@ def lambda_n(n: int, rho_bar: float) -> float:
     return (np.pi * rho_bar) ** 2 / (2.0 * n)
 
 
-def _gue_matrix(n: int, lam: float, gen) -> np.ndarray:
-    sd_diag = np.sqrt(1.0 / (2.0 * lam))
-    sd_off = np.sqrt(1.0 / (4.0 * lam))
-    h = np.zeros((n, n), dtype=complex)
-    iu = np.triu_indices(n, 1)
-    h[iu] = gen.normal(0.0, sd_off, iu[0].size) + 1j * gen.normal(0.0, sd_off, iu[0].size)
-    h = h + h.conj().T
-    h[np.diag_indices(n)] = gen.normal(0.0, sd_diag, n)
-    return h
-
-
-def sample_log_gas(n: int, rho_bar: float, rng: RngStream,
-                   lam: float | None = None) -> Configuration:
-    """n points of the quadratic-confinement log-gas, sorted ascending."""
+def _check_log_gas(n: int, rho_bar: float) -> float:
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0.0 < rho_bar <= 1.0:
         raise ValueError("rho_bar must lie in (0, 1]")
-    lam = lambda_n(n, rho_bar) if lam is None else float(lam)
-    gen = rng.generator()
-    for attempt in range(4):
-        try:
-            ev = np.linalg.eigvalsh(_gue_matrix(n, lam, gen))
-        except np.linalg.LinAlgError:
-            continue
-        ev.sort()
-        if n == 1 or np.min(np.diff(ev)) > 0.0:
-            return Configuration(ev, (-np.inf, np.inf))
-        log.warning("tied eigenvalues in log-gas draw, retrying")
-    raise SamplingError("log-gas eigensolve failed after 3 retries")
+    return lambda_n(n, rho_bar)
+
+
+def _tridiagonal_batch(n: int, lam: float, seed: int, m: int,
+                       base_stream: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals (m, n) and off-diagonals (m, n - 1) of m tridiagonal
+    log-gas matrices, row i drawn from stream base_stream + i: first the n
+    diagonal normals, then the n - 1 chi-square variates in order k = 1..n-1.
+    """
+    sd_diag = np.sqrt(1.0 / (2.0 * lam))
+    dof = 2.0 * np.arange(n - 1, 0, -1)
+    diag = np.empty((m, n))
+    off = np.empty((m, n - 1))
+    for i, gen in enumerate(stream_generators(seed, base_stream, m)):
+        diag[i] = gen.normal(0.0, sd_diag, n)
+        off[i] = gen.chisquare(dof)
+    np.sqrt(off, out=off)
+    off *= np.sqrt(1.0 / (4.0 * lam))
+    return diag, off
+
+
+def _blocks(n_samples: int):
+    for s in range(0, n_samples, _LOG_GAS_BLOCK):
+        yield s, min(s + _LOG_GAS_BLOCK, n_samples)
+
+
+def sample_log_gas(n: int, rho_bar: float, rng: RngStream) -> Configuration:
+    """n points of the quadratic-confinement log-gas, sorted ascending: row 0
+    of the batch on stream ``rng``.  A tie (probability zero) raises
+    :class:`SamplingError`."""
+    ev = sample_log_gas_batch(n, rho_bar, rng.seed, 1, base_stream=rng.stream_id)[0]
+    if n >= 2 and np.min(np.diff(ev)) <= 0.0:
+        raise SamplingError("tied eigenvalues in log-gas draw")
+    return Configuration(ev, (-np.inf, np.inf))
 
 
 def sample_log_gas_batch(n: int, rho_bar: float, seed: int, n_samples: int,
-                         base_stream: int = 0, lam: float | None = None) -> np.ndarray:
+                         base_stream: int = 0) -> np.ndarray:
     """(n_samples, n) array of sorted draws, one stream per sample.
 
-    Matrices are drawn per-stream, then eigensolved in stacked batches,
-    so the result is identical however the batch is chunked.
+    Each stream's draws are fixed, so the result is identical however the
+    batch is chunked; matrices are eigensolved in stacked blocks.
     """
-    lam = lambda_n(n, rho_bar) if lam is None else float(lam)
+    lam = _check_log_gas(n, rho_bar)
     out = np.empty((n_samples, n))
-    block = 4096
-    for s in range(0, n_samples, block):
-        e = min(s + block, n_samples)
-        mats = np.stack([_gue_matrix(n, lam, RngStream(seed, base_stream + i).generator())
-                         for i in range(s, e)])
-        out[s:e] = np.sort(np.linalg.eigvalsh(mats), axis=1)
+    idx = np.arange(n)
+    for s, e in _blocks(n_samples):
+        diag, off = _tridiagonal_batch(n, lam, seed, e - s, base_stream + s)
+        mats = np.zeros((e - s, n, n))
+        mats[:, idx, idx] = diag
+        mats[:, idx[1:], idx[:-1]] = off   # eigvalsh reads the lower triangle
+        out[s:e] = np.linalg.eigvalsh(mats)
     return out
+
+
+def _count_below(diag: np.ndarray, off_sq: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Eigenvalues below each shift, per row: the negative pivots of the
+    LDL^T factorization of T - shift I (Sylvester's law of inertia).
+
+    ``shifts`` has shape (k, 1); the result has shape (k, rows).  As in
+    LAPACK's bisection, a pivot with |q| <= pivmin is replaced by -pivmin
+    before it is counted: it counts as negative, and every quotient stays
+    below max(off_sq) / pivmin, so nothing divides by zero or overflows.
+    """
+    pivmin = np.finfo(float).tiny * max(1.0, float(off_sq.max(initial=0.0)))
+    q = diag[:, 0] - shifts
+    below = np.zeros(q.shape, dtype=np.int64)
+    for k in range(diag.shape[1]):
+        if k:
+            q = (diag[:, k] - shifts) - off_sq[:, k - 1] / q
+        q[np.abs(q) <= pivmin] = -pivmin
+        below += q < 0.0
+    return below
+
+
+def log_gas_window_counts(n: int, rho_bar: float, seed: int, n_samples: int,
+                          half: float, base_stream: int = 0) -> np.ndarray:
+    """Number of points in (-half, half) for each of n_samples log-gas draws.
+
+    The draws are those of :func:`sample_log_gas_batch` on the same streams;
+    counts come from Sturm sequences at +-half in O(n) per draw, with no
+    eigensolve.
+    """
+    lam = _check_log_gas(n, rho_bar)
+    shifts = np.array([[half], [-half]])
+    counts = np.empty(n_samples, dtype=np.int64)
+    for s, e in _blocks(n_samples):
+        diag, off = _tridiagonal_batch(n, lam, seed, e - s, base_stream + s)
+        below = _count_below(diag, off * off, shifts)
+        counts[s:e] = below[0] - below[1]
+    return counts
 
 
 def sample_poisson(intensity: float, region: Box, rng: RngStream) -> Configuration:

@@ -106,6 +106,84 @@ def test_convergence_rejects_mismatched_sample_counts(tmp_path):
     assert not (tmp_path / "c" / "convergence.csv").exists()
 
 
+def assert_one_line_config_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+
+
+def test_convergence_csv_identical_for_one_and_two_workers(tmp_path):
+    runs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        path = write_config(tmp_path, {
+            "experiment": "convergence", "seed": 8, "workers": workers,
+            "params": {"Ns": [4, 8], "n_samples": 3001, "bin_halfwidth": 0.2},
+            "output": str(out)}, name=f"w{workers}.json")
+        assert cli.main(["convergence", "--config", path]) == 0
+        runs.append((out / "convergence.csv").read_bytes())
+    assert runs[0] == runs[1]
+    # the Sturm counts reproduce the eigenvalue counts of the same streams
+    rows = runs[0].decode().splitlines()[1:]
+    for idx, (n, row) in enumerate(zip((4, 8), rows)):
+        pts = dl.sample_log_gas_batch(n, 1.0, 8, 3001, base_stream=idx << 32)
+        in_bin = np.sum((pts > -0.2) & (pts < 0.2), axis=1)
+        assert row.split(",")[1] == repr(float(in_bin.mean() / 0.4))
+
+
+@pytest.mark.parametrize("params", [
+    {"Ns": [0], "n_samples": 100},
+    {"Ns": [4, 2.5], "n_samples": 100},
+    {"Ns": [4], "n_samples": 0},
+    {"Ns": [4], "n_samples": 1},
+    {"Ns": [4, 8], "n_samples": [100, 1]},
+    {"Ns": [4], "n_samples": 100, "bin_halfwidth": 0},
+    {"Ns": [4], "n_samples": 100, "bin_halfwidth": -0.1},
+    {"Ns": [4], "n_samples": 100, "rho_bar": 0},
+    {"Ns": [4], "n_samples": 100, "rho_bar": 1.5},
+])
+def test_convergence_rejects_unusable_inputs(tmp_path, capsys, params):
+    path = write_config(tmp_path, {"experiment": "convergence", "seed": 5,
+                                   "params": params, "output": str(tmp_path / "c")})
+    assert cli.main(["convergence", "--config", path]) == 2
+    assert not (tmp_path / "c" / "convergence.csv").exists()
+    assert_one_line_config_error(capsys)
+
+
+@pytest.mark.parametrize("eps", [[0.5, 0.2, 0.1, 0.05], [1.5, 1e-2, 1e-3]])
+def test_capacity_rejects_unusable_eps_before_sampling(tmp_path, capsys, monkeypatch,
+                                                       eps):
+    def no_sampling(*a, **kw):
+        raise AssertionError("sampled before checking eps")
+    monkeypatch.setattr(cli, "parallel_dpp_samples", no_sampling)
+    path = write_config(tmp_path, {
+        "experiment": "capacity", "seed": 13, "kernel": SINE, "window": [-3, 3],
+        "params": {"eps": eps, "n_samples": 100, "n_nodes": 64},
+        "output": str(tmp_path / "cap")})
+    assert cli.main(["capacity", "--config", path]) == 2
+    assert not (tmp_path / "cap" / "capacity.csv").exists()
+    assert_one_line_config_error(capsys)
+
+
+@pytest.mark.parametrize("seed", ["abc", -1, 1.5, True, 2**64, None])
+def test_seed_must_be_a_64_bit_unsigned_integer(tmp_path, capsys, seed):
+    path = write_config(tmp_path, {"experiment": "validate", "seed": seed,
+                                   "kernel": SINE, "window": [-3, 3]})
+    assert cli.main(["validate", "--config", path]) == 2
+    assert_one_line_config_error(capsys)
+
+
+def test_seed_override_must_be_a_64_bit_unsigned_integer(tmp_path, capsys):
+    path = write_config(tmp_path, {"experiment": "validate", "seed": 3,
+                                   "kernel": SINE, "window": [-3, 3],
+                                   "output": str(tmp_path / "v")})
+    for bad in ("-1", str(2**64)):
+        assert cli.main(["validate", "--config", path, "--seed", bad]) == 2
+        assert_one_line_config_error(capsys)
+    assert not (tmp_path / "v").exists()
+    assert cli.load_config(write_config(tmp_path, {
+        "experiment": "validate", "seed": 2**64 - 1}, name="max.json")).seed == 2**64 - 1
+
+
 def test_distorted_delta_sweep_decomposes_once(tmp_path, monkeypatch):
     holder = {"family": "product", "params": {"alpha": 0.5},
               "domain": {"kind": "full_line"}}

@@ -145,6 +145,82 @@ def test_log_gas_pair_matches_metropolis_oracle():
     assert ks_mid.pvalue > 0.01
 
 
+def _draws(gen):
+    return np.concatenate([gen.normal(0.0, 0.7, 5), gen.chisquare([6.0, 4.0, 2.0]),
+                           gen.random(3)])
+
+
+@pytest.mark.parametrize("seed,start", [(0, 0), (123, 7), (2**64 - 1, 2**64 - 4),
+                                         (2**64 - 1, 0)])
+def test_stream_generators_match_rng_stream(seed, start):
+    seen = 0
+    for i, gen in enumerate(dl.stream_generators(seed, start, 4), start):
+        expected = _draws(RngStream(seed, i).generator())
+        assert np.array_equal(_draws(gen), expected)
+        # the documented key layout: (stream_id << 64) | seed
+        philox = np.random.Generator(np.random.Philox(key=(i << 64) | seed))
+        assert np.array_equal(_draws(philox), expected)
+        seen += 1
+    assert seen == 4
+
+
+def test_stream_generators_reject_addresses_beyond_64_bits():
+    with pytest.raises(ValueError):
+        dl.stream_generators(1, 2**64 - 2, 3)
+    with pytest.raises(ValueError):
+        dl.stream_generators(2**64, 0, 1)
+    assert list(dl.stream_generators(1, 2**64 - 2, 2)) != []
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 32])
+def test_window_counts_equal_eigenvalue_counts(n):
+    half = 0.15 * np.sqrt(n)   # a few eigenvalues inside at every n
+    pts = dl.sample_log_gas_batch(n, 1.0, 4242, 3000, base_stream=11)
+    counts = dl.log_gas_window_counts(n, 1.0, 4242, 3000, half, base_stream=11)
+    assert np.array_equal(counts, np.sum((pts > -half) & (pts < half), axis=1))
+    assert 0 < counts.mean() < n
+
+
+def test_sturm_count_survives_zero_pivots():
+    # integer tridiagonals at integer shifts hit exact zero pivots often
+    from dysonlab.sampler import _count_below
+    gen = np.random.default_rng(3)
+    checked = 0
+    with np.errstate(all="raise"):
+        for _ in range(2000):
+            n = int(gen.integers(1, 7))
+            d = gen.integers(-1, 2, n).astype(float)
+            e = gen.integers(1, 3, n - 1).astype(float)
+            ev = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+            shifts = np.array([[-1.0], [0.0], [1.0]])
+            below = _count_below(d[None], (e * e)[None], shifts)[:, 0]
+            for s, c in zip(shifts[:, 0], below):
+                if np.min(np.abs(ev - s)) > 1e-9:   # no eigenvalue at the shift
+                    assert c == np.sum(ev < s)
+                    checked += 1
+    assert checked > 4000
+
+
+def test_log_gas_batch_is_chunk_invariant():
+    # rows 4000..4300 straddle the first 4096-draw block
+    full = dl.sample_log_gas_batch(5, 0.9, 6, 4300, base_stream=20)
+    part = dl.sample_log_gas_batch(5, 0.9, 6, 300, base_stream=4020)
+    assert np.array_equal(full[4000:], part)
+    counts = dl.log_gas_window_counts(5, 0.9, 6, 4300, 0.3, base_stream=20)
+    assert np.array_equal(counts[4000:],
+                          dl.log_gas_window_counts(5, 0.9, 6, 300, 0.3, base_stream=4020))
+    single = dl.sample_log_gas(5, 0.9, RngStream(6, 4123))
+    assert np.array_equal(single.points, full[4103])
+
+
+def test_log_gas_tie_raises_sampling_error(monkeypatch):
+    from dysonlab import sampler
+    monkeypatch.setattr(sampler, "sample_log_gas_batch",
+                        lambda *a, **kw: np.array([[-0.2, 0.1, 0.1]]))
+    with pytest.raises(dl.SamplingError):
+        sampler.sample_log_gas(3, 1.0, RngStream(1, 0))
+
+
 def test_poisson_moments():
     box = dl.Box([[0, 1], [0, 1], [0, 1]])
     counts = np.array([dl.sample_poisson(1.0, box, RngStream(4, i)).count
