@@ -14,12 +14,11 @@ from .errors import (ConfigError, DegenerateProjectionError, DysonLabError,
                      SingularConfigurationError)
 from .kernels import (AmbientDomain, Kernel, ValidationReport, construct_kernel,
                       holder_envelope_check, kernel_from_json, validate_kernel)
-from .rng import RngStream, stream_generators
+from .rng import RngStream, map_streams, stream_generators
 from .sampler import (Box, Configuration, DppSampler, lambda_n,
-                      log_gas_window_counts, restrict, sample_dpp_batch,
-                      sample_log_gas, sample_log_gas_batch, sample_poisson)
-from .spectral import (SpectralDecomposition, decomposition_from_json,
-                       eigenfunction_values, fredholm_det, l_kernel_eval,
+                      log_gas_window_counts, sample_dpp_batch, sample_log_gas,
+                      sample_log_gas_batch, sample_poisson, sample_poisson_batch)
+from .spectral import (SpectralDecomposition, eigenfunction_values, fredholm_det,
                        l_matrix, mercer_reconstruction, nystrom_decompose)
 from .statistics import (CorrelationEstimate, DensityValue, SeriesEvaluator,
                          crosscheck_density, estimate_correlation,
@@ -30,6 +29,6 @@ from .dynamics import (EnsembleRun, HittingStats, PairDriftTable, Trajectory,
                        distorted_pair_collision_probe, distorted_pair_dimension,
                        dyson_collision_probe, dyson_drift, dyson_pair_dimension,
                        integrate_ensemble, loggas_energy, wilson_interval)
-from .capacity import (CapacityEstimate, DecayFit, decay_fit, estimate_I_eps,
+from .capacity import (CapacityEstimate, DecayFit, decay_fit,
                        estimate_I_eps_from_samples, h_eps, h_lin, pair_energy,
                        poisson_pair_count_oracle)

@@ -137,19 +137,6 @@ class CapacityEstimate:
         return self.energy + self.l2_term
 
 
-def estimate_I_eps(sampler_handle, eps: float, n_samples: int, variant: str,
-                   rng: RngStream, inner_window=None) -> CapacityEstimate:
-    """Monte Carlo mean of the pair energy and of g^2 over equilibrium draws.
-
-    ``sampler_handle(stream)`` must return a Configuration; sample i uses
-    stream rng.stream_id + i, so a fixed seed gives common random numbers
-    across eps values (which keeps the decay monotone path by path).
-    """
-    samples = [sampler_handle(RngStream(rng.seed, rng.stream_id + i))
-               for i in range(n_samples)]
-    return estimate_I_eps_from_samples(samples, eps, variant, inner_window)
-
-
 def estimate_I_eps_from_samples(samples: list[Configuration], eps: float,
                                 variant: str, inner_window=None) -> CapacityEstimate:
     if not samples:

@@ -17,8 +17,8 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +31,10 @@ from .dynamics import (PairDriftTable, Trajectory, conditioned_pair_initials,
                        dyson_drift, hitting_stats_json, integrate_ensemble)
 from .errors import ConfigError, DysonLabError
 from .kernels import kernel_from_json, validate_kernel
-from .rng import RngStream
+from .rng import RngStream, map_streams
 from .sampler import (Box, Configuration, DppSampler, lambda_n,
                       log_gas_window_counts, sample_dpp_batch, sample_log_gas,
-                      sample_log_gas_batch, sample_poisson)
+                      sample_log_gas_batch, sample_poisson_batch)
 from .spectral import nystrom_decompose
 from .statistics import (crosscheck_density, density_crosscheck_csv,
                          estimate_correlation, rho_det_box_mean)
@@ -61,6 +61,23 @@ def _check_seed(value) -> int:
     return value
 
 
+def _check_workers(value, name: str) -> int:
+    """The worker count as given, if it is an integer >= 1."""
+    if not _is_int(value) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _check_log_gas(ns: list, rho_bar) -> float:
+    """rho_bar as a float, if every log-gas size N is an integer >= 1 and
+    rho_bar lies in (0, 1]."""
+    if not all(_is_int(n) and n >= 1 for n in ns):
+        raise ConfigError(f"log-gas N must be an integer >= 1, got {ns!r}")
+    if not _is_real(rho_bar) or not 0.0 < rho_bar <= 1.0:
+        raise ConfigError(f"rho_bar must lie in (0, 1], got {rho_bar!r}")
+    return float(rho_bar)
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -84,11 +101,13 @@ class ExperimentConfig:
         if "seed" not in data:
             raise ConfigError("config needs a 'seed' field")
         window = tuple(data["window"]) if "window" in data else None
+        workers = data.get("workers")
+        if workers is not None:
+            _check_workers(workers, "workers")
         return ExperimentConfig(data["experiment"], _check_seed(data["seed"]),
                                 data.get("kernel"), window,
                                 dict(data.get("params", {})),
-                                data.get("output"),
-                                data.get("workers"))
+                                data.get("output"), workers)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -101,10 +120,15 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _workers(cfg: ExperimentConfig) -> int:
+    """Worker processes for sampling: the config's `workers`, else
+    DYSON_LAB_THREADS, else 1."""
     if cfg.workers is not None:
-        return max(1, int(cfg.workers))
+        return cfg.workers
     env = os.environ.get("DYSON_LAB_THREADS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    value = int(env) if env.isascii() and env.isdigit() else env
+    return _check_workers(value, "DYSON_LAB_THREADS")
 
 
 def _require_kernel(cfg: ExperimentConfig):
@@ -118,33 +142,17 @@ def _param(cfg: ExperimentConfig, key: str, default):
 
 
 # ---------------------------------------------------------------------------
-# parallel sampling (per-sample streams keep results pool-size independent)
-# ---------------------------------------------------------------------------
-
-def _dpp_chunk(args):
-    kernel_json, window, n_nodes, seed, start, stop = args
-    kernel = kernel_from_json(kernel_json)
-    decomp = nystrom_decompose(kernel, window, n_nodes)
-    cfgs = sample_dpp_batch(decomp, seed, stop - start, base_stream=start)
-    return [c.points for c in cfgs]
-
-
-def parallel_dpp_samples(kernel, window, n_nodes: int, seed: int, n_samples: int,
-                         workers: int) -> list[Configuration]:
-    if workers <= 1:
-        decomp = nystrom_decompose(kernel, window, n_nodes)
-        return sample_dpp_batch(decomp, seed, n_samples)
-    edges = np.linspace(0, n_samples, workers + 1).astype(int)
-    args = [(kernel.to_json(), window, n_nodes, seed, int(a), int(b))
-            for a, b in zip(edges[:-1], edges[1:]) if b > a]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        chunks = list(ex.map(_dpp_chunk, args))
-    return [Configuration(pts, tuple(window)) for chunk in chunks for pts in chunk]
-
-
-# ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
+
+def _dpp_samples(cfg, window, n_samples: int, workers: int):
+    """The kernel and n_samples DPP draws on streams 0.., from one decomposition
+    built here and shared with every worker."""
+    kernel = _require_kernel(cfg)
+    decomp = nystrom_decompose(kernel, window, _param(cfg, "n_nodes", 256))
+    return kernel, map_streams(partial(sample_dpp_batch, decomp), cfg.seed, 0,
+                               n_samples, workers)
+
 
 def _exp_validate(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
     kernel = _require_kernel(cfg)
@@ -169,24 +177,23 @@ def _exp_validate(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
 def _exp_sample(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
     which = _param(cfg, "sampler", "dpp")
     n_samples = int(_param(cfg, "n_samples", 1000))
+    workers = _workers(cfg)
     header = {"sampler": which, "seed": cfg.seed, "n_samples": n_samples}
     if which == "dpp":
-        kernel = _require_kernel(cfg)
         window = cfg.window or (-3.0, 3.0)
-        samples = parallel_dpp_samples(kernel, window, _param(cfg, "n_nodes", 256),
-                                       cfg.seed, n_samples, _workers(cfg))
+        kernel, samples = _dpp_samples(cfg, window, n_samples, workers)
         header.update(kernel=kernel.to_json(), window=list(window))
     elif which == "log_gas":
-        pts = sample_log_gas_batch(int(_param(cfg, "N", 8)),
-                                   float(_param(cfg, "rho_bar", 1.0)),
-                                   cfg.seed, n_samples)
+        n, rho_bar = _param(cfg, "N", 8), _param(cfg, "rho_bar", 1.0)
+        draws = partial(sample_log_gas_batch, n, _check_log_gas([n], rho_bar))
+        pts = map_streams(draws, cfg.seed, 0, n_samples, workers)
         samples = [Configuration(row, (-np.inf, np.inf)) for row in pts]
-        header.update(N=int(_param(cfg, "N", 8)), rho_bar=_param(cfg, "rho_bar", 1.0))
+        header.update(N=n, rho_bar=rho_bar)
     elif which == "poisson":
         box = Box(_param(cfg, "box", [[0.0, 1.0]] * 3))
         intensity = float(_param(cfg, "intensity", 1.0))
-        samples = [sample_poisson(intensity, box, RngStream(cfg.seed, i))
-                   for i in range(n_samples)]
+        samples = map_streams(partial(sample_poisson_batch, intensity, box),
+                              cfg.seed, 0, n_samples, workers)
         header.update(intensity=intensity, box=box.bounds.tolist())
     else:
         raise ConfigError(f"unknown sampler {which!r}")
@@ -201,12 +208,10 @@ def _exp_sample(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
 
 
 def _exp_correlations(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
-    kernel = _require_kernel(cfg)
     window = cfg.window or (-3.0, 3.0)
     n_samples = int(_param(cfg, "n_samples", 10_000))
     n_bins = int(_param(cfg, "n_bins", 24))
-    samples = parallel_dpp_samples(kernel, window, _param(cfg, "n_nodes", 256),
-                                   cfg.seed, n_samples, _workers(cfg))
+    kernel, samples = _dpp_samples(cfg, window, n_samples, _workers(cfg))
     edges = np.linspace(window[0], window[1], n_bins + 1)
     bins1 = [(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])]
     est1 = estimate_correlation(samples, 1, bins1)
@@ -253,11 +258,6 @@ def _exp_density_crosscheck(cfg, out: Path, artifacts: list) -> tuple[int, dict]
     return (0 if not bad else 3), {"n_tuples": len(values), "n_inconsistent": len(bad)}
 
 
-def _loggas_chunk(args):
-    n, rho_bar, seed, half, start, stop = args
-    return log_gas_window_counts(n, rho_bar, seed, stop - start, half, base_stream=start)
-
-
 def _exp_convergence(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
     rho_bar = _param(cfg, "rho_bar", 1.0)
     ns = list(_param(cfg, "Ns", [8, 16, 32]))
@@ -268,27 +268,17 @@ def _exp_convergence(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
         raise ConfigError(f"n_samples must be an integer or a list of one per N, "
                           f"got {n_samples!r} for {len(ns)} values of Ns")
     half = _param(cfg, "bin_halfwidth", 0.15)
-    if not all(_is_int(n) and n >= 1 for n in ns):
-        raise ConfigError(f"Ns must be integers >= 1, got {ns!r}")
+    rho_bar = _check_log_gas(ns, rho_bar)
     if not all(_is_int(m) and m >= 2 for m in n_samples):
         raise ConfigError(f"n_samples must be integers >= 2, got {n_samples!r}")
     if not _is_real(half) or not 0.0 < half < np.inf:
         raise ConfigError(f"bin_halfwidth must be a positive number, got {half!r}")
-    if not _is_real(rho_bar) or not 0.0 < rho_bar <= 1.0:
-        raise ConfigError(f"rho_bar must lie in (0, 1], got {rho_bar!r}")
-    rho_bar, half = float(rho_bar), float(half)
+    half = float(half)
     workers = _workers(cfg)
     rows = []
     for idx, (n, m) in enumerate(zip(ns, n_samples)):
-        if workers <= 1:
-            in_bin = log_gas_window_counts(n, rho_bar, cfg.seed, m, half,
-                                           base_stream=idx << 32)
-        else:
-            edges = (idx << 32) + np.linspace(0, m, workers + 1).astype(int)
-            args = [(n, rho_bar, cfg.seed, half, int(a), int(b))
-                    for a, b in zip(edges[:-1], edges[1:]) if b > a]
-            with ProcessPoolExecutor(max_workers=workers) as ex:
-                in_bin = np.concatenate(list(ex.map(_loggas_chunk, args)))
+        counts = partial(log_gas_window_counts, n, rho_bar, half=half)
+        in_bin = map_streams(counts, cfg.seed, idx << 32, m, workers)
         est = in_bin.mean() / (2 * half)
         se = in_bin.std(ddof=1) / np.sqrt(m) / (2 * half)
         rows.append((n, float(est), float(se), abs(float(est) - rho_bar)))
@@ -349,19 +339,21 @@ def _exp_dynamics(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
 
 def _exp_capacity(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
     variant = _param(cfg, "variant", "log")
-    eps_list = [float(e) for e in _param(cfg, "eps", [1e-2, 1e-3, 1e-4, 1e-5])]
+    eps_list = _param(cfg, "eps", [1e-2, 1e-3, 1e-4, 1e-5])
+    if not isinstance(eps_list, list) or not all(_is_real(e) and 0.0 < e < np.inf
+                                                 for e in eps_list):
+        raise ConfigError(f"eps must be a list of positive numbers, got {eps_list!r}")
+    eps_list = [float(e) for e in eps_list]
     n_samples = int(_param(cfg, "n_samples", 20_000))
+    workers = _workers(cfg)
     rows: list[CapacityEstimate] = []
     extra: dict = {"variant": variant}
     if variant == "log":
         if not all(0.0 < e < 1.0 for e in eps_list) or not _spans_two_decades(eps_list):
             raise ConfigError(f"the log variant needs at least 3 eps values in (0, 1) "
                               f"spanning two decades, got {eps_list}")
-        kernel = _require_kernel(cfg)
-        window = cfg.window or (-3.0, 3.0)
         inner = tuple(_param(cfg, "inner", (-2.0, 2.0)))
-        samples = parallel_dpp_samples(kernel, window, _param(cfg, "n_nodes", 256),
-                                       cfg.seed, n_samples, _workers(cfg))
+        _, samples = _dpp_samples(cfg, cfg.window or (-3.0, 3.0), n_samples, workers)
         for eps in eps_list:
             rows.append(estimate_I_eps_from_samples(samples, eps, "log", inner))
         fit = decay_fit(eps_list, rows)
@@ -373,8 +365,8 @@ def _exp_capacity(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
         box = Box(_param(cfg, "box", [[0.0, 1.2]] * 3))
         pad = float(_param(cfg, "inner_pad", 0.2))
         inner = Box(np.stack([box.bounds[:, 0] + pad, box.bounds[:, 1] - pad], axis=1))
-        samples = [sample_poisson(intensity, box, RngStream(cfg.seed, i))
-                   for i in range(n_samples)]
+        samples = map_streams(partial(sample_poisson_batch, intensity, box),
+                              cfg.seed, 0, n_samples, workers)
         oracle = {}
         for eps in eps_list:
             rows.append(estimate_I_eps_from_samples(samples, eps, "linear", inner))

@@ -106,6 +106,10 @@ class Kernel:
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
 
+    def __reduce__(self):
+        # the evaluators are closures: a kernel crosses a process boundary as its JSON
+        return kernel_from_json, (self.to_json(),)
+
 
 def _sine_eval(rho_bar):
     def ev(x, y):

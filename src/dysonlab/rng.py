@@ -7,13 +7,16 @@ platform, and distinct stream ids are statistically independent, which
 is what makes embarrassingly parallel Monte Carlo reproducible: worker
 pools hand out stream ids, never generator state.  Loops over many
 consecutive streams use :func:`stream_generators`, which rewinds one
-generator per stream instead of building a new one.
+generator per stream instead of building a new one.  :func:`map_streams`
+is the one place that spreads a range of streams over worker processes.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -78,3 +81,26 @@ def _rewound(seed: int, start: int, count: int) -> Iterator[np.random.Generator]
         state["has_uint32"] = 0
         bitgen.state = state
         yield gen
+
+
+def map_streams(fn: Callable, seed: int, start: int, count: int, workers: int):
+    """Results of streams start, ..., start + count - 1, in stream order.
+
+    ``fn(seed, n, base_stream=s)`` returns the results of streams s ... s+n-1
+    as a list or an array along axis 0.  With one process ``fn`` runs here on
+    the whole range; otherwise the range is split into contiguous chunks, one
+    per process, and the chunks are joined in order.  At most
+    min(workers, count, cpu count) processes start.  Every stream's result is
+    fixed by its id, so the output does not depend on ``workers``.
+    """
+    procs = min(workers, count, os.cpu_count() or 1)
+    if procs <= 1:
+        return fn(seed, count, base_stream=start)
+    edges = [start + count * j // procs for j in range(procs + 1)]
+    with ProcessPoolExecutor(max_workers=procs) as ex:
+        futures = [ex.submit(fn, seed, b - a, base_stream=a)
+                   for a, b in zip(edges[:-1], edges[1:])]
+        chunks = [f.result() for f in futures]
+    if isinstance(chunks[0], np.ndarray):
+        return np.concatenate(chunks)
+    return [r for chunk in chunks for r in chunk]

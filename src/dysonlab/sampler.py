@@ -107,18 +107,6 @@ class Configuration:
         return self.points.tolist()
 
 
-def restrict(config: Configuration, window) -> Configuration:
-    """Sub-configuration of the points inside ``window``; idempotent."""
-    if config.dim == 1:
-        a, b = float(window[0]), float(window[1])
-        keep = (config.points >= a) & (config.points <= b)
-        return Configuration(config.points[keep], (a, b))
-    box = window if isinstance(window, Box) else Box(window)
-    if config.count == 0:
-        return Configuration(config.points.reshape(0, box.dim), box)
-    return Configuration(config.points[box.contains(config.points)], box)
-
-
 class DppSampler:
     """Reusable sampling tables for one spectral decomposition.
 
@@ -322,3 +310,10 @@ def sample_poisson(intensity: float, region: Box, rng: RngStream) -> Configurati
     if region.dim == 1:
         return Configuration(np.sort(pts[:, 0]), (float(lo[0]), float(hi[0])))
     return Configuration(pts, region)
+
+
+def sample_poisson_batch(intensity: float, region: Box, seed: int, n_samples: int,
+                         base_stream: int = 0) -> list[Configuration]:
+    """n_samples independent Poisson configurations on streams base_stream + i."""
+    return [sample_poisson(intensity, region, RngStream(seed, base_stream + i))
+            for i in range(n_samples)]

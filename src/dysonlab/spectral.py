@@ -21,7 +21,6 @@ discretization noise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,18 +53,6 @@ class SpectralDecomposition:
 
     def trace(self) -> float:
         return float(self.eigenvalues.sum())
-
-    def to_json(self) -> dict:
-        out = {
-            "window": [float(self.window[0]), float(self.window[1])],
-            "nodes": self.nodes.tolist(),
-            "weights": self.weights.tolist(),
-            "eigenvalues": self.eigenvalues.tolist(),
-            "eigenvectors": self.eigenvectors.tolist(),
-        }
-        if hasattr(self.kernel, "to_json"):
-            out["kernel"] = self.kernel.to_json()
-        return out
 
 
 def nystrom_decompose(kernel, window, n_nodes: int, validate: bool = True,
@@ -139,23 +126,6 @@ def _l_weights(decomp: SpectralDecomposition):
     return kept, lam[kept] / (1.0 - lam[kept])
 
 
-def l_kernel_eval(decomp: SpectralDecomposition, x, y) -> float | np.ndarray:
-    """Resolvent-type kernel L(x,y) = sum_i lambda_i/(1-lambda_i) phi_i(x) phi_i(y).
-
-    Scalar in, scalar out; arrays broadcast elementwise.
-    """
-    kept, fac = _l_weights(decomp)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if kept.size == 0:
-        out = np.zeros(np.broadcast(x, y).shape)
-        return float(out[0]) if out.size == 1 else out
-    px, _ = eigenfunction_values(decomp, x)
-    py, _ = eigenfunction_values(decomp, y)
-    out = np.einsum("ik,ik->i", px * fac, py) if x.shape == y.shape else (px * fac) @ py.T
-    return float(out[0]) if out.size == 1 else out
-
-
 def l_matrix(decomp: SpectralDecomposition, points) -> np.ndarray:
     """L evaluated on the n x n grid of a point tuple."""
     pts = np.atleast_1d(np.asarray(points, dtype=float))
@@ -171,19 +141,3 @@ def mercer_reconstruction(decomp: SpectralDecomposition, x) -> np.ndarray:
     p, kept = eigenfunction_values(decomp, x)
     return (p * decomp.eigenvalues[kept]) @ p.T
 
-
-def decomposition_from_json(data: dict | str) -> SpectralDecomposition:
-    if isinstance(data, str):
-        data = json.loads(data)
-    from .kernels import kernel_from_json  # local import keeps module load acyclic
-    kernel = kernel_from_json(data["kernel"]) if "kernel" in data else None
-    lam = np.asarray(data["eigenvalues"], dtype=float)
-    return SpectralDecomposition(
-        kernel,
-        tuple(data["window"]),
-        np.asarray(data["nodes"], dtype=float),
-        np.asarray(data["weights"], dtype=float),
-        lam,
-        np.asarray(data["eigenvectors"], dtype=float),
-        lam.copy(),
-    )

@@ -1,6 +1,8 @@
 """Shared fixtures. Expensive decompositions and sample batches are
 session-scoped so module tests and the acceptance suite reuse them."""
 
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -15,6 +17,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records the pool size, runs inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
 
 
 class CallableKernel:

@@ -129,17 +129,6 @@ def test_estimate_with_common_samples_monotone(sine_samples):
     assert all(e.n_active > 0 for e in ests)
 
 
-def test_estimate_I_eps_handle():
-    def handle(stream):
-        gen = stream.generator()
-        return dl.Configuration(np.sort(gen.uniform(-3, 3, 4)), (-3.0, 3.0))
-    est = dl.estimate_I_eps(handle, 1e-3, 500, "log", RngStream(10, 0), (-2, 2))
-    assert isinstance(est, CapacityEstimate)
-    assert est.energy > 0 and est.l2_term > 0
-    est2 = dl.estimate_I_eps(handle, 1e-3, 500, "log", RngStream(10, 0), (-2, 2))
-    assert est2.energy == est.energy  # same streams, same estimate
-
-
 def test_degenerate_flag():
     cfgs = [dl.Configuration(np.array([0.0]), (-3.0, 3.0)) for _ in range(20)]
     est = estimate_I_eps_from_samples(cfgs, 1e-3, "log", (-2, 2))

@@ -1,13 +1,16 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dysonlab as dl
-from dysonlab import RngStream, cli
+from dysonlab import RngStream, cli, rng
 from dysonlab.dynamics import hitting_stats_json
 from dysonlab.errors import ConfigError
+
+from conftest import InlinePool
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -149,12 +152,15 @@ def test_convergence_rejects_unusable_inputs(tmp_path, capsys, params):
     assert_one_line_config_error(capsys)
 
 
-@pytest.mark.parametrize("eps", [[0.5, 0.2, 0.1, 0.05], [1.5, 1e-2, 1e-3]])
+def no_sampling(*a, **kw):
+    raise AssertionError("sampled before checking the config")
+
+
+@pytest.mark.parametrize("eps", [[0.5, 0.2, 0.1, 0.05], [1.5, 1e-2, 1e-3],
+                                 [1e-2, "abc", 1e-4]])
 def test_capacity_rejects_unusable_eps_before_sampling(tmp_path, capsys, monkeypatch,
                                                        eps):
-    def no_sampling(*a, **kw):
-        raise AssertionError("sampled before checking eps")
-    monkeypatch.setattr(cli, "parallel_dpp_samples", no_sampling)
+    monkeypatch.setattr(cli, "nystrom_decompose", no_sampling)
     path = write_config(tmp_path, {
         "experiment": "capacity", "seed": 13, "kernel": SINE, "window": [-3, 3],
         "params": {"eps": eps, "n_samples": 100, "n_nodes": 64},
@@ -162,6 +168,107 @@ def test_capacity_rejects_unusable_eps_before_sampling(tmp_path, capsys, monkeyp
     assert cli.main(["capacity", "--config", path]) == 2
     assert not (tmp_path / "cap" / "capacity.csv").exists()
     assert_one_line_config_error(capsys)
+
+
+@pytest.mark.parametrize("eps", [[0.1, "abc"], [0.1, -0.05]])
+def test_capacity_linear_rejects_unusable_eps_before_sampling(tmp_path, capsys,
+                                                              monkeypatch, eps):
+    monkeypatch.setattr(dl.sampler, "sample_poisson", no_sampling)
+    path = write_config(tmp_path, {
+        "experiment": "capacity", "seed": 13,
+        "params": {"variant": "linear", "eps": eps, "n_samples": 100},
+        "output": str(tmp_path / "cap")})
+    assert cli.main(["capacity", "--config", path]) == 2
+    assert not (tmp_path / "cap" / "capacity.csv").exists()
+    assert_one_line_config_error(capsys)
+
+
+@pytest.mark.parametrize("params", [{"N": 0}, {"N": 2.5}, {"rho_bar": 0}])
+def test_sample_log_gas_rejects_unusable_inputs(tmp_path, capsys, params):
+    path = write_config(tmp_path, {
+        "experiment": "sample", "seed": 5, "output": str(tmp_path / "s"),
+        "params": dict(params, sampler="log_gas", n_samples=10)})
+    assert cli.main(["sample", "--config", path]) == 2
+    assert not (tmp_path / "s" / "samples.ndjson").exists()
+    assert_one_line_config_error(capsys)
+
+
+POISSON_SAMPLE = {"experiment": "sample", "seed": 5,
+                  "params": {"sampler": "poisson", "n_samples": 20}}
+
+
+@pytest.mark.parametrize("workers", ["x", 0, -3, 2.7, True])
+def test_workers_must_be_a_positive_integer(tmp_path, capsys, workers):
+    path = write_config(tmp_path, dict(POISSON_SAMPLE, workers=workers,
+                                       output=str(tmp_path / "s")))
+    assert cli.main(["sample", "--config", path]) == 2
+    assert not (tmp_path / "s" / "samples.ndjson").exists()
+    assert_one_line_config_error(capsys)
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-3", "2.7", "true"])
+def test_dyson_lab_threads_must_be_a_positive_integer(tmp_path, capsys, monkeypatch,
+                                                      threads):
+    monkeypatch.setenv("DYSON_LAB_THREADS", threads)
+    path = write_config(tmp_path, dict(POISSON_SAMPLE, output=str(tmp_path / "s")))
+    assert cli.main(["sample", "--config", path]) == 2
+    assert not (tmp_path / "s" / "samples.ndjson").exists()
+    assert_one_line_config_error(capsys)
+
+
+def test_worker_pool_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
+    monkeypatch.setattr(rng, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    runs = []
+    for workers in (1, 5000):
+        out = tmp_path / f"w{workers}"
+        path = write_config(tmp_path, {
+            "experiment": "sample", "seed": 5, "workers": workers, "output": str(out),
+            "params": {"sampler": "poisson", "n_samples": 1000}}, name=f"w{workers}.json")
+        assert cli.main(["sample", "--config", path]) == 0
+        runs.append((out / "samples.ndjson").read_bytes())
+    assert InlinePool.sizes == [64]
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("experiment, kernel, params", [
+    ("sample", SINE, {"n_samples": 201, "n_nodes": 64}),
+    ("sample", None, {"sampler": "log_gas", "N": 6, "n_samples": 3001}),
+    ("sample", None, {"sampler": "poisson", "n_samples": 501, "intensity": 2.0}),
+    ("capacity", None, {"variant": "linear", "eps": [0.3, 0.1, 0.05],
+                        "n_samples": 801}),
+])
+def test_artifacts_identical_for_one_and_two_workers(tmp_path, experiment, kernel,
+                                                     params):
+    runs = []
+    for workers in (1, 2):
+        cfg = {"experiment": experiment, "seed": 19, "workers": workers,
+               "params": params, "output": str(tmp_path / f"w{workers}")}
+        if kernel is not None:
+            cfg.update(kernel=kernel, window=[-3, 3])
+        path = write_config(tmp_path, cfg, name=f"w{workers}.json")
+        assert cli.main([experiment, "--config", path]) == 0
+        runs.append(numeric_artifacts(tmp_path / f"w{workers}"))
+    assert runs[0] and runs[0] == runs[1]
+
+
+def test_parallel_correlations_decompose_once_in_the_parent(tmp_path, monkeypatch):
+    # forked workers inherit the patch, so each call records its process id
+    calls = tmp_path / "pids"
+    decompose = cli.nystrom_decompose
+
+    def recorded(*a, **kw):
+        with open(calls, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return decompose(*a, **kw)
+    monkeypatch.setattr(cli, "nystrom_decompose", recorded)
+    path = write_config(tmp_path, {
+        "experiment": "correlations", "seed": 23, "kernel": SINE, "window": [-3, 3],
+        "workers": 2, "output": str(tmp_path / "r"),
+        "params": {"n_samples": 60, "n_nodes": 64, "n_bins": 6}})
+    assert cli.main(["correlations", "--config", path]) == 0
+    assert calls.read_text().split() == [str(os.getpid())]
 
 
 @pytest.mark.parametrize("seed", ["abc", -1, 1.5, True, 2**64, None])

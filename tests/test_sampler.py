@@ -1,11 +1,15 @@
+import os
+import pickle
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import dysonlab as dl
-from dysonlab import RngStream
+from dysonlab import RngStream, rng
 
-from conftest import synthetic_rank1_decomposition, phi_of
+from conftest import InlinePool, synthetic_rank1_decomposition, phi_of
 from oracles import check_density_matches_energy, metropolis_pair_sample
 
 
@@ -239,18 +243,44 @@ def test_poisson_empty_region():
     assert dl.sample_poisson(5.0, box, RngStream(1, 1)).count == 0
 
 
-def test_restrict():
-    c = dl.Configuration(np.array([-2.0, 0.5, 2.7]), (-3.0, 3.0))
-    r = dl.restrict(c, (-1.0, 1.0))
-    assert np.array_equal(r.points, [0.5])
-    assert dl.restrict(r, (-1.0, 1.0)).points.tolist() == [0.5]
-    assert dl.restrict(c, (-3.0, 3.0)).points.tolist() == c.points.tolist()
-    empty = dl.restrict(c, (5.0, 6.0))
-    assert empty.count == 0
+@pytest.mark.parametrize("decomp", ["sine_decomp", "product_half_dyn_decomp"])
+def test_pickled_decomposition_draws_identically(request, decomp):
+    d = request.getfixturevalue(decomp)
+    copy = pickle.loads(pickle.dumps(d))
+    assert copy.eigenvectors.flags.c_contiguous == d.eigenvectors.flags.c_contiguous
+    for a, b in zip(dl.sample_dpp_batch(d, 31, 400), dl.sample_dpp_batch(copy, 31, 400)):
+        assert np.array_equal(a.points, b.points) and a.window == b.window
 
 
-def test_restrict_box():
-    pts = np.array([[0.2, 0.2], [0.8, 0.9], [1.5, 0.1]])
-    c = dl.Configuration(pts, dl.Box([[0, 2], [0, 1]]))
-    r = dl.restrict(c, dl.Box([[0, 1], [0, 1]]))
-    assert r.count == 2
+def _same_results(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    def window(c):
+        return c.window.bounds if isinstance(c.window, dl.Box) else c.window
+    return len(a) == len(b) and all(np.array_equal(x.points, y.points) and
+                                    np.array_equal(window(x), window(y))
+                                    for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("count, workers", [(801, 2), (3, 5), (0, 2)])
+def test_map_streams_matches_serial(monkeypatch, sine_decomp, count, workers):
+    # with 8 cores assumed, count and workers alone set the process count
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    box = dl.Box([[0.0, 1.0], [0.0, 2.0]])
+    for fn in (partial(dl.sample_dpp_batch, sine_decomp),
+               partial(dl.log_gas_window_counts, 4, 1.0, half=0.3),
+               partial(dl.sample_log_gas_batch, 3, 0.5),
+               partial(dl.sample_poisson_batch, 2.0, box)):
+        serial = fn(7, count, base_stream=100)
+        assert _same_results(dl.map_streams(fn, 7, 100, count, workers), serial)
+
+
+@pytest.mark.parametrize("cores, workers, count, size", [
+    (64, 5000, 10, 10), (64, 3, 10, 3), (4, 5000, 1000, 4)])
+def test_map_streams_caps_the_pool(monkeypatch, cores, workers, count, size):
+    monkeypatch.setattr(rng, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    fn = partial(dl.log_gas_window_counts, 2, 1.0, half=0.5)
+    assert np.array_equal(dl.map_streams(fn, 3, 0, count, workers), fn(3, count))
+    assert InlinePool.sizes == [size]

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -65,7 +63,7 @@ def test_mercer_error_decreases_with_nodes(sine_kernel):
 def test_zero_kernel_spectrum(zero_decomp):
     assert np.all(zero_decomp.eigenvalues == 0.0)
     assert dl.fredholm_det(zero_decomp) == 1.0
-    assert dl.l_kernel_eval(zero_decomp, 0.1, -0.2) == 0.0
+    assert np.array_equal(dl.l_matrix(zero_decomp, [0.1, -0.2]), np.zeros((2, 2)))
 
 
 def test_rank1_bump_kernel_spectrum():
@@ -92,17 +90,16 @@ def test_degenerate_projection_raises():
     with pytest.raises(DegenerateProjectionError):
         dl.fredholm_det(d)
     with pytest.raises(DegenerateProjectionError):
-        dl.l_kernel_eval(d, 0.0, 0.0)
+        dl.l_matrix(d, [0.0])
 
 
 def test_l_kernel_single_eigenpair():
     d = synthetic_rank1_decomposition(eigenvalue=0.5)
     phi = phi_of(d)
-    xs = np.array([-1.2, 0.0, 0.7])
-    ys = np.array([0.3, 0.3, -2.0])
+    pts = np.array([-1.2, 0.0, 0.7, 0.3, 0.3, -2.0])
     # lambda/(1-lambda) = 1, so L(x, y) = phi(x) phi(y)
-    got = dl.l_kernel_eval(d, xs, ys)
-    assert np.allclose(got, phi(xs) * phi(ys), atol=1e-12)
+    got = dl.l_matrix(d, pts)
+    assert np.allclose(got, np.outer(phi(pts), phi(pts)), atol=1e-12)
 
 
 def test_l_matrix_matches_series(product_lip_decomp):
@@ -130,12 +127,3 @@ def test_nystrom_extension_matches_nodes(sine_decomp):
     strong = sine_decomp.eigenvalues[kept] > 1e-6
     assert np.allclose(vals[:, strong],
                        sine_decomp.eigenvectors[:8, kept[strong]], atol=1e-9)
-
-
-def test_decomposition_json_roundtrip(sine_kernel):
-    d = dl.nystrom_decompose(sine_kernel, (-1, 1), 32)
-    data = json.loads(json.dumps(d.to_json()))
-    d2 = dl.decomposition_from_json(data)
-    assert np.allclose(d2.eigenvalues, d.eigenvalues)
-    assert np.allclose(d2.nodes, d.nodes)
-    assert d2.kernel.eval(0.0, 0.5) == pytest.approx(sine_kernel.eval(0.0, 0.5))
