@@ -131,11 +131,6 @@ class CapacityEstimate:
     variant: str = "log"
     degenerate: bool = False
 
-    @property
-    def bound_value(self) -> float:
-        """The capacity upper-bound functional energy + l2."""
-        return self.energy + self.l2_term
-
 
 def estimate_I_eps_from_samples(samples: list[Configuration], eps: float,
                                 variant: str, inner_window=None) -> CapacityEstimate:

@@ -1,10 +1,12 @@
 """Reproducible experiment runner.
 
 One JSON config file describes one experiment; the only flags are
---config, --seed (override) and --out (override).  Every run writes its
-artifacts plus a manifest echoing the config, the seed, library versions
-and wall time.  Replicas are keyed by stream id, so a fixed config+seed
-reproduces byte-identical numeric artifacts on any worker-pool size.
+--config, --seed (override) and --out (override).  Every config value is
+checked against its row in `_TOP` or `_EXPERIMENTS` before any output.  Every
+run writes its artifacts plus a manifest echoing the config, the seed,
+library versions and wall time.  Replicas are keyed by stream id, so a
+fixed config+seed reproduces byte-identical numeric artifacts on any
+worker-pool size.
 
 Exit codes: 0 success, 2 config error, 3 numerical validation failure,
 4 inconclusive probe.
@@ -20,11 +22,14 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+import scipy
 
 from . import __version__
-from .capacity import (CapacityEstimate, _spans_two_decades, capacity_csv, decay_fit,
+from .capacity import (_spans_two_decades, capacity_csv, decay_fit,
                        estimate_I_eps_from_samples, poisson_pair_count_oracle)
 from .dynamics import (PairDriftTable, Trajectory, conditioned_pair_initials,
                        distorted_pair_collision_probe, dyson_collision_probe,
@@ -40,10 +45,11 @@ from .statistics import (crosscheck_density, density_crosscheck_csv,
                          estimate_correlation, rho_det_box_mean)
 from .svg import Figure
 
-EXPERIMENTS = ("validate", "sample", "correlations", "density-crosscheck",
-               "convergence", "dynamics", "capacity")
+# ---------------------------------------------------------------------------
+# config checks: one row (rule, default) per key
+# ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"experiment", "kernel", "window", "seed", "params", "output", "workers"}
+REQUIRED = object()  # the default of a key that must be given
 
 
 def _is_int(value) -> bool:
@@ -51,344 +57,368 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite number; a bool is not one."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
-def _check_seed(value) -> int:
-    """The seed as given, if it is an integer in [0, 2^64)."""
-    if not _is_int(value) or not 0 <= value < 1 << 64:
-        raise ConfigError(f"seed must be an integer in [0, 2^64), got {value!r}")
-    return value
+@dataclass(frozen=True)
+class Rule:
+    """`ok` accepts a value, `desc` names what it accepts, `to` converts it."""
+
+    desc: str
+    ok: Callable
+    to: Callable = lambda value: value
+
+    def __call__(self, key: str, value):
+        if not self.ok(value):
+            raise ConfigError(f"{key} must be {self.desc}, got {value!r}")
+        try:
+            return self.to(value)
+        except (KeyError, TypeError, ValueError) as exc:  # e.g. KernelParameterError
+            raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _check_workers(value, name: str) -> int:
-    """The worker count as given, if it is an integer >= 1."""
-    if not _is_int(value) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-    return value
+def _int(lo: int) -> Rule:
+    return Rule(f"an integer >= {lo}", lambda v: _is_int(v) and v >= lo)
 
 
-def _check_log_gas(ns: list, rho_bar) -> float:
-    """rho_bar as a float, if every log-gas size N is an integer >= 1 and
-    rho_bar lies in (0, 1]."""
-    if not all(_is_int(n) and n >= 1 for n in ns):
-        raise ConfigError(f"log-gas N must be an integer >= 1, got {ns!r}")
-    if not _is_real(rho_bar) or not 0.0 < rho_bar <= 1.0:
-        raise ConfigError(f"rho_bar must lie in (0, 1], got {rho_bar!r}")
-    return float(rho_bar)
+def _list(item: Rule, min_len: int = 1, to=None) -> Rule:
+    return Rule(f"a list of {min_len} or more, each {item.desc}",
+                lambda v: isinstance(v, list) and len(v) >= min_len and all(map(item.ok, v)),
+                to or (lambda v: [item.to(x) for x in v]))
+
+
+def _choice(*options: str) -> Rule:
+    return Rule(f"one of {', '.join(options)}", lambda v: v in options)
+
+
+_OBJECT = Rule("a JSON object", lambda v: isinstance(v, dict))
+_POSITIVE = Rule("a number > 0", lambda v: _is_real(v) and v > 0, float)
+_RHO_BAR = Rule("a number in (0, 1]", lambda v: _is_real(v) and 0 < v <= 1, float)
+_WORKERS, _NODES, _SAMPLES = _int(1), _int(8), _int(2)
+_INTERVAL = Rule("[lo, hi] with lo < hi", lambda v: isinstance(v, list) and len(v) == 2
+                 and all(map(_is_real, v)) and v[0] < v[1], tuple)
+_BOX = _list(_INTERVAL, to=Box)
+_KERNEL = Rule("an object with a 'family' and optional 'params' and 'domain'",
+               lambda v: isinstance(v, dict) and "family" in v
+               and set(v) <= {"family", "params", "domain"}, kernel_from_json)
+
+
+def _threads_env() -> int:
+    """The default of `workers`: DYSON_LAB_THREADS, else 1."""
+    env = os.environ.get("DYSON_LAB_THREADS") or "1"
+    return _WORKERS("DYSON_LAB_THREADS", int(env) if env.isascii() and env.isdigit() else env)
+
+
+# Top-level keys; an absent or null key takes the default, called if it is a
+# function.  An experiment's table may override a row.
+_TOP = {
+    "seed": (Rule("an integer in [0, 2^64)", lambda v: _is_int(v) and 0 <= v < 1 << 64),
+             REQUIRED),
+    "workers": (_WORKERS, _threads_env),
+    "output": (Rule("a non-empty string", lambda v: isinstance(v, str) and v != ""), None),
+    "kernel": (_KERNEL, None),
+    "window": (_INTERVAL, None),
+}
 
 
 @dataclass
 class ExperimentConfig:
+    """A config as given; `check` gives the values its experiment reads."""
+
     experiment: str
     seed: int
     kernel: dict | None = None
-    window: tuple | None = None
+    window: list | None = None
     params: dict = field(default_factory=dict)
     output: str | None = None
     workers: int | None = None
 
-    @staticmethod
-    def from_dict(data: dict) -> "ExperimentConfig":
-        unknown = set(data) - _TOP_KEYS
+    def check(self) -> SimpleNamespace:
+        """Every value the experiment reads, checked against its row, with
+        defaults filled in and the kernel built."""
+        spec = _EXPERIMENTS[self.experiment]
+        table = {**_TOP, **spec.params}
+        unknown = set(self.params) - (set(table) - set(_TOP))
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "experiment" not in data:
-            raise ConfigError("config needs an 'experiment' field")
-        if data["experiment"] not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {data['experiment']!r}; "
-                              f"choose from {EXPERIMENTS}")
-        if "seed" not in data:
-            raise ConfigError("config needs a 'seed' field")
-        window = tuple(data["window"]) if "window" in data else None
-        workers = data.get("workers")
-        if workers is not None:
-            _check_workers(workers, "workers")
-        return ExperimentConfig(data["experiment"], _check_seed(data["seed"]),
-                                data.get("kernel"), window,
-                                dict(data.get("params", {})),
-                                data.get("output"), workers)
+            raise ConfigError(f"unknown params for {self.experiment}: {sorted(unknown)}")
+        given = {key: getattr(self, key) for key in _TOP if getattr(self, key) is not None}
+        given.update(self.params)
+        p = SimpleNamespace()
+        for key, (rule, default) in table.items():
+            if key in given:
+                setattr(p, key, rule(key, given[key]))
+            elif default is REQUIRED:
+                raise ConfigError(f"{self.experiment} needs a {key!r} entry")
+            else:
+                setattr(p, key, default() if callable(default) else default)
+        for holds, message in spec.across:
+            if not holds(p):
+                raise ConfigError(message.format(p=p))
+        return p
 
 
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return ExperimentConfig.from_dict(data)
-
-
-def _workers(cfg: ExperimentConfig) -> int:
-    """Worker processes for sampling: the config's `workers`, else
-    DYSON_LAB_THREADS, else 1."""
-    if cfg.workers is not None:
-        return cfg.workers
-    env = os.environ.get("DYSON_LAB_THREADS")
-    if not env:
-        return 1
-    value = int(env) if env.isascii() and env.isdigit() else env
-    return _check_workers(value, "DYSON_LAB_THREADS")
-
-
-def _require_kernel(cfg: ExperimentConfig):
-    if cfg.kernel is None:
-        raise ConfigError(f"experiment {cfg.experiment!r} needs a 'kernel' entry")
-    return kernel_from_json(cfg.kernel)
-
-
-def _param(cfg: ExperimentConfig, key: str, default):
-    return cfg.params.get(key, default)
+    unknown = set(_OBJECT("config", data)) - {"experiment", "params", *_TOP}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _choice(*_EXPERIMENTS)("experiment", data.get("experiment"))
+    return ExperimentConfig(data["experiment"], data.get("seed"), data.get("kernel"),
+                            data.get("window"), _OBJECT("params", data.get("params", {})),
+                            data.get("output"), data.get("workers"))
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: each reads the checked values p
 # ---------------------------------------------------------------------------
 
-def _dpp_samples(cfg, window, n_samples: int, workers: int):
-    """The kernel and n_samples DPP draws on streams 0.., from one decomposition
-    built here and shared with every worker."""
-    kernel = _require_kernel(cfg)
-    decomp = nystrom_decompose(kernel, window, _param(cfg, "n_nodes", 256))
-    return kernel, map_streams(partial(sample_dpp_batch, decomp), cfg.seed, 0,
-                               n_samples, workers)
+def _dpp_samples(p):
+    """n_samples DPP draws on streams 0.., from one decomposition shared by every worker."""
+    decomp = nystrom_decompose(p.kernel, p.window, p.n_nodes)
+    return map_streams(partial(sample_dpp_batch, decomp), p.seed, 0, p.n_samples, p.workers)
 
 
-def _exp_validate(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
-    kernel = _require_kernel(cfg)
-    if cfg.window is None:
-        raise ConfigError("validate needs a window")
-    report = validate_kernel(kernel, cfg.window,
-                             tol=_param(cfg, "tol", 1e-8),
-                             n_nodes=_param(cfg, "n_nodes", 256))
-    payload = {
-        "passed": report.passed,
-        "hermitian_max_asym": report.hermitian_max_asym,
-        "eigen_min": report.eigen_min,
-        "eigen_max": report.eigen_max,
-        "trace": report.trace,
-        "messages": report.messages,
-    }
+def _exp_validate(p, out: Path, artifacts: list) -> tuple[int, dict]:
+    report = validate_kernel(p.kernel, p.window, tol=p.tol, n_nodes=p.n_nodes)
+    keys = ("passed", "hermitian_max_asym", "eigen_min", "eigen_max", "trace", "messages")
+    payload = {key: getattr(report, key) for key in keys}
     _write_json(out / "validation.json", payload)
     artifacts.append("validation.json")
     return (0 if report.passed else 3), {"report": payload}
 
 
-def _exp_sample(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
-    which = _param(cfg, "sampler", "dpp")
-    n_samples = int(_param(cfg, "n_samples", 1000))
-    workers = _workers(cfg)
-    header = {"sampler": which, "seed": cfg.seed, "n_samples": n_samples}
-    if which == "dpp":
-        window = cfg.window or (-3.0, 3.0)
-        kernel, samples = _dpp_samples(cfg, window, n_samples, workers)
-        header.update(kernel=kernel.to_json(), window=list(window))
-    elif which == "log_gas":
-        n, rho_bar = _param(cfg, "N", 8), _param(cfg, "rho_bar", 1.0)
-        draws = partial(sample_log_gas_batch, n, _check_log_gas([n], rho_bar))
-        pts = map_streams(draws, cfg.seed, 0, n_samples, workers)
+def _exp_sample(p, out: Path, artifacts: list) -> tuple[int, dict]:
+    header = {"sampler": p.sampler, "seed": p.seed, "n_samples": p.n_samples}
+    if p.sampler == "dpp":
+        samples = _dpp_samples(p)
+        header.update(kernel=p.kernel.to_json(), window=list(p.window))
+    elif p.sampler == "log_gas":
+        pts = map_streams(partial(sample_log_gas_batch, p.N, p.rho_bar), p.seed, 0,
+                          p.n_samples, p.workers)
         samples = [Configuration(row, (-np.inf, np.inf)) for row in pts]
-        header.update(N=n, rho_bar=rho_bar)
-    elif which == "poisson":
-        box = Box(_param(cfg, "box", [[0.0, 1.0]] * 3))
-        intensity = float(_param(cfg, "intensity", 1.0))
-        samples = map_streams(partial(sample_poisson_batch, intensity, box),
-                              cfg.seed, 0, n_samples, workers)
-        header.update(intensity=intensity, box=box.bounds.tolist())
+        header.update(N=p.N, rho_bar=p.rho_bar)
     else:
-        raise ConfigError(f"unknown sampler {which!r}")
-    path = out / "samples.ndjson"
-    with open(path, "w") as fh:
+        samples = map_streams(partial(sample_poisson_batch, p.intensity, p.box),
+                              p.seed, 0, p.n_samples, p.workers)
+        header.update(intensity=p.intensity, box=p.box.bounds.tolist())
+    with open(out / "samples.ndjson", "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for c in samples:
             fh.write(json.dumps(c.to_json()) + "\n")
     artifacts.append("samples.ndjson")
-    counts = [c.count for c in samples]
-    return 0, {"mean_count": float(np.mean(counts))}
+    return 0, {"mean_count": float(np.mean([c.count for c in samples]))}
 
 
-def _exp_correlations(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
-    window = cfg.window or (-3.0, 3.0)
-    n_samples = int(_param(cfg, "n_samples", 10_000))
-    n_bins = int(_param(cfg, "n_bins", 24))
-    kernel, samples = _dpp_samples(cfg, window, n_samples, _workers(cfg))
-    edges = np.linspace(window[0], window[1], n_bins + 1)
+def _exp_correlations(p, out: Path, artifacts: list) -> tuple[int, dict]:
+    samples = _dpp_samples(p)
+    edges = np.linspace(p.window[0], p.window[1], p.n_bins + 1)
     bins1 = [(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])]
     est1 = estimate_correlation(samples, 1, bins1)
-    path1 = out / "rho1.csv"
-    with open(path1, "w") as fh:
+    with open(out / "rho1.csv", "w") as fh:
         fh.write("bin_lo,bin_hi,value,std_error,n_samples,oracle\n")
         for b, v, se in zip(est1.bins, est1.values, est1.std_errors):
-            oracle = rho_det_box_mean(kernel, [b])
+            oracle = rho_det_box_mean(p.kernel, [b])
             fh.write(f"{float(b[0])!r},{float(b[1])!r},{float(v)!r},{float(se)!r},"
                      f"{est1.n_samples},{oracle!r}\n")
     artifacts.append("rho1.csv")
 
-    pair_bins = _param(cfg, "pair_bins", [[-0.1, 0.1], [0.4, 0.6]])
-    bins2 = [tuple(map(float, b)) for b in pair_bins]
-    est2 = estimate_correlation(samples, 2, bins2, pairs=[(0, 1)])
-    path2 = out / "rho2.csv"
-    with open(path2, "w") as fh:
+    est2 = estimate_correlation(samples, 2, p.pair_bins, pairs=[(0, 1)])
+    with open(out / "rho2.csv", "w") as fh:
         fh.write("bin_i,bin_j,value,std_error,n_samples,oracle\n")
         for (i, j), v, se in zip(est2.pairs, est2.values, est2.std_errors):
-            oracle = rho_det_box_mean(kernel, [bins2[i], bins2[j]])
+            oracle = rho_det_box_mean(p.kernel, [p.pair_bins[i], p.pair_bins[j]])
             fh.write(f"{i},{j},{float(v)!r},{float(se)!r},"
                      f"{est2.n_samples},{oracle!r}\n")
     artifacts.append("rho2.csv")
     return 0, {"rho1_mean": float(est1.values.mean())}
 
 
-def _exp_density_crosscheck(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
-    kernel = _require_kernel(cfg)
-    window = cfg.window or (-1.0, 1.0)
-    decomp = nystrom_decompose(kernel, window, _param(cfg, "n_nodes", 1024))
-    n_tuples = int(_param(cfg, "n_tuples", 20))
-    orders = list(_param(cfg, "orders", [0, 1, 2]))
-    gen = RngStream(cfg.seed, 0).generator()
-    tuples: list = []
-    for i in range(n_tuples):
-        n = orders[i % len(orders)]
-        tuples.append(np.sort(gen.uniform(window[0], window[1], n)))
-    values = crosscheck_density(decomp, tuples,
-                                k_max=int(_param(cfg, "k_max", 6)),
-                                qmc_points=int(_param(cfg, "qmc_points", 1 << 20)))
+def _exp_density_crosscheck(p, out: Path, artifacts: list) -> tuple[int, dict]:
+    decomp = nystrom_decompose(p.kernel, p.window, p.n_nodes)
+    gen = RngStream(p.seed, 0).generator()
+    tuples = [np.sort(gen.uniform(p.window[0], p.window[1], p.orders[i % len(p.orders)]))
+              for i in range(p.n_tuples)]
+    values = crosscheck_density(decomp, tuples, k_max=p.k_max, qmc_points=p.qmc_points)
     density_crosscheck_csv(values, out / "density_crosscheck.csv")
     artifacts.append("density_crosscheck.csv")
     bad = [dv for dv in values if not dv.consistent]
     return (0 if not bad else 3), {"n_tuples": len(values), "n_inconsistent": len(bad)}
 
 
-def _exp_convergence(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
-    rho_bar = _param(cfg, "rho_bar", 1.0)
-    ns = list(_param(cfg, "Ns", [8, 16, 32]))
-    n_samples = _param(cfg, "n_samples", [200_000, 400_000, 400_000])
-    if _is_int(n_samples):
-        n_samples = [n_samples] * len(ns)
-    if not isinstance(n_samples, list) or len(n_samples) != len(ns):
-        raise ConfigError(f"n_samples must be an integer or a list of one per N, "
-                          f"got {n_samples!r} for {len(ns)} values of Ns")
-    half = _param(cfg, "bin_halfwidth", 0.15)
-    rho_bar = _check_log_gas(ns, rho_bar)
-    if not all(_is_int(m) and m >= 2 for m in n_samples):
-        raise ConfigError(f"n_samples must be integers >= 2, got {n_samples!r}")
-    if not _is_real(half) or not 0.0 < half < np.inf:
-        raise ConfigError(f"bin_halfwidth must be a positive number, got {half!r}")
-    half = float(half)
-    workers = _workers(cfg)
+def _exp_convergence(p, out: Path, artifacts: list) -> tuple[int, dict]:
+    n_samples = p.n_samples if isinstance(p.n_samples, list) else [p.n_samples] * len(p.Ns)
     rows = []
-    for idx, (n, m) in enumerate(zip(ns, n_samples)):
-        counts = partial(log_gas_window_counts, n, rho_bar, half=half)
-        in_bin = map_streams(counts, cfg.seed, idx << 32, m, workers)
-        est = in_bin.mean() / (2 * half)
-        se = in_bin.std(ddof=1) / np.sqrt(m) / (2 * half)
-        rows.append((n, float(est), float(se), abs(float(est) - rho_bar)))
-    path = out / "convergence.csv"
-    with open(path, "w") as fh:
+    for idx, (n, m) in enumerate(zip(p.Ns, n_samples)):
+        counts = partial(log_gas_window_counts, n, p.rho_bar, half=p.bin_halfwidth)
+        in_bin = map_streams(counts, p.seed, idx << 32, m, p.workers)
+        est = in_bin.mean() / (2 * p.bin_halfwidth)
+        se = in_bin.std(ddof=1) / np.sqrt(m) / (2 * p.bin_halfwidth)
+        rows.append((n, float(est), float(se), abs(float(est) - p.rho_bar)))
+    with open(out / "convergence.csv", "w") as fh:
         fh.write("N,rho1_at_0,std_error,abs_gap\n")
         for n, est, se, gap in rows:
             fh.write(f"{n},{est!r},{se!r},{gap!r}\n")
     artifacts.append("convergence.csv")
     gaps = [r[3] for r in rows]
     return 0, {"monotone_decreasing": bool(all(a > b for a, b in zip(gaps, gaps[1:]))),
-               "gaps": gaps, "target": rho_bar}
+               "gaps": gaps, "target": p.rho_bar}
 
 
-def _exp_dynamics(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
-    model = _param(cfg, "model", "dyson")
-    n_paths = int(_param(cfg, "n_paths", 1000))
-    T = float(_param(cfg, "T", 1.0))
-    deltas = _param(cfg, "delta_sweep", None) or [float(_param(cfg, "delta", 1e-3))]
-    c_dt = float(_param(cfg, "c_dt", 2e-3))
-    dt_max = float(_param(cfg, "dt_max", 1e-3))
-    if model == "distorted":
+def _exp_dynamics(p, out: Path, artifacts: list) -> tuple[int, dict]:
+    if p.model == "distorted":
         # one decomposition, drift table and sampler serve every delta
-        decomp = nystrom_decompose(_require_kernel(cfg), cfg.window or (-1.0, 1.0),
-                                   _param(cfg, "n_nodes", 400))
+        decomp = nystrom_decompose(p.kernel, p.window, p.n_nodes)
         table = PairDriftTable(decomp)
         sampler = DppSampler(decomp)
-    elif model != "dyson":
-        raise ConfigError(f"unknown dynamics model {model!r}")
     results = []
-    for k, delta in enumerate(deltas):
-        rng = RngStream(cfg.seed, k << 32)
-        if model == "dyson":
-            stats = dyson_collision_probe(int(_param(cfg, "N", 8)), n_paths, T,
-                                          float(delta), rng,
-                                          rho_bar=float(_param(cfg, "rho_bar", 0.5)),
-                                          dt_max=dt_max, c_dt=c_dt)
+    for k, delta in enumerate(p.delta_sweep):
+        rng = RngStream(p.seed, k << 32)
+        if p.model == "dyson":
+            stats = dyson_collision_probe(p.N, p.n_paths, p.T, delta, rng, rho_bar=p.rho_bar,
+                                          dt_max=p.dt_max, c_dt=p.c_dt)
         else:
-            initials = conditioned_pair_initials(sampler, n_paths, rng)
-            stats = distorted_pair_collision_probe(table, initials, T, float(delta),
-                                                   rng, dt_max=dt_max, c_dt=c_dt)
+            initials = conditioned_pair_initials(sampler, p.n_paths, rng)
+            stats = distorted_pair_collision_probe(table, initials, p.T, delta, rng,
+                                                   dt_max=p.dt_max, c_dt=p.c_dt)
         results.append(hitting_stats_json(stats))
     _write_json(out / "probe.json", results)
     artifacts.append("probe.json")
-    if _param(cfg, "example_trajectory", False):
-        n = int(_param(cfg, "N", 8))
-        rho_bar = float(_param(cfg, "rho_bar", 0.5))
-        lam = lambda_n(n, rho_bar)
-        init = sample_log_gas(n, rho_bar, RngStream(cfg.seed, 1 << 48))
+    if p.example_trajectory:
+        lam = lambda_n(p.N, p.rho_bar)
+        init = sample_log_gas(p.N, p.rho_bar, RngStream(p.seed, 1 << 48))
         example = integrate_ensemble(init.points[None, :], lambda X: dyson_drift(X, lam),
-                                     T=min(T, 0.2), delta=0.0,
-                                     rng=RngStream(cfg.seed, (1 << 48) + 1), record=True)
+                                     T=min(p.T, 0.2), delta=0.0,
+                                     rng=RngStream(p.seed, (1 << 48) + 1), record=True)
         Trajectory.from_run(example).to_csv(out / "trajectory.csv")
         artifacts.append("trajectory.csv")
-    inconclusive = any(r["inconclusive"] for r in results)
-    return (4 if inconclusive else 0), {"probes": len(results)}
+    return (4 if any(r["inconclusive"] for r in results) else 0), {"probes": len(results)}
 
 
-def _exp_capacity(cfg, out: Path, artifacts: list) -> tuple[int, dict]:
-    variant = _param(cfg, "variant", "log")
-    eps_list = _param(cfg, "eps", [1e-2, 1e-3, 1e-4, 1e-5])
-    if not isinstance(eps_list, list) or not all(_is_real(e) and 0.0 < e < np.inf
-                                                 for e in eps_list):
-        raise ConfigError(f"eps must be a list of positive numbers, got {eps_list!r}")
-    eps_list = [float(e) for e in eps_list]
-    n_samples = int(_param(cfg, "n_samples", 20_000))
-    workers = _workers(cfg)
-    rows: list[CapacityEstimate] = []
-    extra: dict = {"variant": variant}
-    if variant == "log":
-        if not all(0.0 < e < 1.0 for e in eps_list) or not _spans_two_decades(eps_list):
-            raise ConfigError(f"the log variant needs at least 3 eps values in (0, 1) "
-                              f"spanning two decades, got {eps_list}")
-        inner = tuple(_param(cfg, "inner", (-2.0, 2.0)))
-        _, samples = _dpp_samples(cfg, cfg.window or (-3.0, 3.0), n_samples, workers)
-        for eps in eps_list:
-            rows.append(estimate_I_eps_from_samples(samples, eps, "log", inner))
-        fit = decay_fit(eps_list, rows)
+def _exp_capacity(p, out: Path, artifacts: list) -> tuple[int, dict]:
+    extra: dict = {"variant": p.variant}
+    fit = None
+    if p.variant == "log":
+        samples = _dpp_samples(p)
+        rows = [estimate_I_eps_from_samples(samples, eps, "log", p.inner) for eps in p.eps]
+        fit = decay_fit(p.eps, rows)
         extra.update(C=fit.C, residual=fit.residual, inconclusive=fit.inconclusive,
                      messages=fit.messages)
-        code = 4 if fit.inconclusive else 0
-    elif variant == "linear":
-        intensity = float(_param(cfg, "intensity", 2.0))
-        box = Box(_param(cfg, "box", [[0.0, 1.2]] * 3))
-        pad = float(_param(cfg, "inner_pad", 0.2))
-        inner = Box(np.stack([box.bounds[:, 0] + pad, box.bounds[:, 1] - pad], axis=1))
-        samples = map_streams(partial(sample_poisson_batch, intensity, box),
-                              cfg.seed, 0, n_samples, workers)
-        oracle = {}
-        for eps in eps_list:
-            rows.append(estimate_I_eps_from_samples(samples, eps, "linear", inner))
-            oracle[eps] = poisson_pair_count_oracle(intensity, inner, eps)
-        fit = None
-        extra.update(oracle=oracle)
-        code = 0
     else:
-        raise ConfigError(f"unknown capacity variant {variant!r}")
-    capacity_csv(rows, fit if variant == "log" else None, out / "capacity.csv")
+        inner = Box(p.box.bounds + [p.inner_pad, -p.inner_pad])
+        samples = map_streams(partial(sample_poisson_batch, p.intensity, p.box),
+                              p.seed, 0, p.n_samples, p.workers)
+        rows = [estimate_I_eps_from_samples(samples, eps, "linear", inner) for eps in p.eps]
+        extra.update(oracle={eps: poisson_pair_count_oracle(p.intensity, inner, eps)
+                             for eps in p.eps})
+    capacity_csv(rows, fit, out / "capacity.csv")
     artifacts.append("capacity.csv")
-    return code, extra
+    return (4 if extra.get("inconclusive") else 0), extra
 
 
-_RUNNERS = {
-    "validate": _exp_validate,
-    "sample": _exp_sample,
-    "correlations": _exp_correlations,
-    "density-crosscheck": _exp_density_crosscheck,
-    "convergence": _exp_convergence,
-    "dynamics": _exp_dynamics,
-    "capacity": _exp_capacity,
+def _kernel_for(key: str, choice: str) -> tuple:
+    """Choosing `choice` for `key` draws from a DPP, which needs a kernel."""
+    return (lambda p: getattr(p, key) != choice or p.kernel is not None,
+            f"{key} {choice!r} needs a 'kernel' entry")
+
+
+def _one_count_per_n(p) -> bool:
+    return _is_int(p.n_samples) or len(p.n_samples) == len(p.Ns)
+
+
+def _log_eps_span_two_decades(p) -> bool:
+    return p.variant != "log" or max(p.eps) < 1.0 and _spans_two_decades(p.eps)
+
+
+def _inner_box_fits(p) -> bool:
+    return p.variant != "linear" or bool(np.all(2 * p.inner_pad < np.diff(p.box.bounds)))
+
+
+class Experiment(NamedTuple):
+    """A runner, its params table and its cross-field rules (holds(p), message)."""
+
+    run: Callable
+    params: dict
+    across: Sequence = ()
+
+
+# Each experiment's params, which may override a row of _TOP; defaults are
+# written as the runner reads them.
+_EXPERIMENTS = {
+    "validate": Experiment(_exp_validate, {
+        "kernel": (_KERNEL, REQUIRED),
+        "window": (_INTERVAL, REQUIRED),
+        "tol": (_POSITIVE, 1e-8),
+        "n_nodes": (_NODES, 256),
+    }),
+    "sample": Experiment(_exp_sample, {
+        "sampler": (_choice("dpp", "log_gas", "poisson"), "dpp"),
+        "n_samples": (_int(1), 1000),
+        "window": (_INTERVAL, (-3.0, 3.0)),
+        "n_nodes": (_NODES, 256),
+        "N": (_int(1), 8),
+        "rho_bar": (Rule(_RHO_BAR.desc, _RHO_BAR.ok), 1.0),  # the header echoes it as given
+        "intensity": (_POSITIVE, 1.0),
+        "box": (_BOX, Box([[0.0, 1.0]] * 3)),
+    }, [_kernel_for("sampler", "dpp")]),
+    "correlations": Experiment(_exp_correlations, {
+        "kernel": (_KERNEL, REQUIRED),
+        "window": (_INTERVAL, (-3.0, 3.0)),
+        "n_samples": (_SAMPLES, 10_000),
+        "n_nodes": (_NODES, 256),
+        "n_bins": (_int(1), 24),
+        "pair_bins": (_list(_INTERVAL, 2), [(-0.1, 0.1), (0.4, 0.6)]),
+    }),
+    "density-crosscheck": Experiment(_exp_density_crosscheck, {
+        "kernel": (_KERNEL, REQUIRED),
+        "window": (_INTERVAL, (-1.0, 1.0)),
+        "n_nodes": (_NODES, 1024),
+        "n_tuples": (_int(1), 20),
+        "orders": (_list(_int(0)), [0, 1, 2]),
+        "k_max": (_int(0), 6),
+        "qmc_points": (_int(2), 1 << 20),
+    }),
+    "convergence": Experiment(_exp_convergence, {
+        "Ns": (_list(_int(1)), [8, 16, 32]),
+        "n_samples": (Rule("an integer >= 2 or a list of them",
+                           lambda v: _SAMPLES.ok(v) or _list(_SAMPLES).ok(v)),
+                      [200_000, 400_000, 400_000]),
+        "rho_bar": (_RHO_BAR, 1.0),
+        "bin_halfwidth": (_POSITIVE, 0.15),
+    }, [(_one_count_per_n, "n_samples must be an integer or a list of one per N, "
+                           "got {p.n_samples!r} for Ns {p.Ns!r}")]),
+    "dynamics": Experiment(_exp_dynamics, {
+        "model": (_choice("dyson", "distorted"), "dyson"),
+        "n_paths": (_int(1), 1000),
+        "T": (_POSITIVE, 1.0),
+        "delta_sweep": (_list(_POSITIVE), [1e-3]),
+        "c_dt": (_POSITIVE, 2e-3),
+        "dt_max": (_POSITIVE, 1e-3),
+        "N": (_int(1), 8),
+        "rho_bar": (_RHO_BAR, 0.5),
+        "window": (_INTERVAL, (-1.0, 1.0)),
+        "n_nodes": (_NODES, 400),
+        "example_trajectory": (Rule("true or false", lambda v: isinstance(v, bool)), False),
+    }, [_kernel_for("model", "distorted")]),
+    "capacity": Experiment(_exp_capacity, {
+        "variant": (_choice("log", "linear"), "log"),
+        "eps": (_list(_POSITIVE), [1e-2, 1e-3, 1e-4, 1e-5]),
+        "n_samples": (_SAMPLES, 20_000),
+        "window": (_INTERVAL, (-3.0, 3.0)),
+        "n_nodes": (_NODES, 256),
+        "inner": (_INTERVAL, (-2.0, 2.0)),
+        "intensity": (_POSITIVE, 2.0),
+        "box": (_BOX, Box([[0.0, 1.2]] * 3)),
+        "inner_pad": (Rule("a number >= 0", lambda v: _is_real(v) and v >= 0, float), 0.2),
+    }, [_kernel_for("variant", "log"),
+       (_log_eps_span_two_decades, "the log variant needs at least 3 eps values in (0, 1) "
+                                   "spanning two decades, got {p.eps}"),
+       (_inner_box_fits, "inner_pad {p.inner_pad!r} must be less than half of every "
+                         "side of the box")]),
 }
 
 
@@ -397,12 +427,18 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise ConfigError(f"{path} is empty")
+    try:
+        with open(path) as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if len(lines) < 2:
+        raise ConfigError(f"{path} has no data rows")
     header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
+    rows = [ln.split(",") for ln in lines[1:]]
+    if any(len(r) != len(header) for r in rows):
+        raise ConfigError(f"{path} has rows of unequal length")
+    return header, rows
 
 
 def emit_plotdata(paths: list, out_dir) -> list[str]:
@@ -412,47 +448,43 @@ def emit_plotdata(paths: list, out_dir) -> list[str]:
     written = []
     for p in map(Path, paths):
         header, rows = _read_csv(p)
-        if not rows:
-            raise ConfigError(f"{p} has no data rows")
         cols = {name: i for i, name in enumerate(header)}
         def col(name, rows=rows, cols=cols):
             if name not in cols:
                 raise ConfigError(f"{p} is missing column {name!r}")
-            return np.array([float(r[cols[name]]) for r in rows])
+            try:
+                return np.array([float(r[cols[name]]) for r in rows])
+            except ValueError as exc:
+                raise ConfigError(f"{p}: column {name!r} is not all numbers") from exc
         if "eps" in cols:
             fig = Figure("capacity energy decay", "1/|log eps|", "energy")
             x = 1.0 / np.abs(np.log(col("eps")))
             fig.add(x, col("energy"), yerr=col("energy_se"), kind="points",
                     label="estimates")
             if "C_fit" in cols and rows[0][cols["C_fit"]]:
-                c_fit = float(rows[0][cols["C_fit"]])
                 xs = np.linspace(0, x.max() * 1.05, 32)
-                fig.add(xs, c_fit * xs, label="C/|log eps| fit")
-            name = p.stem + ".svg"
+                fig.add(xs, col("C_fit")[0] * xs, label="C/|log eps| fit")
         elif "oracle" in cols and "bin_lo" in cols:
             fig = Figure("1-point correlation", "x", "rho1")
             centers = 0.5 * (col("bin_lo") + col("bin_hi"))
             fig.add(centers, col("value"), yerr=3 * col("std_error"),
                     kind="points", label="empirical (3 se)")
             fig.add(centers, col("oracle"), label="determinant")
-            name = p.stem + ".svg"
         elif "oracle" in cols:
             fig = Figure("2-point correlation", "pair index", "rho2")
             idx = np.arange(len(rows), dtype=float)
             fig.add(idx, col("value"), yerr=3 * col("std_error"), kind="points",
                     label="empirical (3 se)")
             fig.add(idx, col("oracle"), kind="points", label="determinant")
-            name = p.stem + ".svg"
         elif "rho1_at_0" in cols:
             fig = Figure("finite-N density at 0", "N", "rho1(0)")
             fig.add(col("N"), col("rho1_at_0"), yerr=col("std_error"), kind="points",
                     label="log-gas estimate")
-            name = p.stem + ".svg"
         else:
             raise ConfigError(f"{p}: no plottable columns recognized")
         fig.embed_table(",".join(header), [",".join(r) for r in rows])
-        fig.render(out_dir / name)
-        written.append(name)
+        fig.render(out_dir / f"{p.stem}.svg")
+        written.append(f"{p.stem}.svg")
     return written
 
 
@@ -467,48 +499,39 @@ def _write_json(path, payload) -> None:
 
 
 def run(cfg: ExperimentConfig, out_dir=None) -> int:
-    out = Path(out_dir or cfg.output or f"dyson_lab_{cfg.experiment}")
+    p = cfg.check()
+    out = Path(out_dir or p.output or f"dyson_lab_{cfg.experiment}")
     out.mkdir(parents=True, exist_ok=True)
+    # the manifest marks a complete run, so an earlier run's goes first
+    (out / "manifest.json").unlink(missing_ok=True)
     t0 = time.time()
     artifacts: list[str] = []
     try:
-        code, summary = _RUNNERS[cfg.experiment](cfg, out, artifacts)
-    except ConfigError:
-        raise
+        code, summary = _EXPERIMENTS[cfg.experiment].run(p, out, artifacts)
     except DysonLabError as exc:
         code, summary = 3, {"error": str(exc)}
     manifest = {
         "experiment": cfg.experiment,
-        "config": {
-            "experiment": cfg.experiment,
-            "seed": cfg.seed,
-            "kernel": cfg.kernel,
-            "window": list(cfg.window) if cfg.window else None,
-            "params": cfg.params,
-            "workers": cfg.workers,
-        },
+        "config": {key: getattr(cfg, key)
+                   for key in ("experiment", "seed", "kernel", "window", "params", "workers")},
         "seed": cfg.seed,
-        "versions": _versions(),
+        "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
+                     "scipy": scipy.__version__, "dyson_lab": __version__},
         "wall_time_s": time.time() - t0,
         "artifacts": artifacts,
         "exit_code": code,
         "summary": summary,
     }
-    _write_json(out / "manifest.json", manifest)
+    _write_json(out / "manifest.json.tmp", manifest)
+    os.replace(out / "manifest.json.tmp", out / "manifest.json")
     return code
-
-
-def _versions() -> dict:
-    import scipy
-    return {"python": sys.version.split()[0], "numpy": np.__version__,
-            "scipy": scipy.__version__, "dyson_lab": __version__}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="dyson-lab",
                                      description="batch experiments on determinantal "
                                                  "point fields and their dynamics")
-    parser.add_argument("experiment", choices=list(EXPERIMENTS) + ["plot"])
+    parser.add_argument("experiment", choices=[*_EXPERIMENTS, "plot"])
     parser.add_argument("--config", help="JSON experiment config")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="override the output directory")
@@ -528,7 +551,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"config is for {cfg.experiment!r}, "
                               f"command line says {args.experiment!r}")
         if args.seed is not None:
-            cfg.seed = _check_seed(args.seed)
+            cfg.seed = args.seed
         return run(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

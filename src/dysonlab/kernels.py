@@ -25,7 +25,6 @@ Taylor expansion of the divided difference has no linear term.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -92,9 +91,6 @@ class Kernel:
     def __call__(self, x, y):
         return self.eval(x, y)
 
-    def diag(self, x):
-        return self.eval(x, x)
-
     def to_json(self) -> dict:
         return {
             "family": self.family,
@@ -102,9 +98,6 @@ class Kernel:
                        for k, v in self.params.items()},
             "domain": self.domain.to_json(),
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
     def __reduce__(self):
         # the evaluators are closures: a kernel crosses a process boundary as its JSON
@@ -245,9 +238,7 @@ def construct_kernel(family: str, domain: AmbientDomain | None = None, **params)
     return Kernel(family, params_out, domain, ev, radial, envelope)
 
 
-def kernel_from_json(data: dict | str) -> Kernel:
-    if isinstance(data, str):
-        data = json.loads(data)
+def kernel_from_json(data: dict) -> Kernel:
     domain = AmbientDomain.from_json(data["domain"]) if "domain" in data else None
     return construct_kernel(data["family"], domain=domain, **data.get("params", {}))
 

@@ -94,15 +94,6 @@ class Configuration:
     def dim(self) -> int:
         return 1 if self.points.ndim == 1 else self.points.shape[1]
 
-    def min_gap(self) -> float:
-        if self.dim == 1:
-            return float(np.min(np.diff(self.points))) if self.count >= 2 else np.inf
-        if self.count < 2:
-            return np.inf
-        d = np.linalg.norm(self.points[:, None, :] - self.points[None, :, :], axis=2)
-        d[np.diag_indices(self.count)] = np.inf
-        return float(d.min())
-
     def to_json(self) -> list:
         return self.points.tolist()
 

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dysonlab as dl
 from dysonlab import RngStream, cli, rng
@@ -332,7 +337,7 @@ def test_dynamics_experiment_and_probe_json(tmp_path):
     path = write_config(tmp_path, {
         "experiment": "dynamics", "seed": 11,
         "params": {"model": "dyson", "N": 4, "n_paths": 60, "T": 0.05,
-                   "delta": 1e-3, "example_trajectory": True},
+                   "delta_sweep": [1e-3], "example_trajectory": True},
         "output": str(tmp_path / "d")})
     code = cli.main(["dynamics", "--config", path])
     assert code == 0
@@ -367,6 +372,24 @@ def test_plot_rejects_missing_columns(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     assert cli.main(["plot", str(empty)]) == 2
+    assert cli.main(["plot", str(tmp_path / "missing.csv")]) == 2
+    text = tmp_path / "text.csv"
+    text.write_text("eps,energy,energy_se\nabc,1,1\n")
+    assert cli.main(["plot", str(text)]) == 2
+
+
+@pytest.mark.parametrize("command, name, content", [
+    ("validate", "cfg.json", b"\xff\xfe{}"),
+    ("plot", "capacity.csv", b"\xff\xfe"),
+    ("plot", "capacity.csv", b"eps,energy,energy_se\n0.1,1\n"),
+])
+def test_unreadable_inputs_exit_2(tmp_path, capsys, monkeypatch, command, name, content):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(content)
+    args = ["--config", name] if command == "validate" else [name]
+    assert cli.main([command, *args]) == 2
+    assert_one_line_config_error(capsys)
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def test_correlations_oracle_is_bin_average(tmp_path):
@@ -397,3 +420,148 @@ def test_correlations_rerun_byte_identical(tmp_path):
     a, b, c = (numeric_artifacts(p) for p in paths)
     assert a == b  # identical reruns
     assert a == c  # identical across worker-pool sizes
+
+
+HOLDER = {"family": "product", "params": {"alpha": 0.5}, "domain": {"kind": "full_line"}}
+SMALL_CORRELATIONS = {"experiment": "correlations", "seed": 1, "kernel": SINE,
+                      "window": [-3, 3], "params": {"n_samples": 50, "n_nodes": 64,
+                                                    "n_bins": 6}}
+
+
+def edited(cfg, params=(), drop=(), **top):
+    """cfg with top-level entries replaced, params updated and params keys dropped."""
+    out = dict(cfg, **top)
+    out["params"] = {k: v for k, v in {**cfg.get("params", {}), **dict(params)}.items()
+                     if k not in drop}
+    return out
+
+
+def params_of(experiment, **params):
+    return {"experiment": experiment, "seed": 1, "params": params}
+
+
+MALFORMED = [
+    ("validate", 5),
+    ("validate", {"experiment": "validate", "seed": 1, "kernel": SINE, "window": [-3, 3],
+                  "params": [1, 2]}),
+    ("correlations", edited(SMALL_CORRELATIONS, window=[1])),
+    ("correlations", edited(SMALL_CORRELATIONS, window=[3, -3])),
+    ("correlations", edited(SMALL_CORRELATIONS, kernel={"family": "nope"})),
+    ("correlations", edited(SMALL_CORRELATIONS,
+                            kernel={"family": "sine", "params": {"rho_bar": 2.0}})),
+    ("correlations", edited(SMALL_CORRELATIONS, kernel="sine")),
+    ("correlations", edited(SMALL_CORRELATIONS, {"n_sample": 50}, drop=["n_samples"])),
+    ("correlations", edited(SMALL_CORRELATIONS, {"n_bins": 0})),
+    ("correlations", edited(SMALL_CORRELATIONS, {"n_nodes": 0})),
+    ("correlations", edited(SMALL_CORRELATIONS, {"pair_bins": [[0.1]]})),
+    ("sample", params_of("sample", sampler="log_gas", n_samples=-1)),
+    ("sample", params_of("sample", sampler="poisson", n_samples=5, intensity=0)),
+    ("sample", params_of("sample", sampler="poisson", n_samples=5, box=[[1, 0]])),
+    ("capacity", params_of("capacity", variant="linear", eps=[0.1, 0.05], n_samples=0)),
+    ("capacity", params_of("capacity", variant="linear", eps=[0.1, 0.05], n_samples=5,
+                           inner_pad=1.0)),
+    ("density-crosscheck", dict(params_of("density-crosscheck", k_max=-1), kernel=HOLDER)),
+    ("density-crosscheck", dict(params_of("density-crosscheck", orders=[]), kernel=HOLDER)),
+    ("density-crosscheck", dict(params_of("density-crosscheck", n_tuples=-1),
+                                kernel=HOLDER)),
+    ("dynamics", params_of("dynamics", n_paths=0)),
+    ("dynamics", params_of("dynamics", T="abc")),
+    ("dynamics", params_of("dynamics", delta_sweep=[])),
+    ("validate", dict(params_of("validate", n_nodes="x"), kernel=SINE, window=[-3, 3])),
+    ("validate", dict(params_of("validate", tol=0), kernel=SINE, window=[-3, 3])),
+]
+
+
+@pytest.mark.parametrize("experiment, cfg", MALFORMED,
+                         ids=[f"{e}-{i}" for i, (e, _) in enumerate(MALFORMED)])
+def test_malformed_config_exits_2_before_any_output(tmp_path, capsys, monkeypatch,
+                                                    experiment, cfg):
+    # without an output entry the run would write to ./dyson_lab_<experiment>
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, cfg)
+    assert cli.main([experiment, "--config", path]) == 2
+    assert_one_line_config_error(capsys)
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_crashed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
+    out = tmp_path / "s"
+    path = write_config(tmp_path, dict(POISSON_SAMPLE, output=str(out)))
+    assert cli.main(["sample", "--config", path]) == 0
+    assert (out / "manifest.json").exists()
+
+    def crash(p, out, artifacts):
+        (out / "samples.ndjson").write_text("partial\n")
+        artifacts.append("samples.ndjson")
+        raise RuntimeError("crashed after one artifact")
+    spec = cli._EXPERIMENTS["sample"]
+    monkeypatch.setitem(cli._EXPERIMENTS, "sample", spec._replace(run=crash))
+    with pytest.raises(RuntimeError):
+        cli.main(["sample", "--config", path])
+    assert sorted(p.name for p in out.iterdir()) == ["samples.ndjson"]
+
+
+SMALL_VALID = [
+    ("sample", {"kernel": SINE, "window": [-3, 3],
+                "params": {"n_samples": 10, "n_nodes": 16}}),
+    ("sample", {"params": {"sampler": "log_gas", "N": 4, "n_samples": 10}}),
+    ("sample", {"params": {"sampler": "poisson", "n_samples": 10, "intensity": 2.0}}),
+    ("correlations", {"kernel": SINE, "window": [-3, 3],
+                      "params": {"n_samples": 20, "n_nodes": 16, "n_bins": 4}}),
+    ("convergence", {"params": {"Ns": [4], "n_samples": 50}}),
+    ("dynamics", {"params": {"model": "dyson", "N": 3, "n_paths": 4, "T": 0.01,
+                             "delta_sweep": [1e-3]}}),
+    ("capacity", {"params": {"variant": "linear", "eps": [0.3, 0.1], "n_samples": 20}}),
+    ("capacity", {"kernel": SINE, "window": [-3, 3],
+                  "params": {"eps": [1e-2, 1e-3, 1e-4], "n_samples": 20, "n_nodes": 16}}),
+    ("validate", {"kernel": SINE, "window": [-3, 3], "params": {"n_nodes": 16}}),
+    ("density-crosscheck", {"kernel": HOLDER, "window": [-1, 1],
+                            "params": {"n_nodes": 16, "k_max": 2, "n_tuples": 2,
+                                       "qmc_points": 64, "orders": [0, 1]}}),
+]
+# wrong types and out-of-range values: no positive number, so that none of them
+# makes a valid run expensive
+BAD_VALUES = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                       st.integers(max_value=0), st.floats(max_value=0.0),
+                       st.sampled_from([float("nan"), float("inf")]),
+                       st.lists(st.integers(max_value=0) | st.text(max_size=2), max_size=3),
+                       st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@st.composite
+def mutated_configs(draw):
+    experiment, base = draw(st.sampled_from(SMALL_VALID))
+    table = cli._EXPERIMENTS[experiment].params
+    keys = sorted({"seed", "workers", "kernel", "window", *table})
+    key, value = draw(st.sampled_from(keys)), draw(BAD_VALUES)
+    cfg = dict(base, experiment=experiment, seed=3, workers=1,
+               params=dict(base["params"]))
+    if key in cli._TOP:
+        cfg[key] = value
+    else:
+        cfg["params"][key] = value
+    return experiment, cfg
+
+
+def no_pool(*a, **kw):
+    raise AssertionError("started a worker pool")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mutated_configs())
+def test_mutated_configs_never_end_in_a_traceback(tmp_path, monkeypatch, case):
+    monkeypatch.delenv("DYSON_LAB_THREADS", raising=False)
+    monkeypatch.setattr(rng, "ProcessPoolExecutor", no_pool)
+    experiment, cfg = case
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+        cfg = dict(cfg, output=str(Path(tmp) / "out"))
+        path = write_config(Path(tmp), cfg)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([experiment, "--config", path])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("config error:")
+        assert err.getvalue().count("\n") == 1

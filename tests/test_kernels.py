@@ -196,7 +196,7 @@ def test_holder_envelope_detects_wrong_exponent():
 
 def test_kernel_json_roundtrip():
     k = dl.construct_kernel("product", alpha=0.5, scale=2.0)
-    data = json.loads(k.to_json_str())
+    data = json.loads(json.dumps(k.to_json(), sort_keys=True))
     k2 = dl.kernel_from_json(data)
     x = np.linspace(-2, 2, 17)
     assert np.allclose(k.eval(x[:, None], x[None, :]), k2.eval(x[:, None], x[None, :]))
