@@ -441,10 +441,17 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {path} as the output directory: {exc}") from exc
+
+
 def emit_plotdata(paths: list, out_dir) -> list[str]:
     """Render result CSVs to static SVG plots with embedded data tables."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     written = []
     for p in map(Path, paths):
         header, rows = _read_csv(p)
@@ -458,7 +465,8 @@ def emit_plotdata(paths: list, out_dir) -> list[str]:
                 raise ConfigError(f"{p}: column {name!r} is not all numbers") from exc
         if "eps" in cols:
             fig = Figure("capacity energy decay", "1/|log eps|", "energy")
-            x = 1.0 / np.abs(np.log(col("eps")))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = 1.0 / np.abs(np.log(col("eps")))
             fig.add(x, col("energy"), yerr=col("energy_se"), kind="points",
                     label="estimates")
             if "C_fit" in cols and rows[0][cols["C_fit"]]:
@@ -482,6 +490,9 @@ def emit_plotdata(paths: list, out_dir) -> list[str]:
                     label="log-gas estimate")
         else:
             raise ConfigError(f"{p}: no plottable columns recognized")
+        if not all(np.isfinite(arr).all() for curve in fig.curves for arr in curve[:3]
+                   if arr is not None):
+            raise ConfigError(f"{p}: a plotted value is not finite")
         fig.embed_table(",".join(header), [",".join(r) for r in rows])
         fig.render(out_dir / f"{p.stem}.svg")
         written.append(f"{p.stem}.svg")
@@ -501,7 +512,7 @@ def _write_json(path, payload) -> None:
 def run(cfg: ExperimentConfig, out_dir=None) -> int:
     p = cfg.check()
     out = Path(out_dir or p.output or f"dyson_lab_{cfg.experiment}")
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     # the manifest marks a complete run, so an earlier run's goes first
     (out / "manifest.json").unlink(missing_ok=True)
     t0 = time.time()

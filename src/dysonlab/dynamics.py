@@ -37,8 +37,13 @@ from .errors import IntegrationFailureError, SingularConfigurationError
 from .rng import RngStream
 from .sampler import DppSampler, lambda_n, sample_log_gas_batch
 from .spectral import SpectralDecomposition
+from .statistics import palm_integrals
 
 _MAX_HALVINGS = 20
+# PairDriftTable grid: log-spaced gaps from _TABLE_G_MIN to 2.2 window
+# lengths, sums spanning the window widened by 1 on each side, and the
+# Gauss rule of the series integrals
+_TABLE_G_MIN, _TABLE_N_G, _TABLE_N_S, _TABLE_N_QUAD = 1e-5, 240, 161, 48
 
 
 # ---------------------------------------------------------------------------
@@ -243,90 +248,31 @@ def dyson_collision_probe(N: int, n_paths: int, T: float, delta: float,
                               "c_dt": c_dt, "dt_max": dt_max})
 
 
-def _series_sigma2_grid(kernel, window, x1: np.ndarray, x2: np.ndarray,
-                        n_quad: int = 48) -> np.ndarray:
-    """Two-point window density at many pairs through the alternating
-    series truncated after the double integral, with all correlations as
-    direct kernel determinants (resolves the near-coincidence exponent at
-    every scale, unlike the finite eigenexpansion).
-
-    The integrals use a fixed n_quad-node Gauss rule (z, w) on the window.
-    With A the pair block, B = [[K(x1,z_i), K(x1,z_j)], [K(x2,z_i), K(x2,z_j)]]
-    and C the z-pair block, the 4x4 determinant is
-
-        det C det A - a11 P22 - a22 P11 + 2 a12 P12 + det B^2,
-        P = B adj(C) B^T,
-
-    and every term factors over (i, j).  With u = K(x1, z) w, v = K(x2, z) w,
-    Kzz = K(z_i, z_j) and t = sum_j w_j K(z_j, z_j), the double integral is
-
-        rho2 (t^2 - w^T (Kzz o Kzz) w)
-        - 2 k11 (sum w K(x2,z)^2 t - v^T Kzz v)
-        - 2 k22 (sum w K(x1,z)^2 t - u^T Kzz u)
-        + 4 k12 (sum w K(x1,z) K(x2,z) t - u^T Kzz v)
-        + 2 (sum w K(x1,z)^2 sum w K(x2,z)^2 - (sum w K(x1,z) K(x2,z))^2),
-
-    and the single integral of the 3x3 determinant is
-    rho2 t - k11 sum w K(x2,z)^2 + 2 k12 sum w K(x1,z) K(x2,z) - k22 sum w K(x1,z)^2.
-    The cost is one m x n_quad by n_quad x n_quad product per quadratic
-    form, O(m n_quad^2) in BLAS; nothing larger than m x n_quad is held.
-    """
-    a, b = window
-    z0, w0 = leggauss(n_quad)
-    z = 0.5 * (b - a) * z0 + 0.5 * (b + a)
-    w = 0.5 * (b - a) * w0
-
-    x1 = np.asarray(x1, dtype=float).ravel()
-    x2 = np.asarray(x2, dtype=float).ravel()
-    k11 = kernel.eval(x1, x1)
-    k22 = kernel.eval(x2, x2)
-    k12 = kernel.eval(x1, x2)
-    rho2 = k11 * k22 - k12 * k12
-
-    k1z = kernel.eval(x1[:, None], z[None, :])
-    k2z = kernel.eval(x2[:, None], z[None, :])
-    kzz = kernel.eval(z[:, None], z[None, :])
-    t = w @ np.diag(kzz)
-    u = k1z * w
-    v = k2z * w
-    su2 = np.einsum("ij,ij->i", u, k1z)
-    sv2 = np.einsum("ij,ij->i", v, k2z)
-    suv = np.einsum("ij,ij->i", u, k2z)
-    uk = u @ kzz
-    vk = v @ kzz
-    uku = np.einsum("ij,ij->i", uk, u)
-    vkv = np.einsum("ij,ij->i", vk, v)
-    ukv = np.einsum("ij,ij->i", uk, v)
-
-    int3 = rho2 * t - k11 * sv2 + 2.0 * k12 * suv - k22 * su2
-    int4 = (rho2 * (t * t - w @ (kzz * kzz) @ w)
-            - 2.0 * k11 * (sv2 * t - vkv) - 2.0 * k22 * (su2 * t - uku)
-            + 4.0 * k12 * (suv * t - ukv) + 2.0 * (su2 * sv2 - suv * suv))
-    return rho2 - int3 + 0.5 * int4
-
-
 class PairDriftTable:
     """Gradient drift of a two-particle windowed density on a
     (log gap) x (sum) grid with bilinear interpolation.
 
-    The tabulated density is the series route of _series_sigma2_grid;
+    The tabulated density is the series route truncated after k = 2, in
+    closed form (palm_integrals) on a 48-node Gauss rule over the window;
     tabulating d log sigma / d log g keeps relative accuracy uniform down
     to tiny gaps, where the drift behaves like a/(2 g).
     """
 
-    def __init__(self, decomp: SpectralDecomposition, g_min: float = 1e-5,
-                 g_max: float | None = None, n_g: int = 240, n_s: int = 161,
-                 floor: float = 1e-300, n_quad: int = 48):
+    def __init__(self, decomp: SpectralDecomposition):
         a, b = decomp.window
-        g_max = g_max or 2.2 * (b - a)
-        self.gs = np.geomspace(g_min, g_max, n_g)
-        self.ss = np.linspace(2 * a - 1.0, 2 * b + 1.0, n_s)
-        G, S = np.meshgrid(self.gs, self.ss, indexing="ij")
-        x1 = (S - G) / 2.0
-        x2 = (S + G) / 2.0
-        vals = _series_sigma2_grid(decomp.kernel, decomp.window,
-                                   x1.ravel(), x2.ravel(), n_quad)
-        u = np.log(np.maximum(vals, floor)).reshape(G.shape)
+        self.gs = np.geomspace(_TABLE_G_MIN, 2.2 * (b - a), _TABLE_N_G)
+        self.ss = np.linspace(2 * a - 1.0, 2 * b + 1.0, _TABLE_N_S)
+        z0, w0 = leggauss(_TABLE_N_QUAD)
+        z = 0.5 * (b - a) * z0 + 0.5 * (b + a)
+        w = 0.5 * (b - a) * w0
+        kernel = decomp.kernel
+        kzz = kernel.eval(z[:, None], z[None, :])
+        u = np.empty((self.gs.size, self.ss.size))
+        # one gap at a time keeps the (pairs, 2, nodes) blocks small
+        for i, g in enumerate(self.gs):
+            x = np.stack([(self.ss - g) / 2.0, (self.ss + g) / 2.0], axis=1)
+            rho, int1, int2 = palm_integrals(kernel, x, z, w, kzz)
+            u[i] = np.log(np.maximum(rho - int1 + 0.5 * int2, 1e-300))
         self.du_dlng = np.gradient(u, np.log(self.gs[1] / self.gs[0]), axis=0)
         self.du_ds = np.gradient(u, self.ss[1] - self.ss[0], axis=1)
         self._lng0 = np.log(self.gs[0])

@@ -8,9 +8,10 @@ Two independent routes compute the same window densities:
 
       sigma_n(x) = sum_k (-1)^k / k! * int_{I^k} rho_{n+k}(x, y) dy,
 
-  with rho computed as plain kernel determinants.  Inner integrals use the
-  decomposition's Gauss nodes tensorized up to k = 2 and low-discrepancy
-  (scrambled Sobol) points beyond, so no independent cubature is built.
+  with rho computed as plain kernel determinants.  The k = 1, 2 integrals
+  are closed forms over the decomposition's Gauss nodes (palm_integrals,
+  also behind fit_gap_exponent and dynamics.PairDriftTable) and k >= 3 use
+  scrambled Sobol points, so no independent cubature is built.
 
 The reported truncation_bound is a full error budget for the comparison:
 
@@ -30,6 +31,7 @@ Cross-checks assert |series - fredholm| <= max(1e-6, 3 * truncation_bound).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import lgamma
 
 import numpy as np
@@ -41,6 +43,7 @@ from .spectral import (SpectralDecomposition, fredholm_det, l_matrix,
                        nystrom_decompose)
 
 _QMC_SEED = 202406           # pinned: reruns must be byte-identical
+_CHUNK = 1 << 17             # Sobol points per kernel-evaluation chunk
 # Resolution error from the node-count-vs-quarter difference: for an
 # O(n^-a) route the unknown error E satisfies diff = E (4^a - 1), so
 # 2 * diff covers every a >= 1/2 while staying a pointwise-robust
@@ -84,6 +87,61 @@ def _det_small(m: np.ndarray) -> np.ndarray:
                 - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
                 + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
     return np.linalg.det(m)
+
+
+def _minors(a: np.ndarray, r: int, complement: bool = False) -> np.ndarray:
+    """Batched matrix of the r x r minors det a[I, J] over r-subsets I, J in
+    lexicographic order; with complement, of (-1)^(sum I + sum J) det a[I^c, J^c]
+    instead: the cofactor matrix for r = 1, the transposed second adjugate
+    for r = 2."""
+    n = a.shape[-1]
+    subsets = list(combinations(range(n), r))
+    keep = (lambda s: [i for i in range(n) if i not in s]) if complement else list
+    out = np.empty(a.shape[:-2] + (len(subsets), len(subsets)))
+    for p, rows in enumerate(subsets):
+        for q, cols in enumerate(subsets):
+            sign = -1.0 if complement and (sum(rows) + sum(cols)) % 2 else 1.0
+            out[..., p, q] = sign * _det_small(a[..., keep(rows), :][..., :, keep(cols)])
+    return out
+
+
+def palm_integrals(kernel, x, z, w, kzz) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rho_n(x), int rho_{n+1}(x, y) dy and int int rho_{n+2}(x, y, y') dy dy'
+    for a batch x of shape (m, n), over the rule (z, w) with kzz = K(z, z).
+
+    The integrands are A = K(x, x) bordered by the rule's points (the
+    Palm-kernel identity rho_{n+k}(x, y) = rho_n(x) det K^x(y_i, y_j)).
+    Expanding along the border and summing over the rule gives, with
+    B = K(x, z), W = diag(w), t = sum w K(z, z), q = w^T (kzz o kzz) w,
+    G = B W B^T and H = B W kzz W B^T,
+
+        int rho_{n+1}     = det A t - tr(adj A G)
+        int int rho_{n+2} = det A (t^2 - q) - 2 t tr(adj A G)
+                            + 2 tr(adj A H) + 2 tr(adj_2 A C_2(G))
+
+    with adj_2 the second adjugate and C_2 the 2x2 minors; the last term is
+    det G for n = 2 and 0 for n <= 1.  Nothing is divided, so a tuple with
+    a repeated point needs no special case.  The cost is O(m n len(z)^2).
+    """
+    x = np.asarray(x, dtype=float)
+    m, n = x.shape
+    a = kernel.eval(x[:, :, None], x[:, None, :])
+    b = kernel.eval(x[:, :, None], z[None, None, :])
+    bw = b * w
+    bwk = (bw.reshape(m * n, kzz.shape[0]) @ kzz).reshape(bw.shape)
+    g = np.einsum("mik,mjk->mij", bw, b)
+    h = np.einsum("mik,mjk->mij", bwk, bw)
+    t = w @ np.diag(kzz)
+    q = w @ (kzz * kzz) @ w
+
+    det_a = _det_small(a)
+    cof = _minors(a, 1, complement=True)
+    tr_g = np.einsum("mij,mij->m", cof, g)
+    tr_h = np.einsum("mij,mij->m", cof, h)
+    tr_2 = np.einsum("mij,mij->m", _minors(a, 2, complement=True), _minors(g, 2))
+    int1 = det_a * t - tr_g
+    int2 = det_a * (t * t - q) - 2.0 * t * tr_g + 2.0 * tr_h + 2.0 * tr_2
+    return det_a, int1, int2
 
 
 # ---------------------------------------------------------------------------
@@ -211,79 +269,64 @@ def _hadamard_tail(n: int, k_max: int, m_sup: float, length: float) -> float:
 class SeriesEvaluator:
     """Alternating-series densities with shared per-k integration tables.
 
-    Building the Sobol blocks is the expensive part; one evaluator serves
-    any number of point tuples on the same decomposition.
+    Terms k <= 2 are closed forms over the decomposition's Gauss nodes
+    (palm_integrals); building the Sobol blocks of k >= 3 is the expensive
+    part, and one evaluator serves any number of point tuples on the same
+    decomposition.
     """
 
     def __init__(self, decomp: SpectralDecomposition, k_max: int = 6,
-                 qmc_points: int = 1 << 20, tensor_k: int = 2,
-                 chunk: int = 1 << 17):
+                 qmc_points: int = 1 << 20):
         if k_max < 0:
             raise ValueError("k_max must be nonnegative")
         self.decomp = decomp
         self.kernel = decomp.kernel
         self.k_max = k_max
         self.qmc_points = int(qmc_points)
-        self.tensor_k = min(tensor_k, 2)
-        self.chunk = chunk
         a, b = decomp.window
         self.window = (a, b)
         self.length = b - a
-        kd = self.kernel.eval(decomp.nodes[:, None], decomp.nodes[None, :])
-        self.m_sup = float(np.max(np.abs(kd)))
+        self._kzz: np.ndarray | None = None
+        self.m_sup = float(np.max(np.abs(self._node_kernel())))
         self._blocks: dict[int, dict] = {}
 
     # -- integration tables -------------------------------------------------
 
+    def _node_kernel(self) -> np.ndarray:
+        """K at the decomposition's node pairs, the one table of k = 1, 2."""
+        if self._kzz is None:
+            nodes = self.decomp.nodes
+            self._kzz = self.kernel.eval(nodes[:, None], nodes[None, :])
+        return self._kzz
+
     def _block(self, k: int) -> dict:
+        """Sobol points and their kernel blocks for k >= 3."""
         blk = self._blocks.get(k)
         if blk is not None:
             return blk
         a, b = self.window
-        if k <= self.tensor_k:
-            nodes, weights = self.decomp.nodes, self.decomp.weights
-            if k == 1:
-                y = nodes[:, None]
-                w = weights.copy()
-            else:
-                y1, y2 = np.meshgrid(nodes, nodes, indexing="ij")
-                y = np.stack([y1.ravel(), y2.ravel()], axis=1)
-                w = (weights[:, None] * weights[None, :]).ravel()
-            halves = None
-        else:
-            sob = qmc.Sobol(d=k, scramble=True, seed=_QMC_SEED + k)
-            y = a + (b - a) * sob.random(self.qmc_points)
-            w = np.full(self.qmc_points, self.length ** k / self.qmc_points)
-            halves = self.qmc_points // 2
+        sob = qmc.Sobol(d=k, scramble=True, seed=_QMC_SEED + k)
+        y = a + (b - a) * sob.random(self.qmc_points)
         c = np.empty((y.shape[0], k, k))
-        for s in range(0, y.shape[0], self.chunk):
-            yc = y[s:s + self.chunk]
-            c[s:s + self.chunk] = self.kernel.eval(yc[:, :, None], yc[:, None, :])
+        for s in range(0, y.shape[0], _CHUNK):
+            yc = y[s:s + _CHUNK]
+            c[s:s + _CHUNK] = self.kernel.eval(yc[:, :, None], yc[:, None, :])
         det_c = _det_small(c)
         diag_prod = np.prod(np.einsum("mkk->mk", c), axis=1)
         ill = det_c < 1e-12 * np.maximum(diag_prod, 1e-300)
-        if k == 1:
-            c_inv = 1.0 / np.where(det_c == 0.0, np.inf, det_c)[:, None, None]
-        elif k == 2:
-            c_inv = np.empty_like(c)
-            safe = np.where(ill, 1.0, det_c)
-            c_inv[:, 0, 0] = c[:, 1, 1] / safe
-            c_inv[:, 1, 1] = c[:, 0, 0] / safe
-            c_inv[:, 0, 1] = -c[:, 0, 1] / safe
-            c_inv[:, 1, 0] = -c[:, 1, 0] / safe
-        else:
-            c_reg = c.copy()
-            if ill.any():
-                ridge = 1e-10 * np.maximum(diag_prod[ill], 1.0) ** (1.0 / k)
-                c_reg[ill] += ridge[:, None, None] * np.eye(k)
-            c_inv = np.linalg.inv(c_reg)
-        blk = {"y": y, "w": w, "det_c": det_c, "c_inv": c_inv, "ill": ill,
-               "halves": halves}
+        c_reg = c.copy()
+        if ill.any():
+            ridge = 1e-10 * np.maximum(diag_prod[ill], 1.0) ** (1.0 / k)
+            c_reg[ill] += ridge[:, None, None] * np.eye(k)
+        blk = {"y": y, "w": np.full(self.qmc_points, self.length ** k / self.qmc_points),
+               "det_c": det_c, "c_inv": np.linalg.inv(c_reg), "ill": ill}
         self._blocks[k] = blk
         return blk
 
     def drop_block(self, k: int) -> None:
         self._blocks.pop(k, None)
+        if k in (1, 2):
+            self._kzz = None
 
     # -- one series term ----------------------------------------------------
 
@@ -296,12 +339,12 @@ class SeriesEvaluator:
         else:
             a_mat = self.kernel.eval(pts[:, None], pts[None, :])
             vals = np.empty(y.shape[0])
-            for s in range(0, y.shape[0], self.chunk):
-                yc = y[s:s + self.chunk]
+            for s in range(0, y.shape[0], _CHUNK):
+                yc = y[s:s + _CHUNK]
                 b_mat = self.kernel.eval(pts[None, :, None], yc[:, None, :])
-                bc = np.einsum("mik,mkl->mil", b_mat, c_inv[s:s + self.chunk])
+                bc = np.einsum("mik,mkl->mil", b_mat, c_inv[s:s + _CHUNK])
                 schur = a_mat[None, :, :] - np.einsum("mik,mjk->mij", bc, b_mat)
-                vals[s:s + self.chunk] = det_c[s:s + self.chunk] * _det_small(schur)
+                vals[s:s + _CHUNK] = det_c[s:s + _CHUNK] * _det_small(schur)
             if ill.any():
                 yb = y[ill]
                 z = np.concatenate([np.broadcast_to(pts, (yb.shape[0], n)), yb], axis=1)
@@ -309,9 +352,7 @@ class SeriesEvaluator:
                 vals[ill] = np.linalg.det(full)
             integ = vals * w
         total = float(integ.sum())
-        if blk["halves"] is None:
-            return total, 0.0
-        half = 2.0 * float(integ[:blk["halves"]].sum())
+        half = 2.0 * float(integ[:self.qmc_points // 2].sum())
         return total, abs(total - half)
 
     def term(self, points, k: int) -> tuple[float, float]:
@@ -319,7 +360,12 @@ class SeriesEvaluator:
         pts = np.atleast_1d(np.asarray(points, dtype=float))
         if k == 0:
             return rho_det(self.kernel, pts), 0.0
-        integ, err = self._integral(pts, k, self._block(k))
+        if k <= 2:
+            integ = float(palm_integrals(self.kernel, pts[None, :], self.decomp.nodes,
+                                         self.decomp.weights, self._node_kernel())[k][0])
+            err = 0.0
+        else:
+            integ, err = self._integral(pts, k, self._block(k))
         fac = 1.0 / np.exp(lgamma(k + 1))
         sign = -1.0 if k % 2 else 1.0
         return sign * fac * integ, fac * err
@@ -432,31 +478,29 @@ def density_crosscheck_csv(values: list[DensityValue], path) -> None:
 class SigmaBoundsReport:
     ok: bool
     max_violation: float
-    slope: float | None = None
     messages: list[str] = field(default_factory=list)
 
 
-def fit_gap_exponent(decomp: SpectralDecomposition, x0: float = 0.0,
-                     t_range: tuple[float, float] = (1e-3, 1e-1), n_t: int = 10,
-                     k_max: int = 2) -> float:
-    """Slope of log sigma_2(x0, x0 + t) against log t.
+def fit_gap_exponent(decomp: SpectralDecomposition) -> float:
+    """Slope of log sigma_2(0, t) against log t over t in [1e-3, 1e-1].
 
-    Uses the series route with tensor-grid terms only: the pair density at
-    separations below the quadrature node spacing is invisible to the
-    eigenfunction expansion, while kernel determinants resolve every scale.
+    Uses the series route truncated after k = 2, in closed form on the
+    decomposition's nodes: the pair density at separations below the
+    quadrature node spacing is invisible to the eigenfunction expansion,
+    while kernel determinants resolve every scale.
     """
-    ev = SeriesEvaluator(decomp, k_max=min(k_max, 2))
-    ts = np.geomspace(t_range[0], t_range[1], n_t)
-    vals = np.array([ev.value_and_bound(np.array([x0, x0 + t]))[0] for t in ts])
+    ts = np.geomspace(1e-3, 1e-1, 10)
+    kzz = decomp.kernel.eval(decomp.nodes[:, None], decomp.nodes[None, :])
+    rho, int1, int2 = palm_integrals(decomp.kernel, np.stack([np.zeros_like(ts), ts], axis=1),
+                                     decomp.nodes, decomp.weights, kzz)
+    vals = rho - int1 + 0.5 * int2
     if np.any(vals <= 0):
         raise ValueError("pair density not positive over the fit range")
     return float(np.polyfit(np.log(ts), np.log(vals), 1)[0])
 
 
-def verify_sigma_bounds(decomp: SpectralDecomposition, tuples,
-                        fit_exponent: bool = False) -> SigmaBoundsReport:
-    """Check 0 <= sigma_n <= rho_n at each tuple; optionally fit the
-    two-point gap exponent for product-family kernels."""
+def verify_sigma_bounds(decomp: SpectralDecomposition, tuples) -> SigmaBoundsReport:
+    """Check 0 <= sigma_n <= rho_n at each tuple."""
     worst = 0.0
     msgs = []
     for t in tuples:
@@ -470,7 +514,4 @@ def verify_sigma_bounds(decomp: SpectralDecomposition, tuples,
             worst = viol
         if viol > 1e-8:
             msgs.append(f"bound violated by {viol:.3e} at {pts.tolist()}")
-    slope = None
-    if fit_exponent:
-        slope = fit_gap_exponent(decomp)
-    return SigmaBoundsReport(worst <= 1e-8, worst, slope, msgs)
+    return SigmaBoundsReport(worst <= 1e-8, worst, msgs)

@@ -10,7 +10,9 @@ a one-path ensemble must reproduce it exactly.
 
 The pair-series oracle evaluates the truncated window-density series
 pair by pair and node pair by node pair, through the Schur complement of
-each 2x2 z-pair block, with no contraction across nodes.
+each 2x2 z-pair block, with no contraction across nodes.  The bordered-
+determinant oracle sums the full kernel determinants det K(x, z_i) and
+det K(x, z_i, z_j) node by node, with no algebra at all.
 """
 
 import numpy as np
@@ -116,6 +118,20 @@ def series_sigma2_grid_oracle(kernel, window, x1, x2, n_quad=48):
         s12 = k12[s:e, None] - q12
         int4[s:e] = ((s11 * s22 - s12 * s12) * det_c) @ ww
     return rho2 - int3 + 0.5 * int4
+
+
+def bordered_det_oracle(kernel, x, z, w):
+    """(sum_i w_i det K(x, z_i), sum_ij w_i w_j det K(x, z_i, z_j)) for one
+    tuple x, each determinant taken directly on the bordered point set."""
+    x = np.asarray(x, dtype=float)
+
+    def det(pts):
+        pts = np.asarray(pts, dtype=float)
+        return np.linalg.det(kernel.eval(pts[:, None], pts[None, :]))
+    int1 = sum(wi * det(np.append(x, zi)) for zi, wi in zip(z, w))
+    int2 = sum(wi * wj * det(np.append(x, [zi, zj]))
+               for zi, wi in zip(z, w) for zj, wj in zip(z, w))
+    return int1, int2
 
 
 def _min_gap(x):

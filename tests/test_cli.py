@@ -376,6 +376,13 @@ def test_plot_rejects_missing_columns(tmp_path):
     text = tmp_path / "text.csv"
     text.write_text("eps,energy,energy_se\nabc,1,1\n")
     assert cli.main(["plot", str(text)]) == 2
+    # 1/|log eps| is infinite at eps = 1; nan and inf cells are not plottable
+    eps_one = tmp_path / "eps_one.csv"
+    eps_one.write_text("eps,energy,energy_se\n1,1,1\n0.5,2,1\n")
+    assert cli.main(["plot", str(eps_one)]) == 2
+    non_finite = tmp_path / "non_finite.csv"
+    non_finite.write_text("eps,energy,energy_se\n0.1,nan,1\n0.05,2,inf\n")
+    assert cli.main(["plot", str(non_finite)]) == 2
 
 
 @pytest.mark.parametrize("command, name, content", [
@@ -482,6 +489,25 @@ def test_malformed_config_exits_2_before_any_output(tmp_path, capsys, monkeypatc
     assert cli.main([experiment, "--config", path]) == 2
     assert_one_line_config_error(capsys)
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("via", ["output", "--out", "plot"])
+def test_output_that_names_a_file_exits_2(tmp_path, capsys, via):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    if via == "plot":
+        csv = tmp_path / "capacity.csv"
+        csv.write_text("eps,energy,energy_se\n0.1,1,1\n0.05,2,1\n")
+        argv = ["plot", str(csv), "--out", str(taken)]
+    elif via == "output":
+        argv = ["sample", "--config",
+                write_config(tmp_path, dict(POISSON_SAMPLE, output=str(taken)))]
+    else:
+        argv = ["sample", "--config", write_config(tmp_path, POISSON_SAMPLE),
+                "--out", str(taken)]
+    assert cli.main(argv) == 2
+    assert_one_line_config_error(capsys)
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_crashed_rerun_leaves_no_manifest(tmp_path, monkeypatch):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy import stats
 
 import dysonlab as dl
 from dysonlab import RngStream
-from dysonlab.dynamics import _series_sigma2_grid
 from dysonlab.errors import IntegrationFailureError, SingularConfigurationError
+from dysonlab.statistics import palm_integrals
 from oracles import integrate_sde_oracle, series_sigma2_grid_oracle
 
 
@@ -126,7 +127,12 @@ def test_series_sigma2_grid_matches_schur_oracle(product_half_kernel):
     ss = np.array([-3.0, -2.1, -0.7, 0.0, 0.35, 1.9, 3.0])
     G, S = np.meshgrid(gs, ss, indexing="ij")
     x1, x2 = ((S - G) / 2).ravel(), ((S + G) / 2).ravel()
-    fast = _series_sigma2_grid(product_half_kernel, window, x1, x2)
+    z0, w0 = leggauss(48)
+    z = 0.5 * (window[1] - window[0]) * z0 + 0.5 * (window[1] + window[0])
+    w = 0.5 * (window[1] - window[0]) * w0
+    rho, int1, int2 = palm_integrals(product_half_kernel, np.stack([x1, x2], axis=1),
+                                     z, w, product_half_kernel.eval(z[:, None], z[None, :]))
+    fast = rho - int1 + 0.5 * int2
     slow = series_sigma2_grid_oracle(product_half_kernel, window, x1, x2)
     assert np.all(slow > 0)
     assert np.max(np.abs(fast - slow) / slow) < 1e-11

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 import dysonlab as dl
 from dysonlab import RngStream
+from dysonlab.statistics import palm_integrals
+from oracles import bordered_det_oracle
 
 
 def test_rho_det_values(sine_kernel):
@@ -95,6 +98,34 @@ def test_series_term_symmetry(product_lip_decomp):
         a, _ = ev.term(np.array([-0.3, 0.4]), k)
         b, _ = ev.term(np.array([0.4, -0.3]), k)
         assert a == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_palm_integrals_match_bordered_determinants(alpha):
+    # closed forms against a direct determinant per node and node pair, for
+    # tuple orders 0-3 with points inside and outside the rule's interval
+    kernel = dl.construct_kernel("product", alpha=alpha)
+    z, w = leggauss(12)
+    kzz = kernel.eval(z[:, None], z[None, :])
+    gen = np.random.default_rng(8)
+    for n in range(4):
+        x = np.sort(gen.uniform(-1.3, 1.3, (3, n)), axis=1)
+        rho, int1, int2 = palm_integrals(kernel, x, z, w, kzz)
+        for i in range(3):
+            one, two = bordered_det_oracle(kernel, x[i], z, w)
+            assert rho[i] == pytest.approx(dl.rho_det(kernel, x[i]), rel=1e-12)
+            assert int1[i] == pytest.approx(one, rel=1e-12)
+            assert int2[i] == pytest.approx(two, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [[0.3, 0.3], [-0.5, 0.3, 0.3], [0.2, 0.2, 0.2]])
+def test_palm_integrals_vanish_at_a_repeated_point(product_half_kernel, x):
+    z, w = leggauss(12)
+    kzz = product_half_kernel.eval(z[:, None], z[None, :])
+    out = palm_integrals(product_half_kernel, np.array([x]), z, w, kzz)
+    assert [float(v[0]) for v in out] == [0.0, 0.0, 0.0]
+    one, two = bordered_det_oracle(product_half_kernel, x, z, w)
+    assert abs(one) < 1e-15 and abs(two) < 1e-15
 
 
 def test_crosscheck_product_lip(product_lip_decomp):
