@@ -380,7 +380,8 @@ _EXPERIMENTS = {
         "n_tuples": (_int(1), 20),
         "orders": (_list(_int(0)), [0, 1, 2]),
         "k_max": (_int(0), 6),
-        "qmc_points": (_int(2), 1 << 20),
+        "qmc_points": (Rule("a power of two >= 2",
+                            lambda v: _is_int(v) and v >= 2 and v & (v - 1) == 0), 1 << 20),
     }),
     "convergence": Experiment(_exp_convergence, {
         "Ns": (_list(_int(1)), [8, 16, 32]),
@@ -449,10 +450,10 @@ def _make_dir(path: Path) -> None:
 
 
 def emit_plotdata(paths: list, out_dir) -> list[str]:
-    """Render result CSVs to static SVG plots with embedded data tables."""
-    out_dir = Path(out_dir)
-    _make_dir(out_dir)
-    written = []
+    """Render result CSVs to static SVG plots with embedded data tables.
+    Every figure is built before the first is written, so a bad file
+    leaves no output."""
+    figures = []
     for p in map(Path, paths):
         header, rows = _read_csv(p)
         cols = {name: i for i, name in enumerate(header)}
@@ -494,9 +495,12 @@ def emit_plotdata(paths: list, out_dir) -> list[str]:
                    if arr is not None):
             raise ConfigError(f"{p}: a plotted value is not finite")
         fig.embed_table(",".join(header), [",".join(r) for r in rows])
-        fig.render(out_dir / f"{p.stem}.svg")
-        written.append(f"{p.stem}.svg")
-    return written
+        figures.append((fig, f"{p.stem}.svg"))
+    out_dir = Path(out_dir)
+    _make_dir(out_dir)
+    for fig, name in figures:
+        fig.render(out_dir / name)
+    return [name for _, name in figures]
 
 
 # ---------------------------------------------------------------------------

@@ -107,21 +107,24 @@ def eigenfunction_values(decomp: SpectralDecomposition, x,
     return vals, kept
 
 
+def _non_projection_eigenvalues(decomp: SpectralDecomposition) -> np.ndarray:
+    """The eigenvalues, once none of them is numerically 1, where 1 - lambda
+    vanishes in both fredholm_det and L."""
+    lam = decomp.eigenvalues
+    if lam.size and lam.max() >= 1.0 - _PROJECTION_EPS:
+        raise DegenerateProjectionError(
+            f"top eigenvalue {lam.max():.15f} is numerically a projection direction")
+    return lam
+
+
 def fredholm_det(decomp: SpectralDecomposition) -> float:
     """prod_i (1 - lambda_i), the probability of an empty window,
     accumulated in log space."""
-    lam = decomp.eigenvalues
-    if lam.size and lam.max() >= 1.0 - _PROJECTION_EPS:
-        raise DegenerateProjectionError(
-            f"top eigenvalue {lam.max():.15f} is numerically a projection direction")
-    return float(np.exp(np.sum(np.log1p(-lam))))
+    return float(np.exp(np.sum(np.log1p(-_non_projection_eigenvalues(decomp)))))
 
 
 def _l_weights(decomp: SpectralDecomposition):
-    lam = decomp.eigenvalues
-    if lam.size and lam.max() >= 1.0 - _PROJECTION_EPS:
-        raise DegenerateProjectionError(
-            f"top eigenvalue {lam.max():.15f} is numerically a projection direction")
+    lam = _non_projection_eigenvalues(decomp)
     kept = np.flatnonzero(lam > _SERIES_CUTOFF)
     return kept, lam[kept] / (1.0 - lam[kept])
 

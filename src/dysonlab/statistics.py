@@ -10,8 +10,10 @@ Two independent routes compute the same window densities:
 
   with rho computed as plain kernel determinants.  The k = 1, 2 integrals
   are closed forms over the decomposition's Gauss nodes (palm_integrals,
-  also behind fit_gap_exponent and dynamics.PairDriftTable) and k >= 3 use
-  scrambled Sobol points, so no independent cubature is built.
+  also behind fit_gap_exponent and dynamics.PairDriftTable).  Each k >= 3
+  integral is one streamed pass over scrambled Sobol points that serves
+  every tuple at once, so no independent cubature is built and no Sobol
+  block is stored.
 
 The reported truncation_bound is a full error budget for the comparison:
 
@@ -267,105 +269,95 @@ def _hadamard_tail(n: int, k_max: int, m_sup: float, length: float) -> float:
 
 
 class SeriesEvaluator:
-    """Alternating-series densities with shared per-k integration tables.
+    """Alternating-series terms for batches of point tuples on one
+    decomposition.
 
     Terms k <= 2 are closed forms over the decomposition's Gauss nodes
-    (palm_integrals); building the Sobol blocks of k >= 3 is the expensive
-    part, and one evaluator serves any number of point tuples on the same
-    decomposition.
+    (palm_integrals), one call per tuple.  A term k >= 3 is one pass over
+    the order-k scrambled Sobol points, _CHUNK at a time, shared by every
+    tuple of the batch: per slice the blocks C = K(y, y), their
+    determinants and an ill-conditioning mask are evaluated once, the
+    well-conditioned blocks are inverted, and each tuple's integrand is
+    det C det(A - B C^-1 B^T) with A = K(x, x) and B = K(x, y), or the
+    bordered determinant det K(x u y) taken directly on the ill blocks, so
+    no inverse of an ill block is ever used and none is regularized.  No
+    block outlives its slice, so memory grows with qmc_points only through
+    one integrand vector per tuple.
     """
 
     def __init__(self, decomp: SpectralDecomposition, k_max: int = 6,
                  qmc_points: int = 1 << 20):
         if k_max < 0:
             raise ValueError("k_max must be nonnegative")
+        self.qmc_points = int(qmc_points)
+        if self.qmc_points < 2 or self.qmc_points & (self.qmc_points - 1):
+            raise ValueError("qmc_points must be a power of two >= 2, so that the "
+                             "half-sample error compares two balanced Sobol nets")
         self.decomp = decomp
         self.kernel = decomp.kernel
         self.k_max = k_max
-        self.qmc_points = int(qmc_points)
         a, b = decomp.window
         self.window = (a, b)
         self.length = b - a
-        self._kzz: np.ndarray | None = None
-        self.m_sup = float(np.max(np.abs(self._node_kernel())))
-        self._blocks: dict[int, dict] = {}
+        # K at the decomposition's node pairs, the one table of k = 1, 2
+        self._kzz = self.kernel.eval(decomp.nodes[:, None], decomp.nodes[None, :])
+        self.m_sup = float(np.max(np.abs(self._kzz)))
 
-    # -- integration tables -------------------------------------------------
-
-    def _node_kernel(self) -> np.ndarray:
-        """K at the decomposition's node pairs, the one table of k = 1, 2."""
-        if self._kzz is None:
-            nodes = self.decomp.nodes
-            self._kzz = self.kernel.eval(nodes[:, None], nodes[None, :])
-        return self._kzz
-
-    def _block(self, k: int) -> dict:
-        """Sobol points and their kernel blocks for k >= 3."""
-        blk = self._blocks.get(k)
-        if blk is not None:
-            return blk
+    def _sobol_integrals(self, tuples: list[np.ndarray], k: int):
+        """int rho_{n+k}(x, y) dy over the window for each tuple x, with its
+        half-sample error, from one streamed pass over the Sobol points."""
         a, b = self.window
+        n_y = self.qmc_points
         sob = qmc.Sobol(d=k, scramble=True, seed=_QMC_SEED + k)
-        y = a + (b - a) * sob.random(self.qmc_points)
-        c = np.empty((y.shape[0], k, k))
-        for s in range(0, y.shape[0], _CHUNK):
-            yc = y[s:s + _CHUNK]
-            c[s:s + _CHUNK] = self.kernel.eval(yc[:, :, None], yc[:, None, :])
-        det_c = _det_small(c)
-        diag_prod = np.prod(np.einsum("mkk->mk", c), axis=1)
-        ill = det_c < 1e-12 * np.maximum(diag_prod, 1e-300)
-        c_reg = c.copy()
-        if ill.any():
-            ridge = 1e-10 * np.maximum(diag_prod[ill], 1.0) ** (1.0 / k)
-            c_reg[ill] += ridge[:, None, None] * np.eye(k)
-        blk = {"y": y, "w": np.full(self.qmc_points, self.length ** k / self.qmc_points),
-               "det_c": det_c, "c_inv": np.linalg.inv(c_reg), "ill": ill}
-        self._blocks[k] = blk
-        return blk
-
-    def drop_block(self, k: int) -> None:
-        self._blocks.pop(k, None)
-        if k in (1, 2):
-            self._kzz = None
-
-    # -- one series term ----------------------------------------------------
-
-    def _integral(self, pts: np.ndarray, k: int, blk: dict) -> tuple[float, float]:
-        """(integral of rho_{n+k}(pts, y) over y, half-sample error)."""
-        y, w, det_c, c_inv, ill = blk["y"], blk["w"], blk["det_c"], blk["c_inv"], blk["ill"]
-        n = pts.size
-        if n == 0:
-            integ = det_c * w
-        else:
-            a_mat = self.kernel.eval(pts[:, None], pts[None, :])
-            vals = np.empty(y.shape[0])
-            for s in range(0, y.shape[0], _CHUNK):
-                yc = y[s:s + _CHUNK]
-                b_mat = self.kernel.eval(pts[None, :, None], yc[:, None, :])
-                bc = np.einsum("mik,mkl->mil", b_mat, c_inv[s:s + _CHUNK])
+        a_mats = [self.kernel.eval(x[:, None], x[None, :]) for x in tuples]
+        vals = [np.empty(n_y) for _ in tuples]
+        for s in range(0, n_y, _CHUNK):
+            y = a + (b - a) * sob.random(min(_CHUNK, n_y - s))
+            c = self.kernel.eval(y[:, :, None], y[:, None, :])
+            det_c = _det_small(c)
+            diag_prod = np.prod(np.einsum("mkk->mk", c), axis=1)
+            ill = det_c < 1e-12 * np.maximum(diag_prod, 1e-300)
+            # an ill block's values come from the fallback below, so the
+            # identity stands in for it; freeing C lowers the peak by a slice
+            c[ill] = np.eye(k)
+            c_inv = np.linalg.inv(c)
+            del c
+            y_ill = y[ill]
+            for x, a_mat, v in zip(tuples, a_mats, vals):
+                out = v[s:s + y.shape[0]]
+                if x.size == 0:
+                    out[:] = det_c
+                    continue
+                b_mat = self.kernel.eval(x[None, :, None], y[:, None, :])
+                bc = np.einsum("mik,mkl->mil", b_mat, c_inv)
                 schur = a_mat[None, :, :] - np.einsum("mik,mjk->mij", bc, b_mat)
-                vals[s:s + _CHUNK] = det_c[s:s + _CHUNK] * _det_small(schur)
-            if ill.any():
-                yb = y[ill]
-                z = np.concatenate([np.broadcast_to(pts, (yb.shape[0], n)), yb], axis=1)
-                full = self.kernel.eval(z[:, :, None], z[:, None, :])
-                vals[ill] = np.linalg.det(full)
-            integ = vals * w
-        total = float(integ.sum())
-        half = 2.0 * float(integ[:self.qmc_points // 2].sum())
-        return total, abs(total - half)
+                out[:] = det_c * _det_small(schur)
+                if y_ill.size:
+                    z = np.concatenate([np.broadcast_to(x, (y_ill.shape[0], x.size)), y_ill],
+                                       axis=1)
+                    out[ill] = np.linalg.det(self.kernel.eval(z[:, :, None], z[:, None, :]))
+        w = self.length ** k / n_y
+        totals, errs = np.empty(len(tuples)), np.empty(len(tuples))
+        for i, v in enumerate(vals):
+            integ = v * w
+            totals[i] = integ.sum()
+            errs[i] = abs(totals[i] - 2.0 * integ[:n_y // 2].sum())
+        return totals, errs
 
-    def term(self, points, k: int) -> tuple[float, float]:
-        """Signed series term (-1)^k/k! int rho_{n+k} and its QMC error."""
-        pts = np.atleast_1d(np.asarray(points, dtype=float))
+    def term(self, points, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Signed series terms (-1)^k/k! int rho_{n+k} for a batch of point
+        tuples of any orders, and their QMC errors (0 for k <= 2)."""
+        tuples = [np.atleast_1d(np.asarray(x, dtype=float)) for x in points]
         if k == 0:
-            return rho_det(self.kernel, pts), 0.0
-        if k <= 2:
-            integ = float(palm_integrals(self.kernel, pts[None, :], self.decomp.nodes,
-                                         self.decomp.weights, self._node_kernel())[k][0])
-            err = 0.0
+            return np.array([rho_det(self.kernel, x) for x in tuples]), np.zeros(len(tuples))
+        if k >= 3:
+            integ, err = self._sobol_integrals(tuples, k)
         else:
-            integ, err = self._integral(pts, k, self._block(k))
+            # one call per tuple: batching moves the values in their last digit
+            integ = np.array([palm_integrals(self.kernel, x[None, :], self.decomp.nodes,
+                                             self.decomp.weights, self._kzz)[k][0]
+                              for x in tuples])
+            err = np.zeros(len(tuples))
         fac = 1.0 / np.exp(lgamma(k + 1))
         sign = -1.0 if k % 2 else 1.0
         return sign * fac * integ, fac * err
@@ -377,16 +369,6 @@ class SeriesEvaluator:
                    * _elementary_symmetric_tail(self.decomp.eigenvalues, self.k_max))
         hadamard = _hadamard_tail(n, self.k_max, self.m_sup, self.length)
         return min(fischer, hadamard)
-
-    def value_and_bound(self, points) -> tuple[float, float]:
-        """Series value and the truncation + QMC part of the error budget."""
-        pts = np.atleast_1d(np.asarray(points, dtype=float))
-        total, qmc_err = 0.0, 0.0
-        for k in range(self.k_max + 1):
-            t, e = self.term(pts, k)
-            total += t
-            qmc_err += e
-        return total, self.remainder_bound(pts) + qmc_err
 
 
 # ---------------------------------------------------------------------------
@@ -421,21 +403,18 @@ def crosscheck_density(decomp: SpectralDecomposition, tuples,
     """Evaluate both routes at each tuple with a full error budget.
 
     ``tuples`` is an iterable of point tuples (the empty tuple asks for the
-    void probability).  Sobol blocks are built once per k and shared.
+    void probability).  Each series order is one batched term over them all.
     """
     ev = SeriesEvaluator(decomp, k_max=k_max, qmc_points=qmc_points)
     coarse = nystrom_decompose(decomp.kernel, decomp.window,
                                max(8, decomp.n_nodes // 4))
     pts_list = [np.atleast_1d(np.asarray(t, dtype=float)) for t in tuples]
 
-    terms = {i: 0.0 for i in range(len(pts_list))}
-    qmc_errs = {i: 0.0 for i in range(len(pts_list))}
+    terms, qmc_errs = np.zeros(len(pts_list)), np.zeros(len(pts_list))
     for k in range(k_max + 1):
-        for i, pts in enumerate(pts_list):
-            t, e = ev.term(pts, k)
-            terms[i] += t
-            qmc_errs[i] += e
-        ev.drop_block(k)
+        t, e = ev.term(pts_list, k)
+        terms += t
+        qmc_errs += e
 
     fred = [sigma_fredholm(decomp, pts) for pts in pts_list]
     diffs = [abs(f - sigma_fredholm(coarse, pts))
@@ -451,12 +430,13 @@ def crosscheck_density(decomp: SpectralDecomposition, tuples,
     for i, pts in enumerate(pts_list):
         resolution = order_env[pts.size] * _RESOLUTION_FACTOR
         remainder = ev.remainder_bound(pts)
-        bound = remainder + qmc_errs[i] + resolution
+        qmc_err = float(qmc_errs[i])
+        bound = remainder + qmc_err + resolution
         out.append(DensityValue(
             order=pts.size, points=tuple(pts.tolist()),
-            value_series=terms[i], value_fredholm=fred[i],
+            value_series=float(terms[i]), value_fredholm=fred[i],
             truncation_k=k_max, truncation_bound=bound,
-            components={"remainder": remainder, "qmc": qmc_errs[i],
+            components={"remainder": remainder, "qmc": qmc_err,
                         "resolution": resolution}))
     return out
 

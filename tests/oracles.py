@@ -12,15 +12,19 @@ The pair-series oracle evaluates the truncated window-density series
 pair by pair and node pair by node pair, through the Schur complement of
 each 2x2 z-pair block, with no contraction across nodes.  The bordered-
 determinant oracle sums the full kernel determinants det K(x, z_i) and
-det K(x, z_i, z_j) node by node, with no algebra at all.
+det K(x, z_i, z_j) node by node, with no algebra at all, and the Sobol
+oracle averages det K(x u y) over the series route's Sobol points the same
+way, with no Schur complement and no conditioning test.
 """
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.stats import qmc
 
 from dysonlab import RngStream, Trajectory
 from dysonlab.dynamics import loggas_energy
 from dysonlab.errors import IntegrationFailureError, SingularConfigurationError
+from dysonlab.statistics import _QMC_SEED
 
 
 def pair_log_density(x1, x2, lam):
@@ -132,6 +136,20 @@ def bordered_det_oracle(kernel, x, z, w):
     int2 = sum(wi * wj * det(np.append(x, [zi, zj]))
                for zi, wi in zip(z, w) for zj, wj in zip(z, w))
     return int1, int2
+
+
+def sobol_points(k, window, n_points):
+    """The scrambled Sobol points of the series route's order-k integral."""
+    a, b = window
+    return a + (b - a) * qmc.Sobol(d=k, scramble=True, seed=_QMC_SEED + k).random(n_points)
+
+
+def sobol_det_oracle(kernel, x, y, volume):
+    """volume times the mean over the rows y_j of y of det K(x u y_j), each
+    determinant taken directly on the joined point set."""
+    x = np.asarray(x, dtype=float)
+    z = np.concatenate([np.broadcast_to(x, (y.shape[0], x.size)), y], axis=1)
+    return volume * float(np.mean(np.linalg.det(kernel.eval(z[:, :, None], z[:, None, :]))))
 
 
 def _min_gap(x):

@@ -385,6 +385,18 @@ def test_plot_rejects_missing_columns(tmp_path):
     assert cli.main(["plot", str(non_finite)]) == 2
 
 
+def test_plot_writes_nothing_unless_every_file_renders(tmp_path, capsys):
+    good = tmp_path / "capacity.csv"
+    good.write_text("eps,energy,energy_se\n0.1,1,1\n0.05,2,1\n")
+    bad = tmp_path / "eps_one.csv"
+    bad.write_text("eps,energy,energy_se\n1,1,1\n0.5,2,1\n")
+    out = tmp_path / "plots"
+    assert cli.main(["plot", str(good), str(bad), "--out", str(out)]) == 2
+    assert_one_line_config_error(capsys)
+    assert not out.exists()
+    assert list(tmp_path.glob("**/*.svg")) == []
+
+
 @pytest.mark.parametrize("command, name, content", [
     ("validate", "cfg.json", b"\xff\xfe{}"),
     ("plot", "capacity.csv", b"\xff\xfe"),
@@ -476,6 +488,9 @@ MALFORMED = [
     ("dynamics", params_of("dynamics", delta_sweep=[])),
     ("validate", dict(params_of("validate", n_nodes="x"), kernel=SINE, window=[-3, 3])),
     ("validate", dict(params_of("validate", tol=0), kernel=SINE, window=[-3, 3])),
+    # the half-sample error compares balanced Sobol halves: a power of two
+    ("density-crosscheck", dict(params_of("density-crosscheck", qmc_points=1000),
+                                kernel=HOLDER)),
 ]
 
 

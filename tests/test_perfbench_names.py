@@ -31,13 +31,16 @@ def _layer_span_names() -> list[str]:
                    and id(n) not in keys and SPAN_NAME.match(n.value)})
 
 
-def _size_names() -> list[str]:
+def _tracing():
     sys.path.insert(0, str(PERFBENCH))
     try:
-        tracing = importlib.import_module("tracing")
+        return importlib.import_module("tracing")
     finally:
         sys.path.remove(str(PERFBENCH))
-    return sorted(tracing.SIZES)
+
+
+def _size_names() -> list[str]:
+    return sorted(_tracing().SIZES)
 
 
 def _traced(name: str) -> bool:
@@ -76,3 +79,16 @@ def test_series_term_takes_order_second():
     # tracing records the series order from args[2] (after self and points)
     params = list(inspect.signature(dl.SeriesEvaluator.term).parameters)
     assert params[:3] == ["self", "points", "k"]
+
+
+def test_series_order_size_of_a_batched_term(zero_decomp):
+    # a traced term over a batch of tuples records its order, k passed either way
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    term = tracer.wrap("statistics.SeriesEvaluator.term", dl.SeriesEvaluator.term)
+    ev = dl.SeriesEvaluator(zero_decomp, k_max=3, qmc_points=64)
+    tuples = [(), (0.2,), (-0.3, 0.4)]
+    for k in range(4):
+        assert len(term(ev, tuples, k)[0]) == 3
+        assert len(term(ev, tuples, k=k)[0]) == 3
+    assert [span[4] for span in tracer.spans] == [0, 0, 1, 1, 2, 2, 3, 3]

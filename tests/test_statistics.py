@@ -1,3 +1,6 @@
+import tracemalloc
+from math import factorial
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -5,7 +8,7 @@ from numpy.polynomial.legendre import leggauss
 import dysonlab as dl
 from dysonlab import RngStream
 from dysonlab.statistics import palm_integrals
-from oracles import bordered_det_oracle
+from oracles import bordered_det_oracle, sobol_det_oracle, sobol_points
 
 
 def test_rho_det_values(sine_kernel):
@@ -80,24 +83,71 @@ def test_empty_batch_rejected():
 def test_sigma_zero_kernel(zero_decomp):
     assert dl.sigma_fredholm(zero_decomp, []) == 1.0
     assert dl.sigma_fredholm(zero_decomp, [0.3]) == 0.0
-    ev = dl.SeriesEvaluator(zero_decomp, k_max=3, qmc_points=256)
-    val, bound = ev.value_and_bound([])
-    assert val == pytest.approx(1.0, abs=1e-14)
-    assert bound == pytest.approx(0.0, abs=1e-14)
+    dv, = dl.crosscheck_density(zero_decomp, [()], k_max=3, qmc_points=256)
+    assert dv.value_series == pytest.approx(1.0, abs=1e-14)
+    assert dv.truncation_bound == pytest.approx(0.0, abs=1e-14)
 
 
 def test_series_kmax0_is_rho(product_lip_decomp, product_lip_kernel):
-    val, _ = dl.SeriesEvaluator(product_lip_decomp, k_max=0).value_and_bound([0.2])
-    assert val == pytest.approx(dl.rho_det(product_lip_kernel, [0.2]), rel=1e-12)
+    dv, = dl.crosscheck_density(product_lip_decomp, [[0.2]], k_max=0)
+    assert dv.value_series == pytest.approx(dl.rho_det(product_lip_kernel, [0.2]),
+                                            rel=1e-12)
 
 
 def test_series_term_symmetry(product_lip_decomp):
-    # the k = 1 and k = 2 tensor terms must not depend on tuple ordering
+    # the k = 1 and k = 2 closed forms must not depend on tuple ordering
     ev = dl.SeriesEvaluator(product_lip_decomp, k_max=2)
     for k in (1, 2):
-        a, _ = ev.term(np.array([-0.3, 0.4]), k)
-        b, _ = ev.term(np.array([0.4, -0.3]), k)
+        a, _ = ev.term([[-0.3, 0.4]], k)
+        b, _ = ev.term([[0.4, -0.3]], k)
         assert a == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("family, params, n_ill", [
+    ("sine", {"rho_bar": 1.0}, [2, 132, 1728, 9689]),
+    ("product", {"alpha": 0.5}, [0, 0, 0, 0]),
+])
+def test_sobol_terms_match_direct_determinants(family, params, n_ill):
+    # k = 3..6 against det K(x u y) taken directly at every Sobol point; on
+    # [-1, 1] the sine kernel sends many blocks C = K(y, y) to the bordered
+    # determinant fallback, the product kernel none.  An ill block's whole
+    # contribution is below 1e-12 of the Hadamard scale L^k / k!, so the
+    # bound is 1e-15 of that scale (at most 1.4e-15): dropping the fallback
+    # moves the sine terms by up to 4e-15
+    kernel = dl.construct_kernel(family, **params)
+    decomp = dl.nystrom_decompose(kernel, (-1.0, 1.0), 64)
+    ev = dl.SeriesEvaluator(decomp, k_max=6, qmc_points=1 << 14)
+    tuples = [(), (0.3,), (-0.75, 0.45), (0.1, 0.1 + 1e-9)]
+    for k, ill in zip(range(3, 7), n_ill):
+        y = sobol_points(k, (-1.0, 1.0), 1 << 14)
+        c = kernel.eval(y[:, :, None], y[:, None, :])
+        diag_prod = np.prod(np.einsum("mkk->mk", c), axis=1)
+        assert np.count_nonzero(np.linalg.det(c) < 1e-12 * diag_prod) == ill
+        terms, _ = ev.term(tuples, k)
+        for x, t in zip(tuples, terms):
+            direct = (-1) ** k / factorial(k) * sobol_det_oracle(kernel, x, y, 2.0 ** k)
+            assert abs(t - direct) < 1e-15 * 2.0 ** k / factorial(k), (k, x, t, direct)
+            assert ev.term([x], k)[0][0] == t
+
+
+@pytest.mark.parametrize("qmc_points", [0, 1, 1000, 3 << 17])
+def test_series_needs_a_power_of_two_of_sobol_points(zero_decomp, qmc_points):
+    # the half-sample error compares the two halves as balanced nets
+    with pytest.raises(ValueError, match="power of two"):
+        dl.SeriesEvaluator(zero_decomp, qmc_points=qmc_points)
+
+
+def test_sobol_term_memory_does_not_grow_by_blocks(product_lip_decomp):
+    # a stored (qmc_points, k, k) block would add 36 MiB per 2^19 points at k = 3
+    def peak(n_points):
+        ev = dl.SeriesEvaluator(product_lip_decomp, k_max=3, qmc_points=n_points)
+        tracemalloc.start()
+        try:
+            ev.term([(0.1, 0.3)], 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(1 << 20) - peak(1 << 19) < (1 << 19) * 3 * 3 * 8
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
