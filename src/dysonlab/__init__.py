@@ -19,11 +19,10 @@ from .sampler import (Box, Configuration, DppSampler, lambda_n,
                       log_gas_window_counts, sample_dpp_batch, sample_log_gas,
                       sample_log_gas_batch, sample_poisson, sample_poisson_batch)
 from .spectral import (SpectralDecomposition, eigenfunction_values, fredholm_det,
-                       l_matrix, mercer_reconstruction, nystrom_decompose)
+                       l_matrix, nystrom_decompose)
 from .statistics import (CorrelationEstimate, DensityValue, SeriesEvaluator,
                          crosscheck_density, estimate_correlation,
-                         fit_gap_exponent, rho_det, sigma_fredholm,
-                         verify_sigma_bounds)
+                         fit_gap_exponent, rho_det, sigma_fredholm)
 from .dynamics import (EnsembleRun, HittingStats, PairDriftTable, Trajectory,
                        bessel_gap_hit_fraction, conditioned_pair_initials,
                        distorted_pair_collision_probe, distorted_pair_dimension,

@@ -38,12 +38,10 @@ import numpy as np
 
 from .errors import SamplingError
 from .rng import RngStream, stream_generators
-from .spectral import SpectralDecomposition, eigenfunction_values
+from .spectral import RETAIN_CUTOFF, SpectralDecomposition, eigenfunction_values
 
 log = logging.getLogger(__name__)
 
-# eigenfunctions effectively never retained below this weight
-_RETAIN_CUTOFF = 1e-12
 _ZERO_DENSITY = 1e-12
 _MAX_POINT_RETRIES = 100
 # log-gas draws per block: bounds memory whatever n_samples is
@@ -114,7 +112,7 @@ class DppSampler:
         m = n_fine or max(1024, 4 * decomp.n_nodes)
         self.grid = np.linspace(a, b, m)
         self.dx = self.grid[1] - self.grid[0]
-        ext, kept = eigenfunction_values(decomp, self.grid, cutoff=_RETAIN_CUTOFF)
+        ext, kept = eigenfunction_values(decomp, self.grid)
         self.ext = ext
         self.kept = kept
         self.lam = decomp.eigenvalues
@@ -143,7 +141,7 @@ class DppSampler:
     def sample(self, rng: RngStream) -> Configuration:
         gen = rng.generator()
         u = gen.random(self.lam.size)
-        retained = np.flatnonzero((u < self.lam) & (self.lam > _RETAIN_CUTOFF))
+        retained = np.flatnonzero((u < self.lam) & (self.lam > RETAIN_CUTOFF))
         k = retained.size
         if k == 0:
             return Configuration(np.empty(0), self.decomp.window)
@@ -156,7 +154,7 @@ class DppSampler:
         for j in range(k):
             for attempt in range(_MAX_POINT_RETRIES + 1):
                 x = self._place(density, gen)
-                row, _ = eigenfunction_values(self.decomp, x, cutoff=_RETAIN_CUTOFF)
+                row, _ = eigenfunction_values(self.decomp, x)
                 v = row[0, cols]
                 for e in basis:
                     v = v - np.dot(e, v) * e

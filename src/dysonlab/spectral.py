@@ -12,7 +12,13 @@ off the node set by
 
     phi_i(x) = (1/lambda_i) sum_q w_q K(x, x_q) phi_i(x_q),
 
-which reproduces the node values exactly.
+which reproduces the node values exactly (eigenfunction_values, for the
+DPP sampler).  The Janossy kernel L = K (Id - K)^-1 = K + K (Id - K)^-1 K
+is, on the same rule and with r_i(x) = lambda_i phi_i(x),
+
+    L(x, x') = K(x, x') + sum_i r_i(x) r_i(x') / (1 - lambda_i),
+
+so K(x, x') is used exactly and no eigenpair is dropped.
 
 Eigenvalues are validated against the [0, 1] operator band and then
 clamped into it so that downstream Bernoulli sampling never sees
@@ -28,10 +34,10 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DegenerateProjectionError, KernelValidityError
 
-# eigenvalues within a whisker of 1 make lambda/(1-lambda) meaningless
+# eigenvalues within a whisker of 1 make 1/(1-lambda) meaningless
 _PROJECTION_EPS = 1e-12
-# eigenfunctions below this weight are dropped from resolvent-type series
-_SERIES_CUTOFF = 1e-14
+# eigenfunctions below this weight are never extended nor sampled
+RETAIN_CUTOFF = 1e-12
 
 
 @dataclass
@@ -91,15 +97,14 @@ def nystrom_decompose(kernel, window, n_nodes: int, validate: bool = True,
                                  clamped, phi, lam, clamp_tol)
 
 
-def eigenfunction_values(decomp: SpectralDecomposition, x,
-                         cutoff: float = _SERIES_CUTOFF):
-    """Nystrom extension of all eigenfunctions with lambda > cutoff.
+def eigenfunction_values(decomp: SpectralDecomposition, x):
+    """Nystrom extension of all eigenfunctions with lambda > RETAIN_CUTOFF.
 
     Returns (values, kept) where values has shape (len(x), n_kept) and
     kept is the index array into decomp.eigenvalues.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    kept = np.flatnonzero(decomp.eigenvalues > cutoff)
+    kept = np.flatnonzero(decomp.eigenvalues > RETAIN_CUTOFF)
     if kept.size == 0:
         return np.zeros((x.size, 0)), kept
     rows = decomp.kernel.eval(x[:, None], decomp.nodes[None, :]) * decomp.weights
@@ -123,24 +128,11 @@ def fredholm_det(decomp: SpectralDecomposition) -> float:
     return float(np.exp(np.sum(np.log1p(-_non_projection_eigenvalues(decomp)))))
 
 
-def _l_weights(decomp: SpectralDecomposition):
-    lam = _non_projection_eigenvalues(decomp)
-    kept = np.flatnonzero(lam > _SERIES_CUTOFF)
-    return kept, lam[kept] / (1.0 - lam[kept])
-
-
 def l_matrix(decomp: SpectralDecomposition, points) -> np.ndarray:
-    """L evaluated on the n x n grid of a point tuple."""
+    """L evaluated on the n x n grid of a point tuple, by the resolvent
+    identity L = K + K (Id - K)^-1 K on the decomposition's rule."""
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    kept, fac = _l_weights(decomp)
-    if kept.size == 0:
-        return np.zeros((pts.size, pts.size))
-    p, _ = eigenfunction_values(decomp, pts)
-    return (p * fac) @ p.T
-
-
-def mercer_reconstruction(decomp: SpectralDecomposition, x) -> np.ndarray:
-    """sum_i lambda_i phi_i(x) phi_i(x')^T on an arbitrary grid."""
-    p, kept = eigenfunction_values(decomp, x)
-    return (p * decomp.eigenvalues[kept]) @ p.T
-
+    lam = _non_projection_eigenvalues(decomp)
+    k = decomp.kernel
+    r = (k.eval(pts[:, None], decomp.nodes[None, :]) * decomp.weights) @ decomp.eigenvectors
+    return k.eval(pts[:, None], pts[None, :]) + (r / (1.0 - lam)) @ r.T

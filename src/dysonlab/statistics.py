@@ -3,7 +3,8 @@
 Two independent routes compute the same window densities:
 
 * the spectral route, sigma_fredholm: det(Id - K) times the determinant of
-  the resolvent-type kernel L = sum_i lambda_i/(1-lambda_i) phi_i phi_i';
+  the resolvent kernel L = K + K (Id - K)^-1 K, taken from the stored
+  eigenpairs with K(x, x') itself (spectral.l_matrix);
 * the series route, SeriesEvaluator: the alternating expansion
 
       sigma_n(x) = sum_k (-1)^k / k! * int_{I^k} rho_{n+k}(x, y) dy,
@@ -22,10 +23,10 @@ The reported truncation_bound is a full error budget for the comparison:
               valid since rho_{n+k}(x,y) <= rho_n(x) rho_k(y) for PSD kernels
               and (1/k!) int rho_k equals the elementary symmetric sum e_k;
   qmc         half-sample differences of the Sobol integrals;
-  resolution  2 * |sigma_fred(n) - sigma_fred(n/4)|, a Richardson-style
-              estimate of the spectral route's node-count error, which for
-              kernels with a diagonal cusp of exponent a decays only like
-              n_nodes^-a.
+  resolution  2 * |sigma_fred(n) - sigma_fred(n/4)|, its largest value over
+              the tuples of the same order: a Richardson-style estimate of
+              the spectral route's node-count error, which for kernels with
+              a diagonal cusp of exponent a decays only like n_nodes^-a.
 
 Cross-checks assert |series - fredholm| <= max(1e-6, 3 * truncation_bound).
 """
@@ -48,9 +49,10 @@ _QMC_SEED = 202406           # pinned: reruns must be byte-identical
 _CHUNK = 1 << 17             # Sobol points per kernel-evaluation chunk
 # Resolution error from the node-count-vs-quarter difference: for an
 # O(n^-a) route the unknown error E satisfies diff = E (4^a - 1), so
-# 2 * diff covers every a >= 1/2 while staying a pointwise-robust
-# estimator (a half-node comparison is small enough to drown in the
-# between-node quadrature noise of cusped kernels).
+# 2 * diff covers every a >= 1/2.  Against a rule with four times the
+# nodes (product kernel, alpha = 1/2, 1,024 nodes, 99 tuples of orders 1
+# and 2) the error is at most 0.34 of a tuple's own 2 * diff and 0.22 of
+# the per-order envelope that crosscheck_density reports.
 _RESOLUTION_FACTOR = 2.0
 
 
@@ -419,8 +421,8 @@ def crosscheck_density(decomp: SpectralDecomposition, tuples,
     fred = [sigma_fredholm(decomp, pts) for pts in pts_list]
     diffs = [abs(f - sigma_fredholm(coarse, pts))
              for f, pts in zip(fred, pts_list)]
-    # the node-count error oscillates between nodes, so a single tuple's
-    # two-level difference can understate it; take the envelope over all
+    # a single tuple's two-level difference can be small by coincidence,
+    # where the two rules' errors nearly agree; take the envelope over all
     # tuples of the same order
     order_env: dict[int, float] = {}
     for pts, d in zip(pts_list, diffs):
@@ -443,23 +445,18 @@ def crosscheck_density(decomp: SpectralDecomposition, tuples,
 
 def density_crosscheck_csv(values: list[DensityValue], path) -> None:
     with open(path, "w") as fh:
-        fh.write("order,points,value_series,value_fredholm,truncation_bound,consistent\n")
+        fh.write("order,points,value_series,value_fredholm,truncation_bound,"
+                 "remainder,qmc,resolution,consistent\n")
         for dv in values:
             pts = ";".join(_r(p) for p in dv.points)
+            parts = ",".join(_r(dv.components[c]) for c in ("remainder", "qmc", "resolution"))
             fh.write(f"{dv.order},{pts},{_r(dv.value_series)},{_r(dv.value_fredholm)},"
-                     f"{_r(dv.truncation_bound)},{int(dv.consistent)}\n")
+                     f"{_r(dv.truncation_bound)},{parts},{int(dv.consistent)}\n")
 
 
 # ---------------------------------------------------------------------------
-# bound verification and the gap exponent
+# the gap exponent
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SigmaBoundsReport:
-    ok: bool
-    max_violation: float
-    messages: list[str] = field(default_factory=list)
-
 
 def fit_gap_exponent(decomp: SpectralDecomposition) -> float:
     """Slope of log sigma_2(0, t) against log t over t in [1e-3, 1e-1].
@@ -477,21 +474,3 @@ def fit_gap_exponent(decomp: SpectralDecomposition) -> float:
     if np.any(vals <= 0):
         raise ValueError("pair density not positive over the fit range")
     return float(np.polyfit(np.log(ts), np.log(vals), 1)[0])
-
-
-def verify_sigma_bounds(decomp: SpectralDecomposition, tuples) -> SigmaBoundsReport:
-    """Check 0 <= sigma_n <= rho_n at each tuple."""
-    worst = 0.0
-    msgs = []
-    for t in tuples:
-        pts = np.atleast_1d(np.asarray(t, dtype=float))
-        sig = sigma_fredholm(decomp, pts)
-        rho = rho_det(decomp.kernel, pts) if pts.size else 1.0
-        low = -sig if sig < 0 else 0.0
-        high = sig - rho if sig > rho else 0.0
-        viol = max(low, high)
-        if viol > worst:
-            worst = viol
-        if viol > 1e-8:
-            msgs.append(f"bound violated by {viol:.3e} at {pts.tolist()}")
-    return SigmaBoundsReport(worst <= 1e-8, worst, msgs)

@@ -122,6 +122,13 @@ def product_lip_decomp(product_lip_kernel):
 
 
 @pytest.fixture(scope="session")
+def product_half_fine_decomp(product_half_kernel):
+    """Four times the nodes of product_half_decomp: the reference for its
+    node-count error."""
+    return dl.nystrom_decompose(product_half_kernel, (-1.0, 1.0), 4096)
+
+
+@pytest.fixture(scope="session")
 def product_half_dyn_decomp(product_half_kernel):
     """Coarser decomposition for the dynamics probes."""
     return dl.nystrom_decompose(product_half_kernel, (-1.0, 1.0), 400)

@@ -15,6 +15,9 @@ determinant oracle sums the full kernel determinants det K(x, z_i) and
 det K(x, z_i, z_j) node by node, with no algebra at all, and the Sobol
 oracle averages det K(x u y) over the series route's Sobol points the same
 way, with no Schur complement and no conditioning test.
+
+The resolvent oracle solves the Nystrom system of L = K + K (Id - K)^-1 K
+directly from the kernel and the quadrature rule, with no eigenvectors.
 """
 
 import numpy as np
@@ -150,6 +153,16 @@ def sobol_det_oracle(kernel, x, y, volume):
     x = np.asarray(x, dtype=float)
     z = np.concatenate([np.broadcast_to(x, (y.shape[0], x.size)), y], axis=1)
     return volume * float(np.mean(np.linalg.det(kernel.eval(z[:, :, None], z[:, None, :]))))
+
+
+def resolvent_l_oracle(kernel, z, w, x):
+    """K(x, x') + k_x^T (I - G)^-1 k_x' on the rule (z, w), with
+    G = W^1/2 K(z, z) W^1/2 and k_x = W^1/2 K(z, x), by one linear solve."""
+    x = np.asarray(x, dtype=float)
+    sw = np.sqrt(w)
+    g = sw[:, None] * kernel.eval(z[:, None], z[None, :]) * sw[None, :]
+    kx = sw[:, None] * kernel.eval(z[:, None], x[None, :])
+    return kernel.eval(x[:, None], x[None, :]) + kx.T @ np.linalg.solve(np.eye(z.size) - g, kx)
 
 
 def _min_gap(x):

@@ -5,6 +5,7 @@ import dysonlab as dl
 from dysonlab.errors import DegenerateProjectionError, KernelValidityError
 
 from conftest import synthetic_rank1_decomposition, phi_of
+from oracles import resolvent_l_oracle
 
 
 def test_sine_trace(sine_decomp):
@@ -56,7 +57,8 @@ def test_mercer_error_decreases_with_nodes(sine_kernel):
     # comparison would only rank roundoff
     for n in (12, 14, 16):
         d = dl.nystrom_decompose(sine_kernel, (-3, 3), n)
-        errs.append(np.max(np.abs(dl.mercer_reconstruction(d, grid) - target)))
+        p, kept = dl.eigenfunction_values(d, grid)
+        errs.append(np.max(np.abs((p * d.eigenvalues[kept]) @ p.T - target)))
     assert errs[0] > errs[1] > errs[2]
 
 
@@ -102,15 +104,14 @@ def test_l_kernel_single_eigenpair():
     assert np.allclose(got, np.outer(phi(pts), phi(pts)), atol=1e-12)
 
 
-def test_l_matrix_matches_series(product_lip_decomp):
-    pts = np.array([-0.4, 0.3])
-    L = dl.l_matrix(product_lip_decomp, pts)
-    lam = product_lip_decomp.eigenvalues
-    keep = lam > 1e-14
-    p, _ = dl.eigenfunction_values(product_lip_decomp, pts)
-    ref = (p * (lam[keep] / (1 - lam[keep]))) @ p.T
-    assert np.allclose(L, ref)
-    assert L[0, 1] == pytest.approx(L[1, 0], abs=1e-12)
+def test_l_matrix_matches_series(product_lip_decomp, product_half_decomp):
+    # the resolvent series K + K^2 + ... summed by one linear solve
+    pts = np.array([-0.4, 0.3, -0.18921550843201085])
+    for d in (product_lip_decomp, product_half_decomp):
+        L = dl.l_matrix(d, pts)
+        ref = resolvent_l_oracle(d.kernel, d.nodes, d.weights, pts)
+        assert np.max(np.abs(L - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert L[0, 1] == pytest.approx(L[1, 0], abs=1e-12)
 
 
 def test_invalid_kernel_raises_on_decompose():

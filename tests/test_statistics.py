@@ -190,6 +190,42 @@ def test_crosscheck_product_lip(product_lip_decomp):
         assert dv.truncation_bound < 5e-3
 
 
+SEED7_POINT = -0.18921550843201085
+
+
+def density_workload_tuples(seed):
+    """The tuples of a density-crosscheck run at its defaults but n_tuples 6:
+    orders 0, 1, 2 in turn on [-1, 1]."""
+    gen = RngStream(seed, 0).generator()
+    return [np.sort(gen.uniform(-1, 1, (0, 1, 2)[i % 3])) for i in range(6)]
+
+
+def test_crosscheck_seed7_workload(product_half_decomp):
+    # the spectral route's L once replaced K(x, x') by its node interpolant,
+    # which put the routes 0.0087 apart at SEED7_POINT, beyond the tolerance
+    tuples = density_workload_tuples(7)
+    assert [SEED7_POINT] in [t.tolist() for t in tuples]
+    for dv in dl.crosscheck_density(product_half_decomp, tuples, k_max=6,
+                                    qmc_points=1 << 18):
+        assert dv.consistent, (dv.points, dv.value_series, dv.value_fredholm,
+                               dv.truncation_bound)
+
+
+def test_resolution_term_covers_node_count_error(product_half_decomp,
+                                                 product_half_fine_decomp):
+    # criterion 3's tuples at alpha = 0.5, and the seed-7 workload's; the
+    # resolution component does not depend on k_max, so k_max = 2 suffices
+    gen = RngStream(314_000, 0).generator()
+    crit3 = ([()] + [gen.uniform(-1, 1, 1) for _ in range(10)]
+             + [np.sort(gen.uniform(-1, 1, 2)) for _ in range(9)])
+    for tuples in (crit3, density_workload_tuples(7)):
+        for dv in dl.crosscheck_density(product_half_decomp, tuples, k_max=2,
+                                        qmc_points=2):
+            err = abs(dv.value_fredholm
+                      - dl.sigma_fredholm(product_half_fine_decomp, dv.points))
+            assert err <= dv.components["resolution"], (dv.points, err)
+
+
 def test_void_probability_matches_sampling(product_lip_decomp):
     det = dl.fredholm_det(product_lip_decomp)
     n = 3000
@@ -209,11 +245,12 @@ def test_count_sum_identity(product_lip_decomp):
 
 
 def test_sigma_bounds_report(product_lip_decomp):
+    # 0 <= sigma_n <= rho_n
     gen = RngStream(12, 0).generator()
     tuples = [gen.uniform(-1, 1, 2) for _ in range(10)] + [np.array([0.3, 0.3])]
-    rep = dl.verify_sigma_bounds(product_lip_decomp, tuples)
-    assert rep.ok, rep.messages
-    assert rep.max_violation <= 1e-8
+    for pts in tuples:
+        sig = dl.sigma_fredholm(product_lip_decomp, pts)
+        assert -1e-8 <= sig <= dl.rho_det(product_lip_decomp.kernel, pts) + 1e-8, pts
 
 
 def test_gap_exponent_half(gap_slope_half):
