@@ -13,7 +13,7 @@ from .errors import (ConfigError, DegenerateProjectionError, DysonLabError,
                      KernelValidityError, SamplingError,
                      SingularConfigurationError)
 from .kernels import (AmbientDomain, Kernel, ValidationReport, construct_kernel,
-                      holder_envelope_check, kernel_from_json, validate_kernel)
+                      kernel_from_json, validate_kernel)
 from .rng import RngStream, map_streams, stream_generators
 from .sampler import (Box, Configuration, DppSampler, lambda_n,
                       log_gas_window_counts, sample_dpp_batch, sample_log_gas,
@@ -27,7 +27,7 @@ from .dynamics import (EnsembleRun, HittingStats, PairDriftTable, Trajectory,
                        bessel_gap_hit_fraction, conditioned_pair_initials,
                        distorted_pair_collision_probe, distorted_pair_dimension,
                        dyson_collision_probe, dyson_drift, dyson_pair_dimension,
-                       integrate_ensemble, loggas_energy, wilson_interval)
+                       integrate_ensemble, wilson_interval)
 from .capacity import (CapacityEstimate, DecayFit, decay_fit,
                        estimate_I_eps_from_samples, h_eps, h_lin, pair_energy,
                        poisson_pair_count_oracle)

@@ -235,15 +235,3 @@ def poisson_pair_count_oracle(intensity: float, inner: Box, eps: float,
 def _ball_volume(d: int) -> float:
     from math import gamma, pi
     return pi ** (d / 2) / gamma(d / 2 + 1)
-
-
-def capacity_csv(rows: list[CapacityEstimate], fit: DecayFit | None, path) -> None:
-    def r_(x):
-        return repr(float(x))
-    with open(path, "w") as fh:
-        fh.write("eps,energy,energy_se,l2,l2_se,n_active,C_fit,residual\n")
-        c = r_(fit.C) if fit else ""
-        r = r_(fit.residual) if fit else ""
-        for est in rows:
-            fh.write(f"{r_(est.eps)},{r_(est.energy)},{r_(est.energy_se)},"
-                     f"{r_(est.l2_term)},{r_(est.l2_se)},{est.n_active},{c},{r}\n")

@@ -2,11 +2,12 @@
 
 One JSON config file describes one experiment; the only flags are
 --config, --seed (override) and --out (override).  Every config value is
-checked against its row in `_TOP` or `_EXPERIMENTS` before any output.  Every
-run writes its artifacts plus a manifest echoing the config, the seed,
-library versions and wall time.  Replicas are keyed by stream id, so a
-fixed config+seed reproduces byte-identical numeric artifacts on any
-worker-pool size.
+checked against its row in `_TOP` or `_EXPERIMENTS` before any output.  Each
+runner returns its files' text; `run` writes them, then a manifest echoing
+the config, the seed, library versions, wall time and each file's size and
+sha256.  Every file's name, text format and write live in this module.
+Replicas are keyed by stream id, so a fixed config+seed reproduces
+byte-identical numeric artifacts on any worker-pool size.
 
 Exit codes: 0 success, 2 config error, 3 numerical validation failure,
 4 inconclusive probe.
@@ -15,22 +16,24 @@ Exit codes: 0 success, 2 config error, 3 numerical validation failure,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .capacity import (_spans_two_decades, capacity_csv, decay_fit,
-                       estimate_I_eps_from_samples, poisson_pair_count_oracle)
+from .capacity import (_spans_two_decades, decay_fit, estimate_I_eps_from_samples,
+                       poisson_pair_count_oracle)
 from .dynamics import (PairDriftTable, Trajectory, conditioned_pair_initials,
                        distorted_pair_collision_probe, dyson_collision_probe,
                        dyson_drift, hitting_stats_json, integrate_ensemble)
@@ -41,8 +44,7 @@ from .sampler import (Box, Configuration, DppSampler, lambda_n,
                       log_gas_window_counts, sample_dpp_batch, sample_log_gas,
                       sample_log_gas_batch, sample_poisson_batch)
 from .spectral import nystrom_decompose
-from .statistics import (crosscheck_density, density_crosscheck_csv,
-                         estimate_correlation, rho_det_box_mean)
+from .statistics import crosscheck_density, estimate_correlation, rho_det_box_mean
 from .svg import Figure
 
 # ---------------------------------------------------------------------------
@@ -174,7 +176,44 @@ def load_config(path) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# experiments: each reads the checked values p
+# artifacts: text formats and the one writer
+# ---------------------------------------------------------------------------
+
+def _r(x) -> str:
+    # plain-float repr: numpy scalars stringify as np.float64(...) otherwise
+    return repr(float(x))
+
+
+def _csv(header: str, rows: Iterable[Sequence[str]]) -> str:
+    return "".join(f"{line}\n" for line in [header, *map(",".join, rows)])
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def _write(out: Path, name: str, text: str | Iterable[str]) -> dict:
+    """Write text, or its chunks in order, to out/name through name.tmp and
+    os.replace, so the file is whole or absent; its manifest entry."""
+    path, tmp = out / name, out / f"{name}.tmp"
+    digest, size = hashlib.sha256(), 0
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in [text] if isinstance(text, str) else text:
+                data = chunk.encode()
+                fh.write(data)
+                digest.update(data)
+                size += len(data)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+    return {"name": name, "bytes": size, "sha256": digest.hexdigest()}
+
+
+# ---------------------------------------------------------------------------
+# experiments: each reads the checked values p and returns
+# (exit code, summary, {file name: text or chunks})
 # ---------------------------------------------------------------------------
 
 def _dpp_samples(p):
@@ -183,16 +222,15 @@ def _dpp_samples(p):
     return map_streams(partial(sample_dpp_batch, decomp), p.seed, 0, p.n_samples, p.workers)
 
 
-def _exp_validate(p, out: Path, artifacts: list) -> tuple[int, dict]:
+def _exp_validate(p) -> tuple[int, dict, dict]:
     report = validate_kernel(p.kernel, p.window, tol=p.tol, n_nodes=p.n_nodes)
     keys = ("passed", "hermitian_max_asym", "eigen_min", "eigen_max", "trace", "messages")
     payload = {key: getattr(report, key) for key in keys}
-    _write_json(out / "validation.json", payload)
-    artifacts.append("validation.json")
-    return (0 if report.passed else 3), {"report": payload}
+    return (0 if report.passed else 3), {"report": payload}, {
+        "validation.json": _json_text(payload)}
 
 
-def _exp_sample(p, out: Path, artifacts: list) -> tuple[int, dict]:
+def _exp_sample(p) -> tuple[int, dict, dict]:
     header = {"sampler": p.sampler, "seed": p.seed, "n_samples": p.n_samples}
     if p.sampler == "dpp":
         samples = _dpp_samples(p)
@@ -206,51 +244,48 @@ def _exp_sample(p, out: Path, artifacts: list) -> tuple[int, dict]:
         samples = map_streams(partial(sample_poisson_batch, p.intensity, p.box),
                               p.seed, 0, p.n_samples, p.workers)
         header.update(intensity=p.intensity, box=p.box.bounds.tolist())
-    with open(out / "samples.ndjson", "w") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for c in samples:
-            fh.write(json.dumps(c.to_json()) + "\n")
-    artifacts.append("samples.ndjson")
-    return 0, {"mean_count": float(np.mean([c.count for c in samples]))}
+    # one line at a time: the file is never held in memory whole
+    lines = (json.dumps(row, sort_keys=True) + "\n"
+             for row in chain([header], (c.to_json() for c in samples)))
+    return 0, {"mean_count": float(np.mean([c.count for c in samples]))}, {
+        "samples.ndjson": lines}
 
 
-def _exp_correlations(p, out: Path, artifacts: list) -> tuple[int, dict]:
+def _exp_correlations(p) -> tuple[int, dict, dict]:
     samples = _dpp_samples(p)
     edges = np.linspace(p.window[0], p.window[1], p.n_bins + 1)
     bins1 = [(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])]
     est1 = estimate_correlation(samples, 1, bins1)
-    with open(out / "rho1.csv", "w") as fh:
-        fh.write("bin_lo,bin_hi,value,std_error,n_samples,oracle\n")
-        for b, v, se in zip(est1.bins, est1.values, est1.std_errors):
-            oracle = rho_det_box_mean(p.kernel, [b])
-            fh.write(f"{float(b[0])!r},{float(b[1])!r},{float(v)!r},{float(se)!r},"
-                     f"{est1.n_samples},{oracle!r}\n")
-    artifacts.append("rho1.csv")
-
+    rho1 = [(_r(b[0]), _r(b[1]), _r(v), _r(se), str(est1.n_samples),
+             _r(rho_det_box_mean(p.kernel, [b])))
+            for b, v, se in zip(est1.bins, est1.values, est1.std_errors)]
     est2 = estimate_correlation(samples, 2, p.pair_bins, pairs=[(0, 1)])
-    with open(out / "rho2.csv", "w") as fh:
-        fh.write("bin_i,bin_j,value,std_error,n_samples,oracle\n")
-        for (i, j), v, se in zip(est2.pairs, est2.values, est2.std_errors):
-            oracle = rho_det_box_mean(p.kernel, [p.pair_bins[i], p.pair_bins[j]])
-            fh.write(f"{i},{j},{float(v)!r},{float(se)!r},"
-                     f"{est2.n_samples},{oracle!r}\n")
-    artifacts.append("rho2.csv")
-    return 0, {"rho1_mean": float(est1.values.mean())}
+    rho2 = [(str(i), str(j), _r(v), _r(se), str(est2.n_samples),
+             _r(rho_det_box_mean(p.kernel, [p.pair_bins[i], p.pair_bins[j]])))
+            for (i, j), v, se in zip(est2.pairs, est2.values, est2.std_errors)]
+    return 0, {"rho1_mean": float(est1.values.mean())}, {
+        "rho1.csv": _csv("bin_lo,bin_hi,value,std_error,n_samples,oracle", rho1),
+        "rho2.csv": _csv("bin_i,bin_j,value,std_error,n_samples,oracle", rho2)}
 
 
-def _exp_density_crosscheck(p, out: Path, artifacts: list) -> tuple[int, dict]:
+def _exp_density_crosscheck(p) -> tuple[int, dict, dict]:
     decomp = nystrom_decompose(p.kernel, p.window, p.n_nodes)
     gen = RngStream(p.seed, 0).generator()
     tuples = [np.sort(gen.uniform(p.window[0], p.window[1], p.orders[i % len(p.orders)]))
               for i in range(p.n_tuples)]
     values = crosscheck_density(decomp, tuples, k_max=p.k_max, qmc_points=p.qmc_points)
-    density_crosscheck_csv(values, out / "density_crosscheck.csv")
-    artifacts.append("density_crosscheck.csv")
+    rows = [(str(dv.order), ";".join(map(_r, dv.points)), _r(dv.value_series),
+             _r(dv.value_fredholm), _r(dv.truncation_bound),
+             *(_r(dv.components[c]) for c in ("remainder", "qmc", "resolution")),
+             str(int(dv.consistent))) for dv in values]
     bad = [dv for dv in values if not dv.consistent]
-    return (0 if not bad else 3), {"n_tuples": len(values), "n_inconsistent": len(bad)}
+    return (0 if not bad else 3), {"n_tuples": len(values), "n_inconsistent": len(bad)}, {
+        "density_crosscheck.csv": _csv("order,points,value_series,value_fredholm,"
+                                       "truncation_bound,remainder,qmc,resolution,"
+                                       "consistent", rows)}
 
 
-def _exp_convergence(p, out: Path, artifacts: list) -> tuple[int, dict]:
+def _exp_convergence(p) -> tuple[int, dict, dict]:
     n_samples = p.n_samples if isinstance(p.n_samples, list) else [p.n_samples] * len(p.Ns)
     rows = []
     for idx, (n, m) in enumerate(zip(p.Ns, n_samples)):
@@ -259,17 +294,14 @@ def _exp_convergence(p, out: Path, artifacts: list) -> tuple[int, dict]:
         est = in_bin.mean() / (2 * p.bin_halfwidth)
         se = in_bin.std(ddof=1) / np.sqrt(m) / (2 * p.bin_halfwidth)
         rows.append((n, float(est), float(se), abs(float(est) - p.rho_bar)))
-    with open(out / "convergence.csv", "w") as fh:
-        fh.write("N,rho1_at_0,std_error,abs_gap\n")
-        for n, est, se, gap in rows:
-            fh.write(f"{n},{est!r},{se!r},{gap!r}\n")
-    artifacts.append("convergence.csv")
     gaps = [r[3] for r in rows]
     return 0, {"monotone_decreasing": bool(all(a > b for a, b in zip(gaps, gaps[1:]))),
-               "gaps": gaps, "target": p.rho_bar}
+               "gaps": gaps, "target": p.rho_bar}, {
+        "convergence.csv": _csv("N,rho1_at_0,std_error,abs_gap",
+                                [(str(n), *map(_r, r)) for n, *r in rows])}
 
 
-def _exp_dynamics(p, out: Path, artifacts: list) -> tuple[int, dict]:
+def _exp_dynamics(p) -> tuple[int, dict, dict]:
     if p.model == "distorted":
         # one decomposition, drift table and sampler serve every delta
         decomp = nystrom_decompose(p.kernel, p.window, p.n_nodes)
@@ -286,20 +318,22 @@ def _exp_dynamics(p, out: Path, artifacts: list) -> tuple[int, dict]:
             stats = distorted_pair_collision_probe(table, initials, p.T, delta, rng,
                                                    dt_max=p.dt_max, c_dt=p.c_dt)
         results.append(hitting_stats_json(stats))
-    _write_json(out / "probe.json", results)
-    artifacts.append("probe.json")
+    files = {"probe.json": _json_text(results)}
     if p.example_trajectory:
         lam = lambda_n(p.N, p.rho_bar)
         init = sample_log_gas(p.N, p.rho_bar, RngStream(p.seed, 1 << 48))
         example = integrate_ensemble(init.points[None, :], lambda X: dyson_drift(X, lam),
                                      T=min(p.T, 0.2), delta=0.0,
                                      rng=RngStream(p.seed, (1 << 48) + 1), record=True)
-        Trajectory.from_run(example).to_csv(out / "trajectory.csv")
-        artifacts.append("trajectory.csv")
-    return (4 if any(r["inconclusive"] for r in results) else 0), {"probes": len(results)}
+        traj = Trajectory.from_run(example)
+        files["trajectory.csv"] = _csv(
+            ",".join(["time", *(f"x{i}" for i in range(traj.states.shape[1])), "min_gap"]),
+            [list(map(_r, [t, *row, g]))
+             for t, row, g in zip(traj.times, traj.states, traj.min_gap_series)])
+    return (4 if any(r["inconclusive"] for r in results) else 0), {"probes": len(results)}, files
 
 
-def _exp_capacity(p, out: Path, artifacts: list) -> tuple[int, dict]:
+def _exp_capacity(p) -> tuple[int, dict, dict]:
     extra: dict = {"variant": p.variant}
     fit = None
     if p.variant == "log":
@@ -315,9 +349,11 @@ def _exp_capacity(p, out: Path, artifacts: list) -> tuple[int, dict]:
         rows = [estimate_I_eps_from_samples(samples, eps, "linear", inner) for eps in p.eps]
         extra.update(oracle={eps: poisson_pair_count_oracle(p.intensity, inner, eps)
                              for eps in p.eps})
-    capacity_csv(rows, fit, out / "capacity.csv")
-    artifacts.append("capacity.csv")
-    return (4 if extra.get("inconclusive") else 0), extra
+    fit_cols = [_r(fit.C), _r(fit.residual)] if fit else ["", ""]
+    return (4 if extra.get("inconclusive") else 0), extra, {
+        "capacity.csv": _csv("eps,energy,energy_se,l2,l2_se,n_active,C_fit,residual",
+                             [(*map(_r, (e.eps, e.energy, e.energy_se, e.l2_term, e.l2_se)),
+                               str(e.n_active), *fit_cols) for e in rows])}
 
 
 def _kernel_for(key: str, choice: str) -> tuple:
@@ -449,7 +485,7 @@ def _make_dir(path: Path) -> None:
         raise ConfigError(f"cannot use {path} as the output directory: {exc}") from exc
 
 
-def emit_plotdata(paths: list, out_dir) -> list[str]:
+def emit_plotdata(paths: list, out_dir) -> None:
     """Render result CSVs to static SVG plots with embedded data tables.
     Every figure is built before the first is written, so a bad file
     leaves no output."""
@@ -499,19 +535,12 @@ def emit_plotdata(paths: list, out_dir) -> list[str]:
     out_dir = Path(out_dir)
     _make_dir(out_dir)
     for fig, name in figures:
-        fig.render(out_dir / name)
-    return [name for _, name in figures]
+        _write(out_dir, name, fig.render())
 
 
 # ---------------------------------------------------------------------------
 # runner entry points
 # ---------------------------------------------------------------------------
-
-def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
 
 def run(cfg: ExperimentConfig, out_dir=None) -> int:
     p = cfg.check()
@@ -520,11 +549,12 @@ def run(cfg: ExperimentConfig, out_dir=None) -> int:
     # the manifest marks a complete run, so an earlier run's goes first
     (out / "manifest.json").unlink(missing_ok=True)
     t0 = time.time()
-    artifacts: list[str] = []
     try:
-        code, summary = _EXPERIMENTS[cfg.experiment].run(p, out, artifacts)
+        code, summary, files = _EXPERIMENTS[cfg.experiment].run(p)
     except DysonLabError as exc:
-        code, summary = 3, {"error": str(exc)}
+        code, summary, files = 3, {"error": str(exc)}, {}
+    # files reach disk only once the runner has returned
+    artifacts = [_write(out, name, text) for name, text in files.items()]
     manifest = {
         "experiment": cfg.experiment,
         "config": {key: getattr(cfg, key)
@@ -537,8 +567,7 @@ def run(cfg: ExperimentConfig, out_dir=None) -> int:
         "exit_code": code,
         "summary": summary,
     }
-    _write_json(out / "manifest.json.tmp", manifest)
-    os.replace(out / "manifest.json.tmp", out / "manifest.json")
+    _write(out, "manifest.json", _json_text(manifest))
     return code
 
 

@@ -62,21 +62,6 @@ def dyson_drift(points, lam: float) -> np.ndarray:
     return np.sum(1.0 / d, axis=-1) - lam * x
 
 
-def loggas_energy(points, lam: float) -> float:
-    """Ordered-pair interaction energy plus confinement,
-    sum_{i != j} -2 log|x_i - x_j| + lam sum_i x_i^2; +inf on a tie."""
-    x = np.asarray(points, dtype=float)
-    conf = lam * float(np.sum(x * x))
-    if x.size < 2:
-        return conf
-    d = np.abs(x[:, None] - x[None, :])
-    iu = np.triu_indices(x.size, 1)
-    gaps = d[iu]
-    if np.any(gaps == 0.0):
-        return np.inf
-    return conf - 4.0 * float(np.sum(np.log(gaps)))
-
-
 # ---------------------------------------------------------------------------
 # the SDE engine
 # ---------------------------------------------------------------------------
@@ -181,14 +166,6 @@ class Trajectory:
         hit = bool(run.hit[0])
         return cls(times, states, gaps, hit, float(run.hit_time[0]) if hit else None,
                    int(run.rejections[0]))
-
-    def to_csv(self, path) -> None:
-        n = self.states.shape[1]
-        with open(path, "w") as fh:
-            fh.write("time," + ",".join(f"x{i}" for i in range(n)) + ",min_gap\n")
-            for t, row, g in zip(self.times, self.states, self.min_gap_series):
-                fh.write(f"{float(t)!r}," + ",".join(repr(float(v)) for v in row)
-                         + f",{float(g)!r}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .errors import KernelParameterError, KernelValidityError
+from .errors import KernelParameterError
 
 _DIAG_SWITCH = 1e-6
 
@@ -304,22 +304,3 @@ def validate_kernel(kernel: Kernel, window, tol: float = 1e-8,
         ok = False
         messages.append("windowed trace is not finite")
     return ValidationReport(ok, (a, b), n_nodes, asym, eig_min, eig_max, trace, messages)
-
-
-def holder_envelope_check(kernel: Kernel, alpha: float,
-                          t_min: float = 1e-6, n_grid: int = 200) -> tuple[float, float]:
-    """Empirical two-sided envelope constants for the radial factor.
-
-    Returns (c1, c2) = min and max of (k(0) - k(t)) / t**alpha over a
-    log-spaced grid t in [t_min, 1].  A c1 collapsing toward 0 (or a c2
-    blowing up) as the grid refines signals a probed exponent that does
-    not match the kernel's.
-    """
-    if kernel.radial is None:
-        raise KernelParameterError("envelope check needs a product-family kernel")
-    t = np.geomspace(t_min, 1.0, n_grid)
-    ratio = (kernel.radial(0.0) - kernel.radial(t)) / t ** alpha
-    c1, c2 = float(ratio.min()), float(ratio.max())
-    if not (np.isfinite(c1) and np.isfinite(c2)):
-        raise KernelValidityError("envelope ratio is not finite; wrong exponent")
-    return c1, c2

@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import SamplingError
 from .rng import RngStream, stream_generators
-from .spectral import RETAIN_CUTOFF, SpectralDecomposition, eigenfunction_values
+from .spectral import (RETAIN_CUTOFF, SpectralDecomposition, _extension,
+                       eigenfunction_values)
 
 log = logging.getLogger(__name__)
 
@@ -112,9 +113,8 @@ class DppSampler:
         m = n_fine or max(1024, 4 * decomp.n_nodes)
         self.grid = np.linspace(a, b, m)
         self.dx = self.grid[1] - self.grid[0]
-        ext, kept = eigenfunction_values(decomp, self.grid)
-        self.ext = ext
-        self.kept = kept
+        self.ext, self.kept = eigenfunction_values(decomp, self.grid)
+        self._extend = _extension(decomp)[0]  # for each placed point
         self.lam = decomp.eigenvalues
 
     def _place(self, density, gen):
@@ -154,8 +154,7 @@ class DppSampler:
         for j in range(k):
             for attempt in range(_MAX_POINT_RETRIES + 1):
                 x = self._place(density, gen)
-                row, _ = eigenfunction_values(self.decomp, x)
-                v = row[0, cols]
+                v = self._extend(np.array([x]))[0, cols]
                 for e in basis:
                     v = v - np.dot(e, v) * e
                 norm2 = float(np.dot(v, v))

@@ -97,6 +97,20 @@ def nystrom_decompose(kernel, window, n_nodes: int, validate: bool = True,
                                  clamped, phi, lam, clamp_tol)
 
 
+def _extension(decomp: SpectralDecomposition):
+    """(extend, kept): extend(x) is the Nystrom extension at the 1-d array x
+    of the eigenfunctions with lambda > RETAIN_CUTOFF, whose index array into
+    decomp.eigenvalues is kept.  Their eigenvector block is copied here, once,
+    as the fancy index lays it out; a different layout changes the sums."""
+    kept = np.flatnonzero(decomp.eigenvalues > RETAIN_CUTOFF)
+    block, lam = decomp.eigenvectors[:, kept], decomp.eigenvalues[kept]
+
+    def extend(x):
+        rows = decomp.kernel.eval(x[:, None], decomp.nodes[None, :]) * decomp.weights
+        return rows @ block / lam
+    return extend, kept
+
+
 def eigenfunction_values(decomp: SpectralDecomposition, x):
     """Nystrom extension of all eigenfunctions with lambda > RETAIN_CUTOFF.
 
@@ -104,12 +118,8 @@ def eigenfunction_values(decomp: SpectralDecomposition, x):
     kept is the index array into decomp.eigenvalues.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    kept = np.flatnonzero(decomp.eigenvalues > RETAIN_CUTOFF)
-    if kept.size == 0:
-        return np.zeros((x.size, 0)), kept
-    rows = decomp.kernel.eval(x[:, None], decomp.nodes[None, :]) * decomp.weights
-    vals = rows @ decomp.eigenvectors[:, kept] / decomp.eigenvalues[kept]
-    return vals, kept
+    extend, kept = _extension(decomp)
+    return extend(x), kept
 
 
 def _non_projection_eigenvalues(decomp: SpectralDecomposition) -> np.ndarray:

