@@ -21,13 +21,12 @@ from .sampler import (Box, Configuration, DppSampler, lambda_n,
 from .spectral import (SpectralDecomposition, eigenfunction_values, fredholm_det,
                        l_matrix, nystrom_decompose)
 from .statistics import (CorrelationEstimate, DensityValue, SeriesEvaluator,
-                         crosscheck_density, estimate_correlation,
-                         fit_gap_exponent, rho_det, sigma_fredholm)
+                         crosscheck_density, estimate_correlation, rho_det,
+                         sigma_fredholm)
 from .dynamics import (EnsembleRun, HittingStats, PairDriftTable, Trajectory,
-                       bessel_gap_hit_fraction, conditioned_pair_initials,
-                       distorted_pair_collision_probe, distorted_pair_dimension,
-                       dyson_collision_probe, dyson_drift, dyson_pair_dimension,
-                       integrate_ensemble, wilson_interval)
+                       conditioned_pair_initials, distorted_pair_collision_probe,
+                       dyson_collision_probe, dyson_drift, integrate_ensemble,
+                       wilson_interval)
 from .capacity import (CapacityEstimate, DecayFit, decay_fit,
                        estimate_I_eps_from_samples, h_eps, h_lin, pair_energy,
                        poisson_pair_count_oracle)

@@ -31,6 +31,9 @@ from .statistics import _batch_se
 
 log = logging.getLogger(__name__)
 
+# the Poisson pair-count oracle's Monte Carlo sample, pinned for reruns
+_ORACLE_MC_POINTS, _ORACLE_SEED = 200_000, 7
+
 
 def h_eps(t, eps: float):
     """Logarithmic cutoff profile; plateau 2 inside eps, support |t| < 1."""
@@ -76,10 +79,10 @@ _PROFILES = {"log": (h_eps, h_eps_prime), "linear": (h_lin, h_lin_prime)}
 
 
 def _inner_mask(cfg: Configuration, inner) -> np.ndarray:
+    """Points inside the inner window: an interval (lo, hi) in 1-d, a Box in d >= 2."""
     if cfg.dim == 1:
         return (cfg.points >= inner[0]) & (cfg.points <= inner[1])
-    box = inner if isinstance(inner, Box) else Box(inner)
-    return box.contains(cfg.points)
+    return inner.contains(cfg.points)
 
 
 def pair_energy(cfg: Configuration, eps: float, inner_window,
@@ -133,11 +136,9 @@ class CapacityEstimate:
 
 
 def estimate_I_eps_from_samples(samples: list[Configuration], eps: float,
-                                variant: str, inner_window=None) -> CapacityEstimate:
+                                variant: str, inner_window) -> CapacityEstimate:
     if not samples:
         raise ValueError("empty sample batch")
-    if inner_window is None:
-        inner_window = _default_inner(samples[0])
     e = np.empty(len(samples))
     g2 = np.empty(len(samples))
     for i, cfg in enumerate(samples):
@@ -151,16 +152,6 @@ def estimate_I_eps_from_samples(samples: list[Configuration], eps: float,
     return CapacityEstimate(eps, float(e.mean()), float(_batch_se(e)),
                             float(g2.mean()), float(_batch_se(g2)),
                             len(samples), n_active, variant, degenerate)
-
-
-def _default_inner(cfg: Configuration):
-    if cfg.dim == 1:
-        a, b = cfg.window
-        pad = (b - a) / 6.0
-        return (a + pad, b - pad)
-    bounds = cfg.window.bounds
-    pad = (bounds[:, 1] - bounds[:, 0]) / 6.0
-    return Box(np.stack([bounds[:, 0] + pad, bounds[:, 1] - pad], axis=1))
 
 
 @dataclass
@@ -207,17 +198,16 @@ def decay_fit(eps_series, estimates: list[CapacityEstimate]) -> DecayFit:
     return DecayFit(C, resid, inconclusive, msgs)
 
 
-def poisson_pair_count_oracle(intensity: float, inner: Box, eps: float,
-                              n_mc: int = 200_000, seed: int = 7) -> float:
+def poisson_pair_count_oracle(intensity: float, inner: Box, eps: float) -> float:
     """Expected energy of the linear variant under a Poisson field, from
     pair counting alone: E[# unordered active pairs] * (2/eps)^2 * 2 * 1/2.
 
     The shell volume integral over the inner box (with boundary clipping)
     is done by plain Monte Carlo geometry, independent of the gradient
-    machinery it cross-checks.
+    machinery it cross-checks, from _ORACLE_MC_POINTS draws of a pinned stream.
     """
-    gen = RngStream(seed, 0).generator()
-    d = inner.dim
+    gen = RngStream(_ORACLE_SEED, 0).generator()
+    n_mc, d = _ORACLE_MC_POINTS, inner.dim
     lo, hi = inner.bounds[:, 0], inner.bounds[:, 1]
     x = gen.uniform(lo, hi, size=(n_mc, d))
     # uniform direction and radius in the active annulus (eps, 2 eps)

@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 config error, 3 numerical validation failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -194,7 +195,8 @@ def _json_text(payload) -> str:
 
 def _write(out: Path, name: str, text: str | Iterable[str]) -> dict:
     """Write text, or its chunks in order, to out/name through name.tmp and
-    os.replace, so the file is whole or absent; its manifest entry."""
+    os.replace, so the file is whole or absent; its manifest entry.  An
+    OSError, from the write or the rename, becomes a ConfigError."""
     path, tmp = out / name, out / f"{name}.tmp"
     digest, size = hashlib.sha256(), 0
     try:
@@ -204,11 +206,35 @@ def _write(out: Path, name: str, text: str | Iterable[str]) -> dict:
                 fh.write(data)
                 digest.update(data)
                 size += len(data)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
         raise
-    os.replace(tmp, path)
     return {"name": name, "bytes": size, "sha256": digest.hexdigest()}
+
+
+def _unlink(path: Path) -> None:
+    try:
+        path.unlink(missing_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a name with a null byte
+        raise ConfigError(f"cannot remove {path}: {exc}") from exc
+
+
+def _take_earlier_manifest(out: Path) -> set[str]:
+    """Remove an earlier run's manifest, which marks a complete run, and
+    return the bare file names it lists; a name with a directory part is
+    dropped, so an edited manifest cannot reach outside out."""
+    manifest = out / "manifest.json"
+    try:
+        names = {entry["name"] for entry in json.loads(manifest.read_text())["artifacts"]}
+    except (OSError, ValueError, KeyError, TypeError):  # absent, or not a manifest
+        names = set()
+    _unlink(manifest)
+    return {name for name in names if isinstance(name, str)
+            and name not in ("", "..") and Path(name).name == name}
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +572,16 @@ def run(cfg: ExperimentConfig, out_dir=None) -> int:
     p = cfg.check()
     out = Path(out_dir or p.output or f"dyson_lab_{cfg.experiment}")
     _make_dir(out)
-    # the manifest marks a complete run, so an earlier run's goes first
-    (out / "manifest.json").unlink(missing_ok=True)
+    earlier = _take_earlier_manifest(out)
     t0 = time.time()
     try:
         code, summary, files = _EXPERIMENTS[cfg.experiment].run(p)
     except DysonLabError as exc:
         code, summary, files = 3, {"error": str(exc)}, {}
-    # files reach disk only once the runner has returned
+    # files reach disk only once the runner has returned; the earlier run's
+    # files that this one does not rewrite go first
+    for name in sorted(earlier - set(files)):
+        _unlink(out / name)
     artifacts = [_write(out, name, text) for name, text in files.items()]
     manifest = {
         "experiment": cfg.experiment,

@@ -40,6 +40,10 @@ from .spectral import SpectralDecomposition
 from .statistics import palm_integrals
 
 _MAX_HALVINGS = 20
+# two-point draws allowed per conditioned initial pair
+_MAX_PAIR_TRIES = 400
+# the normal quantile of a two-sided 95% interval
+_Z95 = 1.959963984540054
 # PairDriftTable grid: log-spaced gaps from _TABLE_G_MIN to 2.2 window
 # lengths, sums spanning the window widened by 1 on each side, and the
 # Gauss rule of the series integrals
@@ -172,8 +176,9 @@ class Trajectory:
 # hitting statistics
 # ---------------------------------------------------------------------------
 
-def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial fraction."""
+    z = _Z95
     if n == 0:
         return 0.0, 1.0
     p = k / n
@@ -279,12 +284,13 @@ class PairDriftTable:
 
 
 def conditioned_pair_initials(sampler: DppSampler, n_paths: int,
-                              rng: RngStream, max_tries: int = 400) -> np.ndarray:
+                              rng: RngStream) -> np.ndarray:
     """Equilibrium samples conditioned on exactly two points; attempt i
-    draws from stream rng.stream_id + i."""
+    draws from stream rng.stream_id + i, for at most _MAX_PAIR_TRIES
+    attempts per path."""
     out = np.empty((n_paths, 2))
     got = 0
-    for i in range(max_tries * n_paths):
+    for i in range(_MAX_PAIR_TRIES * n_paths):
         cfg = sampler.sample(RngStream(rng.seed, rng.stream_id + i))
         if cfg.count == 2:
             out[got] = cfg.points
@@ -302,71 +308,6 @@ def distorted_pair_collision_probe(table: PairDriftTable, initials: np.ndarray,
     run = integrate_ensemble(initials, table.drift, T, delta, rng.child(1), dt_max, c_dt)
     return _stats_from_flags(run.hit, run.failed, delta, T,
                              {"model": "distorted-pair", "c_dt": c_dt, "dt_max": dt_max})
-
-
-# ---------------------------------------------------------------------------
-# gap scaling exponent (effective radial dimension)
-# ---------------------------------------------------------------------------
-
-def gap_dimension_fit(drift_batch, g0: float, rng: RngStream, n_paths: int = 8000,
-                      t_max: float = 8e-4, n_steps: int = 20,
-                      center: float = 0.0) -> float:
-    """Effective radial dimension of a two-particle gap process.
-
-    Starting all pairs at gap g0, E[g_t^2] = g0^2 + 2 d t for small t when
-    the gap diffuses like a dimension-d radial process with the pair's
-    sqrt(2) volatility; the fitted slope over [0, t_max] divided by 2
-    estimates d.  Per-step drift displacements are capped at a fraction of
-    the current gap so the rare near-zero excursions cannot blow up the
-    fixed-step mean (crossing proposals are reflected).
-    """
-    gen = rng.generator()
-    X = np.tile([center - g0 / 2, center + g0 / 2], (n_paths, 1))
-    dt = t_max / n_steps
-    ts = [0.0]
-    m2 = [g0 * g0]
-    for s in range(n_steps):
-        g = X[:, 1] - X[:, 0]
-        cap = 0.3 * g[:, None]
-        move = np.clip(drift_batch(X) * dt, -cap, cap)
-        prop = X + move + np.sqrt(dt) * gen.normal(size=X.shape)
-        swap = prop[:, 1] <= prop[:, 0]
-        if swap.any():
-            prop[swap] = prop[swap][:, ::-1]
-        X = prop
-        g = X[:, 1] - X[:, 0]
-        ts.append((s + 1) * dt)
-        m2.append(float(np.mean(g * g)))
-    slope = np.polyfit(ts, m2, 1)[0]
-    return float(slope / 2.0)
-
-
-def dyson_pair_dimension(rng: RngStream, rho_bar: float = 0.5, g0: float = 0.1,
-                         **kw) -> float:
-    lam = lambda_n(2, rho_bar)
-    return gap_dimension_fit(lambda X: dyson_drift(X, lam), g0, rng, **kw)
-
-
-def distorted_pair_dimension(table: PairDriftTable, rng: RngStream,
-                             g0: float = 0.1, **kw) -> float:
-    return gap_dimension_fit(table.drift, g0, rng, **kw)
-
-
-def bessel_gap_hit_fraction(dim: float, g0s: np.ndarray, delta: float, T: float,
-                            rng: RngStream, dt_max: float = 1e-3,
-                            c_dt: float = 2e-3) -> HittingStats:
-    """Oracle: the gap-scale radial process dg = sqrt(2) dW + ((dim-1)/g) dt,
-    integrated with the same step rule, absorbed at delta."""
-    g0s = np.asarray(g0s, dtype=float)
-    X = np.stack([-g0s / 2, g0s / 2], axis=1)
-
-    def drift(Xa):
-        g = Xa[:, 1] - Xa[:, 0]
-        b = 0.5 * (dim - 1.0) / g
-        return np.stack([-b, b], axis=1)
-
-    run = integrate_ensemble(X, drift, T, delta, rng, dt_max, c_dt)
-    return _stats_from_flags(run.hit, run.failed, delta, T, {"model": "bessel", "dim": dim})
 
 
 def hitting_stats_json(stats: HittingStats) -> dict:

@@ -40,50 +40,34 @@ FAMILIES = ("sine", "airy", "bessel", "product", "custom")
 
 @dataclass(frozen=True)
 class AmbientDomain:
-    """Where the point field lives.
-
-    kind: "full_line", "half_line" or "box"; bounds is None for the two
-    line kinds and a (d, 2) array of box coordinates for "box".
-    Boxes with d >= 2 are only used by the Poisson capacity probe.
-    """
+    """Where the point field lives: kind "full_line", or "half_line" (x >= 0,
+    the bessel family's)."""
 
     kind: str = "full_line"
-    bounds: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("full_line", "half_line", "box"):
+        if self.kind not in ("full_line", "half_line"):
             raise KernelParameterError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "box":
-            b = np.atleast_2d(np.asarray(self.bounds, dtype=float))
-            if b.shape[1] != 2 or np.any(b[:, 1] <= b[:, 0]):
-                raise KernelParameterError("box bounds must be rows of (lo, hi) with lo < hi")
-            object.__setattr__(self, "bounds", b)
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.bounds is not None:
-            out["bounds"] = np.asarray(self.bounds).tolist()
-        return out
+        return {"kind": self.kind}
 
     @staticmethod
     def from_json(data: dict) -> "AmbientDomain":
-        return AmbientDomain(data["kind"], data.get("bounds"))
+        if set(data) != {"kind"}:
+            raise KernelParameterError(f"a domain is {{'kind': ...}} alone, got {data!r}")
+        return AmbientDomain(data["kind"])
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """Symmetric two-point evaluator with a family tag.
-
-    ``eval`` broadcasts over array arguments.  ``radial`` is set for the
-    product family only and returns the even factor k(t).
-    """
+    """Symmetric two-point evaluator with a family tag; ``eval`` broadcasts
+    over array arguments."""
 
     family: str
     params: dict
     domain: AmbientDomain
     _eval: Callable = field(repr=False, compare=False)
-    radial: Callable | None = field(default=None, repr=False, compare=False)
-    envelope: Callable | None = field(default=None, repr=False, compare=False)
 
     def eval(self, x, y):
         return self._eval(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -155,7 +139,7 @@ def _product_eval(alpha, scale):
 
     def ev(x, y):
         return envelope(x) * radial(x - y) * envelope(y)
-    return ev, radial, envelope
+    return ev
 
 
 def _custom_eval(grid, values):
@@ -194,7 +178,6 @@ def construct_kernel(family: str, domain: AmbientDomain | None = None, **params)
     if family not in FAMILIES:
         raise KernelParameterError(f"unknown kernel family {family!r}")
 
-    radial = envelope = None
     if family == "sine":
         rho_bar = float(params.pop("rho_bar", 1.0))
         if not 0.0 < rho_bar <= 1.0:
@@ -220,7 +203,7 @@ def construct_kernel(family: str, domain: AmbientDomain | None = None, **params)
             raise KernelParameterError("product kernel needs 0 < alpha <= 1")
         if scale <= 0.0:
             raise KernelParameterError("product kernel needs scale > 0")
-        ev, radial, envelope = _product_eval(alpha, scale)
+        ev = _product_eval(alpha, scale)
         params_out = {"alpha": alpha, "scale": scale}
         domain = domain or AmbientDomain("full_line")
     else:
@@ -235,7 +218,7 @@ def construct_kernel(family: str, domain: AmbientDomain | None = None, **params)
         raise KernelParameterError(f"unknown parameters for {family}: {sorted(params)}")
     if domain.kind == "half_line" and family != "bessel":
         raise KernelParameterError("half_line domain is reserved for the bessel family")
-    return Kernel(family, params_out, domain, ev, radial, envelope)
+    return Kernel(family, params_out, domain, ev)
 
 
 def kernel_from_json(data: dict) -> Kernel:

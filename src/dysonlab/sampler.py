@@ -47,6 +47,8 @@ _ZERO_DENSITY = 1e-12
 _MAX_POINT_RETRIES = 100
 # log-gas draws per block: bounds memory whatever n_samples is
 _LOG_GAS_BLOCK = 4096
+# DPP placement grid: this many points per quadrature node, and at least _MIN_FINE
+_FINE_PER_NODE, _MIN_FINE = 4, 1024
 
 
 @dataclass(frozen=True)
@@ -107,11 +109,10 @@ class DppSampler:
     point, so only the placement density is interpolated.
     """
 
-    def __init__(self, decomp: SpectralDecomposition, n_fine: int | None = None):
+    def __init__(self, decomp: SpectralDecomposition):
         self.decomp = decomp
         a, b = decomp.window
-        m = n_fine or max(1024, 4 * decomp.n_nodes)
-        self.grid = np.linspace(a, b, m)
+        self.grid = np.linspace(a, b, max(_MIN_FINE, _FINE_PER_NODE * decomp.n_nodes))
         self.dx = self.grid[1] - self.grid[0]
         self.ext, self.kept = eigenfunction_values(decomp, self.grid)
         self._extend = _extension(decomp)[0]  # for each placed point

@@ -38,6 +38,8 @@ from .errors import DegenerateProjectionError, KernelValidityError
 _PROJECTION_EPS = 1e-12
 # eigenfunctions below this weight are never extended nor sampled
 RETAIN_CUTOFF = 1e-12
+# discretization noise allowed outside [0, 1] is ten times this, before clamping
+_CLAMP_TOL = 1e-8
 
 
 @dataclass
@@ -51,22 +53,18 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray      # descending, clamped to [0, 1]
     eigenvectors: np.ndarray     # column i = phi_i at nodes
     raw_eigenvalues: np.ndarray  # descending, before clamping
-    clamp_tol: float = 1e-8
 
     @property
     def n_nodes(self) -> int:
         return self.nodes.size
 
-    def trace(self) -> float:
-        return float(self.eigenvalues.sum())
 
-
-def nystrom_decompose(kernel, window, n_nodes: int, validate: bool = True,
-                      clamp_tol: float = 1e-8) -> SpectralDecomposition:
+def nystrom_decompose(kernel, window, n_nodes: int,
+                      validate: bool = True) -> SpectralDecomposition:
     """Discretize the windowed operator and eigendecompose it.
 
-    With ``validate`` set, an eigenvalue below -10*clamp_tol or above
-    1 + 10*clamp_tol raises :class:`KernelValidityError` (the kernel does
+    With ``validate`` set, an eigenvalue below -10*_CLAMP_TOL or above
+    1 + 10*_CLAMP_TOL raises :class:`KernelValidityError` (the kernel does
     not define a determinantal field).  ``validate=False`` skips the check
     and is what the report-producing validator uses.
     """
@@ -87,14 +85,14 @@ def nystrom_decompose(kernel, window, n_nodes: int, validate: bool = True,
     lam = lam[::-1].copy()
     vecs = vecs[:, ::-1]
 
-    if validate and (lam.min() < -10 * clamp_tol or lam.max() > 1.0 + 10 * clamp_tol):
+    if validate and (lam.min() < -10 * _CLAMP_TOL or lam.max() > 1.0 + 10 * _CLAMP_TOL):
         raise KernelValidityError(
             f"eigenvalues outside [0, 1] band: min {lam.min():.3e}, max {lam.max():.6g}")
 
     clamped = np.clip(lam, 0.0, 1.0)
     phi = vecs / sw[:, None]
     return SpectralDecomposition(kernel, (a, b), nodes, weights,
-                                 clamped, phi, lam, clamp_tol)
+                                 clamped, phi, lam)
 
 
 def _extension(decomp: SpectralDecomposition):

@@ -11,10 +11,9 @@ Two independent routes compute the same window densities:
 
   with rho computed as plain kernel determinants.  The k = 1, 2 integrals
   are closed forms over the decomposition's Gauss nodes (palm_integrals,
-  also behind fit_gap_exponent and dynamics.PairDriftTable).  Each k >= 3
-  integral is one streamed pass over scrambled Sobol points that serves
-  every tuple at once, so no independent cubature is built and no Sobol
-  block is stored.
+  also behind dynamics.PairDriftTable).  Each k >= 3 integral is one
+  streamed pass over scrambled Sobol points that serves every tuple at
+  once, so no independent cubature is built and no Sobol block is stored.
 
 The reported truncation_bound is a full error budget for the comparison:
 
@@ -41,7 +40,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.stats import qmc
 
-from .sampler import Box, Configuration
+from .sampler import Configuration
 from .spectral import (SpectralDecomposition, fredholm_det, l_matrix,
                        nystrom_decompose)
 
@@ -54,6 +53,8 @@ _CHUNK = 1 << 17             # Sobol points per kernel-evaluation chunk
 # and 2) the error is at most 0.34 of a tuple's own 2 * diff and 0.22 of
 # the per-order envelope that crosscheck_density reports.
 _RESOLUTION_FACTOR = 2.0
+_N_BATCHES = 10              # sub-batches behind a batch-means standard error
+_ESYM_EXTRA = 48             # orders summed past k_max in the symmetric tail
 
 
 def rho_det(kernel, points) -> float:
@@ -163,29 +164,20 @@ class CorrelationEstimate:
 
 
 def _bin_counts(samples: list[Configuration], bins) -> np.ndarray:
-    """counts[s, b] of points of sample s inside bin b."""
+    """counts[s, b] of points of sample s inside the interval bin b = [lo, hi)."""
     out = np.zeros((len(samples), len(bins)))
-    boxes = [b if isinstance(b, Box) else None for b in bins]
     for s, cfg in enumerate(samples):
         if cfg.count == 0:
             continue
-        for bidx, b in enumerate(bins):
-            if boxes[bidx] is not None:
-                out[s, bidx] = np.count_nonzero(boxes[bidx].contains(cfg.points))
-            else:
-                lo, hi = b
-                out[s, bidx] = np.count_nonzero((cfg.points >= lo) & (cfg.points < hi))
+        for bidx, (lo, hi) in enumerate(bins):
+            out[s, bidx] = np.count_nonzero((cfg.points >= lo) & (cfg.points < hi))
     return out
 
 
-def _bin_volume(b) -> float:
-    return b.volume if isinstance(b, Box) else float(b[1] - b[0])
-
-
-def _batch_se(per_sample: np.ndarray, n_batches: int = 10) -> np.ndarray:
+def _batch_se(per_sample: np.ndarray) -> np.ndarray:
     """Standard error of the mean from consecutive batch means."""
     n = per_sample.shape[0]
-    n_batches = min(n_batches, n)
+    n_batches = min(_N_BATCHES, n)
     edges = np.linspace(0, n, n_batches + 1).astype(int)
     means = np.stack([per_sample[a:b].mean(axis=0) for a, b in zip(edges[:-1], edges[1:])])
     return means.std(axis=0, ddof=1) / np.sqrt(n_batches)
@@ -193,7 +185,7 @@ def _batch_se(per_sample: np.ndarray, n_batches: int = 10) -> np.ndarray:
 
 def estimate_correlation(samples: list[Configuration], order: int, bins,
                          pairs: list[tuple[int, int]] | None = None) -> CorrelationEstimate:
-    """Empirical correlation function over a bin grid.
+    """Empirical correlation function over a grid of interval bins (lo, hi).
 
     order 1: per-bin mean count / bin volume.
     order 2: per bin pair (i, j), the factorial-moment estimator
@@ -206,7 +198,7 @@ def estimate_correlation(samples: list[Configuration], order: int, bins,
     if not samples:
         raise ValueError("empty sample batch")
     counts = _bin_counts(samples, bins)
-    vols = np.array([_bin_volume(b) for b in bins])
+    vols = np.array([float(hi - lo) for lo, hi in bins])
     if order == 1:
         per_sample = counts / vols
         return CorrelationEstimate(1, list(bins), None, per_sample.mean(axis=0),
@@ -241,9 +233,10 @@ def sigma_fredholm(decomp: SpectralDecomposition, points) -> float:
 # series-route densities
 # ---------------------------------------------------------------------------
 
-def _elementary_symmetric_tail(lam: np.ndarray, k_max: int, extra: int = 48) -> float:
-    """sum_{k > k_max} e_k(lam), truncated where terms stop mattering."""
-    top = k_max + extra
+def _elementary_symmetric_tail(lam: np.ndarray, k_max: int) -> float:
+    """sum_{k > k_max} e_k(lam), truncated _ESYM_EXTRA orders on, where terms
+    stop mattering."""
+    top = k_max + _ESYM_EXTRA
     e = np.zeros(top + 1)
     e[0] = 1.0
     for l in lam[lam > 0]:
@@ -436,25 +429,3 @@ def crosscheck_density(decomp: SpectralDecomposition, tuples,
             components={"remainder": remainder, "qmc": qmc_err,
                         "resolution": resolution}))
     return out
-
-
-# ---------------------------------------------------------------------------
-# the gap exponent
-# ---------------------------------------------------------------------------
-
-def fit_gap_exponent(decomp: SpectralDecomposition) -> float:
-    """Slope of log sigma_2(0, t) against log t over t in [1e-3, 1e-1].
-
-    Uses the series route truncated after k = 2, in closed form on the
-    decomposition's nodes: the pair density at separations below the
-    quadrature node spacing is invisible to the eigenfunction expansion,
-    while kernel determinants resolve every scale.
-    """
-    ts = np.geomspace(1e-3, 1e-1, 10)
-    kzz = decomp.kernel.eval(decomp.nodes[:, None], decomp.nodes[None, :])
-    rho, int1, int2 = palm_integrals(decomp.kernel, np.stack([np.zeros_like(ts), ts], axis=1),
-                                     decomp.nodes, decomp.weights, kzz)
-    vals = rho - int1 + 0.5 * int2
-    if np.any(vals <= 0):
-        raise ValueError("pair density not positive over the fit range")
-    return float(np.polyfit(np.log(ts), np.log(vals), 1)[0])

@@ -8,6 +8,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 import dysonlab as dl
+from oracles import fit_gap_exponent
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -151,12 +152,12 @@ def product_lip_drift_table(product_lip_dyn_decomp):
 
 @pytest.fixture(scope="session")
 def gap_slope_half(product_half_decomp):
-    return dl.fit_gap_exponent(product_half_decomp)
+    return fit_gap_exponent(product_half_decomp)
 
 
 @pytest.fixture(scope="session")
 def gap_slope_lip(product_lip_decomp):
-    return dl.fit_gap_exponent(product_lip_decomp)
+    return fit_gap_exponent(product_lip_decomp)
 
 
 @pytest.fixture(scope="session")

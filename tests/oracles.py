@@ -21,16 +21,26 @@ directly from the kernel and the quadrature rule, with no eigenvectors.
 
 The log-gas energy and the Holder envelope constants are closed-form
 references that only tests read.
+
+The gap oracles of criteria 4 and 5 check the collision probes from the
+side:
+- fit_gap_exponent fits the slope of log sigma_2(0, t) against log t on
+  the series route truncated after k = 2 (palm_integrals);
+- gap_dimension_fit is a fixed-step gap integrator that reads the
+  effective radial dimension off the growth of E[g_t^2];
+- bessel_gap_hit_fraction runs the gap-scale Bessel process through
+  dysonlab.integrate_ensemble, absorbed at delta.
 """
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.stats import qmc
 
-from dysonlab import RngStream, Trajectory
+from dysonlab import HittingStats, RngStream, Trajectory, integrate_ensemble
+from dysonlab.dynamics import _stats_from_flags
 from dysonlab.errors import (IntegrationFailureError, KernelParameterError,
                              KernelValidityError, SingularConfigurationError)
-from dysonlab.statistics import _QMC_SEED
+from dysonlab.statistics import _QMC_SEED, palm_integrals
 
 
 def loggas_energy(points, lam: float) -> float:
@@ -53,14 +63,18 @@ def holder_envelope_check(kernel, alpha: float,
     """Empirical two-sided envelope constants for the radial factor.
 
     Returns (c1, c2) = min and max of (k(0) - k(t)) / t**alpha over a
-    log-spaced grid t in [t_min, 1].  A c1 collapsing toward 0 (or a c2
-    blowing up) as the grid refines signals a probed exponent that does
-    not match the kernel's.
+    log-spaced grid t in [t_min, 1], with k(t) = K(0, t) / (m(0) m(t)) read
+    off the product kernel m(x) k(x - y) m(y), m(x) = exp(-(x/scale)^2).
+    A c1 collapsing toward 0 (or a c2 blowing up) as the grid refines
+    signals a probed exponent that does not match the kernel's.
     """
-    if kernel.radial is None:
+    if kernel.family != "product":
         raise KernelParameterError("envelope check needs a product-family kernel")
+
+    def radial(t):
+        return kernel.eval(0.0, t) * np.exp((t / kernel.params["scale"]) ** 2)
     t = np.geomspace(t_min, 1.0, n_grid)
-    ratio = (kernel.radial(0.0) - kernel.radial(t)) / t ** alpha
+    ratio = (radial(0.0) - radial(t)) / t ** alpha
     c1, c2 = float(ratio.min()), float(ratio.max())
     if not (np.isfinite(c1) and np.isfinite(c2)):
         raise KernelValidityError("envelope ratio is not finite; wrong exponent")
@@ -247,3 +261,69 @@ def integrate_sde_oracle(initial, drift_fn, T, delta, rng, dt_max=1e-3, c_dt=2e-
             hit, hit_time = True, t
     return Trajectory(np.array(times), np.array(states), np.array(gaps),
                       hit, hit_time, rejections)
+
+
+def fit_gap_exponent(decomp) -> float:
+    """Slope of log sigma_2(0, t) against log t over t in [1e-3, 1e-1].
+
+    Uses the series route truncated after k = 2, in closed form on the
+    decomposition's nodes: the pair density at separations below the
+    quadrature node spacing is invisible to the eigenfunction expansion,
+    while kernel determinants resolve every scale.
+    """
+    ts = np.geomspace(1e-3, 1e-1, 10)
+    kzz = decomp.kernel.eval(decomp.nodes[:, None], decomp.nodes[None, :])
+    rho, int1, int2 = palm_integrals(decomp.kernel, np.stack([np.zeros_like(ts), ts], axis=1),
+                                     decomp.nodes, decomp.weights, kzz)
+    vals = rho - int1 + 0.5 * int2
+    if np.any(vals <= 0):
+        raise ValueError("pair density not positive over the fit range")
+    return float(np.polyfit(np.log(ts), np.log(vals), 1)[0])
+
+
+def gap_dimension_fit(drift_batch, g0: float, rng, n_paths: int = 8000,
+                      t_max: float = 8e-4, n_steps: int = 20) -> float:
+    """Effective radial dimension of a two-particle gap process.
+
+    Starting all pairs at (-g0/2, g0/2), E[g_t^2] = g0^2 + 2 d t for small t
+    when the gap diffuses like a dimension-d radial process with the pair's
+    sqrt(2) volatility; the fitted slope over [0, t_max] divided by 2
+    estimates d.  Per-step drift displacements are capped at a fraction of
+    the current gap so the rare near-zero excursions cannot blow up the
+    fixed-step mean (crossing proposals are reflected).
+    """
+    gen = rng.generator()
+    X = np.tile([-g0 / 2, g0 / 2], (n_paths, 1))
+    dt = t_max / n_steps
+    ts = [0.0]
+    m2 = [g0 * g0]
+    for s in range(n_steps):
+        g = X[:, 1] - X[:, 0]
+        cap = 0.3 * g[:, None]
+        move = np.clip(drift_batch(X) * dt, -cap, cap)
+        prop = X + move + np.sqrt(dt) * gen.normal(size=X.shape)
+        swap = prop[:, 1] <= prop[:, 0]
+        if swap.any():
+            prop[swap] = prop[swap][:, ::-1]
+        X = prop
+        g = X[:, 1] - X[:, 0]
+        ts.append((s + 1) * dt)
+        m2.append(float(np.mean(g * g)))
+    slope = np.polyfit(ts, m2, 1)[0]
+    return float(slope / 2.0)
+
+
+def bessel_gap_hit_fraction(dim: float, g0s, delta: float, T: float,
+                            rng) -> HittingStats:
+    """The gap-scale radial process dg = sqrt(2) dW + ((dim-1)/g) dt from
+    the gaps g0s, integrated with the probes' step rule, absorbed at delta."""
+    g0s = np.asarray(g0s, dtype=float)
+    X = np.stack([-g0s / 2, g0s / 2], axis=1)
+
+    def drift(Xa):
+        g = Xa[:, 1] - Xa[:, 0]
+        b = 0.5 * (dim - 1.0) / g
+        return np.stack([-b, b], axis=1)
+
+    run = integrate_ensemble(X, drift, T, delta, rng)
+    return _stats_from_flags(run.hit, run.failed, delta, T, {"model": "bessel", "dim": dim})

@@ -14,7 +14,8 @@ import dysonlab as dl
 from dysonlab import RngStream, cli
 
 from conftest import ACCEPTANCE_LINES
-from oracles import check_density_matches_energy, metropolis_pair_sample
+from oracles import (bessel_gap_hit_fraction, check_density_matches_energy,
+                     gap_dimension_fit, metropolis_pair_sample)
 
 
 def _report(num: int, ok: bool, budget_s: float, elapsed: float, detail: str):
@@ -156,10 +157,11 @@ def test_criterion_5_non_collision():
     # oracle: dimension-3 radial gaps from the same equilibrium's min gaps
     initials = dl.sample_log_gas_batch(8, 0.5, 501_001, 1000)
     g0s = np.min(np.diff(initials, axis=1), axis=1)
-    oracle = dl.bessel_gap_hit_fraction(3.0, g0s, 1e-3, 1.0, RngStream(501_002, 0))
+    oracle = bessel_gap_hit_fraction(3.0, g0s, 1e-3, 1.0, RngStream(501_002, 0))
     ok_oracle = (oracle.ci_high < 0.01
                  and abs(oracle.hit_fraction - probe.hit_fraction) < 0.01)
-    dim = dl.dyson_pair_dimension(RngStream(72, 0))
+    lam = dl.lambda_n(2, 0.5)
+    dim = gap_dimension_fit(lambda X: dl.dyson_drift(X, lam), 0.1, RngStream(72, 0))
     ok_dim = abs(dim - 3.0) <= 0.2
     elapsed = time.time() - t0
     ok = ok_hits and ok_oracle and ok_dim and elapsed < 900

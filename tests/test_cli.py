@@ -507,6 +507,11 @@ MALFORMED = [
     # the half-sample error compares balanced Sobol halves: a power of two
     ("density-crosscheck", dict(params_of("density-crosscheck", qmc_points=1000),
                                 kernel=HOLDER)),
+    # the two domain kinds are full_line and half_line
+    ("validate", dict(params_of("validate"), window=[-3, 3],
+                      kernel=dict(SINE, domain={"kind": "box", "bounds": [[-3, 3]]}))),
+    ("validate", dict(params_of("validate"), window=[-3, 3],
+                      kernel=dict(SINE, domain={"kind": "full_line", "bounds": [[-3, 3]]}))),
 ]
 
 
@@ -576,6 +581,50 @@ def test_failed_run_writes_only_its_manifest(tmp_path, monkeypatch):
     assert manifest["artifacts"] == []
     assert manifest["exit_code"] == 3
     assert manifest["summary"] == {"error": "projected density vanished"}
+
+
+SMALL_DYSON = {"experiment": "dynamics", "seed": 5,
+               "params": {"model": "dyson", "N": 3, "n_paths": 4, "T": 0.01}}
+
+
+def test_rerun_removes_files_the_earlier_manifest_lists(tmp_path):
+    out = tmp_path / "d"
+    with_traj = write_config(tmp_path, edited(SMALL_DYSON, {"example_trajectory": True}),
+                             name="with.json")
+    assert cli.main(["dynamics", "--config", with_traj, "--out", str(out)]) == 0
+    assert (out / "trajectory.csv").exists()
+    assert cli.main(["dynamics", "--config", write_config(tmp_path, SMALL_DYSON),
+                     "--out", str(out)]) == 0
+    manifest = assert_manifest_lists_every_file(out)
+    assert [entry["name"] for entry in manifest["artifacts"]] == ["probe.json"]
+
+
+def test_rerun_removes_only_bare_names_an_edited_manifest_lists(tmp_path):
+    out = tmp_path / "d"
+    (out / "sub").mkdir(parents=True)
+    keep = [tmp_path / "outside.txt", out / "sub" / "inner.txt"]
+    for path in [*keep, out / "stale.txt"]:
+        path.write_text("x\n")
+    names = ["../outside.txt", str(keep[0]), "sub/inner.txt", "..", ".", "", 7,
+             "stale.txt"]
+    (out / "manifest.json").write_text(json.dumps(
+        {"artifacts": [{"name": name} for name in names]}))
+    assert cli.main(["dynamics", "--config", write_config(tmp_path, SMALL_DYSON),
+                     "--out", str(out)]) == 0
+    assert all(path.read_text() == "x\n" for path in keep)
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "probe.json", "sub"]
+
+
+@pytest.mark.parametrize("squatted", ["probe.json", "manifest.json"])
+def test_directory_in_place_of_an_output_file_exits_2(tmp_path, capsys, squatted):
+    # a directory cannot be replaced by a file, whatever the permissions
+    out = tmp_path / "o"
+    (out / squatted).mkdir(parents=True)
+    assert cli.main(["dynamics", "--config", write_config(tmp_path, SMALL_DYSON),
+                     "--out", str(out)]) == 2
+    assert_one_line_config_error(capsys)
+    assert [p.name for p in out.iterdir()] == [squatted]
+    assert (out / squatted).is_dir()
 
 
 SMALL_VALID = [

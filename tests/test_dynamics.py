@@ -7,7 +7,8 @@ import dysonlab as dl
 from dysonlab import RngStream
 from dysonlab.errors import IntegrationFailureError, SingularConfigurationError
 from dysonlab.statistics import palm_integrals
-from oracles import integrate_sde_oracle, loggas_energy, series_sigma2_grid_oracle
+from oracles import (bessel_gap_hit_fraction, gap_dimension_fit, integrate_sde_oracle,
+                     loggas_energy, series_sigma2_grid_oracle)
 
 
 def one_path(points, drift, T, delta, rng, **kw):
@@ -220,8 +221,8 @@ def test_immediate_hit_when_delta_exceeds_gap():
                     delta=0.1, rng=RngStream(1, 1))
     assert traj.hit_flag and traj.hit_time == 0.0
     assert traj.times.size == 1
-    stats_ = dl.bessel_gap_hit_fraction(3.0, np.full(50, 0.05), delta=0.1, T=0.1,
-                                        rng=RngStream(1, 2))
+    stats_ = bessel_gap_hit_fraction(3.0, np.full(50, 0.05), delta=0.1, T=0.1,
+                                     rng=RngStream(1, 2))
     assert stats_.n_hit == 50
 
 
@@ -258,20 +259,21 @@ def test_distorted_half_hits_from_small_gap(product_half_drift_table):
                                                T=1.0, delta=1e-3,
                                                rng=RngStream(61, 0))
     assert stats_.hit_fraction > 0.5
-    oracle = dl.bessel_gap_hit_fraction(1.5, np.full(400, 0.1), delta=1e-3,
-                                        T=1.0, rng=RngStream(61, 9))
+    oracle = bessel_gap_hit_fraction(1.5, np.full(400, 0.1), delta=1e-3,
+                                     T=1.0, rng=RngStream(61, 9))
     assert oracle.hit_fraction > 0.5
     assert abs(stats_.hit_fraction - oracle.hit_fraction) < 0.2
 
 
 def test_gap_dimension_dyson_pair():
-    dim = dl.dyson_pair_dimension(RngStream(72, 0))
+    lam = dl.lambda_n(2, 0.5)
+    dim = gap_dimension_fit(lambda X: dl.dyson_drift(X, lam), 0.1, RngStream(72, 0))
     assert dim == pytest.approx(3.0, abs=0.2)
 
 
 def test_gap_dimension_distorted(product_half_drift_table, product_lip_drift_table):
-    d_half = dl.distorted_pair_dimension(product_half_drift_table, RngStream(71, 1))
-    d_lip = dl.distorted_pair_dimension(product_lip_drift_table, RngStream(71, 2))
+    d_half = gap_dimension_fit(product_half_drift_table.drift, 0.1, RngStream(71, 1))
+    d_lip = gap_dimension_fit(product_lip_drift_table.drift, 0.1, RngStream(71, 2))
     assert d_half == pytest.approx(1.5, abs=0.2)
     assert d_lip == pytest.approx(2.0, abs=0.2)
 

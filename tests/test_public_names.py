@@ -1,20 +1,21 @@
-"""Every public name is used by the package itself: a function that only
-tests call belongs in tests/oracles.py, not in src/."""
+"""Every public name is used by the package itself: a function or class
+that only tests call belongs in tests/oracles.py, not in src/."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dysonlab"
 
-# exported names with no caller in src/ yet; this list may only shrink
-TEST_ONLY = {"bessel_gap_hit_fraction", "distorted_pair_dimension",
-             "dyson_pair_dimension", "fit_gap_exponent"}
+
+def _trees() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))
+            if p.name != "__init__.py"}
 
 
-def _exports() -> set[str]:
-    tree = ast.parse((SRC / "__init__.py").read_text())
-    return {a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom)
-            for a in n.names}
+def _public_defs(tree: ast.Module) -> set[str]:
+    """Top-level functions and classes whose names do not start with _."""
+    return {n.name for n in tree.body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")}
 
 
 def _uses(tree: ast.AST, name: str) -> bool:
@@ -30,10 +31,16 @@ def _uses(tree: ast.AST, name: str) -> bool:
     return False
 
 
-def test_every_export_has_a_caller_in_src():
-    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))
-             if p.name != "__init__.py"]
-    unused = {name for name in _exports()
-              if not any(_uses(t, name) for t in trees)}
-    assert unused == TEST_ONLY
+def test_the_scan_sees_a_name_used_only_by_its_own_def():
+    tree = ast.parse("def f():\n    return f()\n\ndef g():\n    return 1\n\n"
+                     "class C:\n    pass\n\nh = g\n")
+    assert _public_defs(tree) == {"f", "g", "C"}
+    assert [_uses(tree, n) for n in ("f", "g", "C")] == [False, True, False]
 
+
+def test_every_public_name_has_a_caller_in_src():
+    trees = _trees()
+    unused = {f"{module}:{name}" for module, tree in trees.items()
+              for name in _public_defs(tree)
+              if not any(_uses(t, name) for t in trees.values())}
+    assert unused == set()

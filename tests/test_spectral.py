@@ -10,7 +10,7 @@ from oracles import resolvent_l_oracle
 
 def test_sine_trace(sine_decomp):
     # trace of the windowed operator equals rho_bar * window length
-    assert sine_decomp.trace() == pytest.approx(6.0, abs=1e-6)
+    assert sine_decomp.eigenvalues.sum() == pytest.approx(6.0, abs=1e-6)
 
 
 def test_trace_identity(sine_decomp, sine_kernel):

@@ -66,15 +66,6 @@ def test_estimate_correlation_order2_same_bin(sine_samples, sine_kernel):
     assert abs(est.values[0] - oracle) <= 3 * est.std_errors[0]
 
 
-def test_poisson_pair_correlation_factorizes():
-    box = dl.Box([[0, 1]] * 3)
-    samples = [dl.sample_poisson(1.0, box, RngStream(8, i)) for i in range(8000)]
-    b1 = dl.Box([[0.0, 0.5], [0, 1], [0, 1]])
-    b2 = dl.Box([[0.5, 1.0], [0, 1], [0, 1]])
-    est = dl.estimate_correlation(samples, 2, [b1, b2], pairs=[(0, 1)])
-    assert abs(est.values[0] - 1.0) <= 3 * est.std_errors[0]
-
-
 def test_empty_batch_rejected():
     with pytest.raises(ValueError):
         dl.estimate_correlation([], 1, [(-1, 1)])
