@@ -333,7 +333,7 @@ def _exp_dynamics(p) -> tuple[int, dict, dict]:
         decomp = nystrom_decompose(p.kernel, p.window, p.n_nodes)
         table = PairDriftTable(decomp)
         sampler = DppSampler(decomp)
-    results = []
+    results, sde = [], []
     for k, delta in enumerate(p.delta_sweep):
         rng = RngStream(p.seed, k << 32)
         if p.model == "dyson":
@@ -344,6 +344,7 @@ def _exp_dynamics(p) -> tuple[int, dict, dict]:
             stats = distorted_pair_collision_probe(table, initials, p.T, delta, rng,
                                                    dt_max=p.dt_max, c_dt=p.c_dt)
         results.append(hitting_stats_json(stats))
+        sde.append({"delta": delta, **stats.counters})
     files = {"probe.json": _json_text(results)}
     if p.example_trajectory:
         lam = lambda_n(p.N, p.rho_bar)
@@ -356,7 +357,8 @@ def _exp_dynamics(p) -> tuple[int, dict, dict]:
             ",".join(["time", *(f"x{i}" for i in range(traj.states.shape[1])), "min_gap"]),
             [list(map(_r, [t, *row, g]))
              for t, row, g in zip(traj.times, traj.states, traj.min_gap_series)])
-    return (4 if any(r["inconclusive"] for r in results) else 0), {"probes": len(results)}, files
+    return ((4 if any(r["inconclusive"] for r in results) else 0),
+            {"probes": len(results), "sde": sde}, files)
 
 
 def _exp_capacity(p) -> tuple[int, dict, dict]:

@@ -17,6 +17,17 @@ minimum gap; a proposal that breaks the strict ordering is rejected and
 retried with dt/2 (at most 20 halvings, after which the path is counted as
 an integration failure).  Paths are independent jobs keyed by stream id.
 
+An iteration makes one drift call on the active paths and one normal draw
+of shape (active, n) in path order, plus one draw per halving round for
+the crossed paths.  The active set stays compact between iterations: its
+states, times and minimum gaps live from one step to the next and are
+written back and compressed only when a path stops (or on every step when
+recording), so an iteration costs a fixed few dozen numpy calls on arrays
+of the active set's size.  That fixed cost, not the arithmetic, is the
+engine's time when a few dozen paths remain.  Every draw and every float
+equals that of the plain form that re-gathers the active set from the
+full state on each iteration.
+
 A "hit" means the minimum gap dropped to the threshold delta, the
 computational stand-in for a collision.  For a two-particle system with
 unit-noise coordinates the gap follows dg = sqrt(2) dW + ((d-1)/g) dt with
@@ -78,7 +89,14 @@ class EnsembleRun(NamedTuple):
     hit_time: np.ndarray     # (n_paths,) nan where no hit
     final: np.ndarray        # (n_paths, n) states at the end
     rejections: np.ndarray   # (n_paths,) proposals rejected for crossing
+    steps: np.ndarray        # (n_paths,) iterations the path was active in
+    iterations: int          # lockstep iterations, one drift call each
     frames: list | None      # [(t, X)] at the start and after each iteration
+
+
+def _min_gaps(Y: np.ndarray) -> np.ndarray:
+    """Minimum gap of each sorted row of Y (at least two columns)."""
+    return (Y[:, 1:] - Y[:, :-1]).min(axis=1)
 
 
 def integrate_ensemble(initials, drift, T: float, delta: float, rng: RngStream,
@@ -98,7 +116,8 @@ def integrate_ensemble(initials, drift, T: float, delta: float, rng: RngStream,
     """
     X = np.array(initials, dtype=float, copy=True)
     n_paths, n = X.shape
-    if n >= 2 and np.any(np.diff(X, axis=1) <= 0.0):
+    pairs = n >= 2
+    if pairs and np.any(np.diff(X, axis=1) <= 0.0):
         raise SingularConfigurationError("initial states must be strictly sorted")
     gen = rng.generator()
     t = np.zeros(n_paths)
@@ -106,46 +125,83 @@ def integrate_ensemble(initials, drift, T: float, delta: float, rng: RngStream,
     failed = np.zeros(n_paths, dtype=bool)
     hit_time = np.full(n_paths, np.nan)
     rejections = np.zeros(n_paths, dtype=int)
-    if n >= 2 and delta > 0:
-        hit |= np.diff(X, axis=1).min(axis=1) <= delta
+    steps = np.zeros(n_paths, dtype=int)
+    gaps = _min_gaps(X) if pairs else np.full(n_paths, np.inf)
+    detect = pairs and delta > 0
+    if detect:
+        hit |= gaps <= delta
         hit_time[hit] = 0.0
     frames = [(t.copy(), X.copy())] if record else None
-    active = ~hit & (t < T)
 
-    while active.any():
-        idx = np.flatnonzero(active)
-        Xa = X[idx]
-        g = np.diff(Xa, axis=1).min(axis=1) if n >= 2 else np.full(idx.size, np.inf)
-        dt = np.minimum(dt_max, T - t[idx])
-        fin = np.isfinite(g)
-        dt[fin] = np.minimum(dt[fin], c_dt * g[fin] * g[fin])
+    # the active set stays compact between iterations: its rows of X and
+    # t, and its minimum gaps, which the last accepted proposal gave; X and
+    # t are written back only when a path stops
+    idx = np.flatnonzero(~hit & (t < T))
+    Xa, ta, ga = X[idx], t[idx], gaps[idx]
+    iterations = 0
+    while idx.size:
+        iterations += 1
+        dt = np.minimum(dt_max, T - ta)
+        if pairs:
+            # fmin leaves dt alone where the gap is not finite
+            dt = np.fmin(dt, c_dt * ga * ga)
         dr = drift(Xa)
         prop = Xa + dr * dt[:, None] + np.sqrt(dt)[:, None] * gen.normal(size=Xa.shape)
-        bad = (np.diff(prop, axis=1).min(axis=1) <= 0.0) if n >= 2 else np.zeros(idx.size, bool)
-        for _ in range(_MAX_HALVINGS):
-            if not bad.any():
-                break
-            rejections[idx[bad]] += 1
-            dt[bad] *= 0.5
-            prop[bad] = (Xa[bad] + dr[bad] * dt[bad, None]
-                         + np.sqrt(dt[bad])[:, None] * gen.normal(size=(int(bad.sum()), n)))
-            bad = np.diff(prop, axis=1).min(axis=1) <= 0.0
-        if bad.any():
-            # an active path's gap exceeds delta, so exhaustion is a failure
-            rejections[idx[bad]] += 1
-            failed[idx[bad]] = True
-            prop[bad] = Xa[bad]
-            dt[bad] = 0.0
-        X[idx] = prop
-        t[idx] = t[idx] + dt
-        if n >= 2 and delta > 0:
-            newly = np.diff(prop, axis=1).min(axis=1) <= delta
-            hit[idx[newly]] = True
-            hit_time[idx[newly]] = t[idx[newly]]
+        failing = None
+        if pairs:
+            ga = _min_gaps(prop)
+            bad = ga <= 0.0
+            if np.count_nonzero(bad):
+                bad = _halve_crossed(bad, Xa, dr, dt, prop, ga, gen, idx, rejections)
+                if np.count_nonzero(bad):
+                    # an active path's gap exceeds delta, so exhaustion is a failure
+                    rejections[idx[bad]] += 1
+                    failed[idx[bad]] = True
+                    prop[bad] = Xa[bad]
+                    dt[bad] = 0.0
+                    ga[bad] = _min_gaps(Xa[bad])
+                    failing = bad
+        ta = ta + dt
+        Xa = prop
+        stop = ta >= T
+        if detect:
+            newly = ga <= delta
+            stop |= newly
+        if failing is not None:
+            stop |= failing
         if record:
+            X[idx] = Xa
+            t[idx] = ta
             frames.append((t.copy(), X.copy()))
-        active = ~hit & ~failed & (t < T)
-    return EnsembleRun(hit, failed, hit_time, X, rejections, frames)
+        if np.count_nonzero(stop):
+            if detect:
+                hit[idx[newly]] = True
+                hit_time[idx[newly]] = ta[newly]
+            done = idx[stop]
+            X[done] = Xa[stop]
+            t[done] = ta[stop]
+            steps[done] = iterations
+            keep = ~stop
+            idx, Xa, ta, ga = idx[keep], Xa[keep], ta[keep], ga[keep]
+    return EnsembleRun(hit, failed, hit_time, X, rejections, steps, iterations, frames)
+
+
+def _halve_crossed(bad, Xa, dr, dt, prop, ga, gen, idx, rejections) -> np.ndarray:
+    """Redraw each crossed proposal (mask ``bad``) with half its step and
+    fresh noise, at most _MAX_HALVINGS times, updating dt, prop, its gaps
+    ga and the rejection counts in place; returns the mask still crossed."""
+    n = Xa.shape[1]
+    for _ in range(_MAX_HALVINGS):
+        rejections[idx[bad]] += 1
+        dt[bad] *= 0.5
+        rows = (Xa[bad] + dr[bad] * dt[bad, None]
+                + np.sqrt(dt[bad])[:, None] * gen.normal(size=(int(bad.sum()), n)))
+        prop[bad] = rows
+        ga[bad] = _min_gaps(rows)
+        bad = ga <= 0.0
+        if not np.count_nonzero(bad):
+            break
+    return bad
 
 
 @dataclass
@@ -201,19 +257,24 @@ class HittingStats:
     n_failures: int = 0
     inconclusive: bool = False
     params: dict = field(default_factory=dict)
+    # how hard the engine worked; the manifest reports it, probe.json not
+    counters: dict = field(default_factory=dict)
 
     @property
     def hit_fraction(self) -> float:
         return self.n_hit / self.n_paths if self.n_paths else 0.0
 
 
-def _stats_from_flags(hit, failed, delta, T, params) -> HittingStats:
-    n_paths = hit.size
-    n_hit = int(hit.sum())
-    n_fail = int(failed.sum())
+def _stats_from_run(run: EnsembleRun, delta, T, params) -> HittingStats:
+    n_paths = run.hit.size
+    n_hit = int(run.hit.sum())
+    n_fail = int(run.failed.sum())
     lo, hi = wilson_interval(n_hit, n_paths)
+    counters = {"iterations": run.iterations, "path_steps": int(run.steps.sum()),
+                "rejections": int(run.rejections.sum()), "failures": n_fail}
     return HittingStats(n_paths, n_hit, delta, T, lo, hi, n_fail,
-                        inconclusive=(n_fail > 0.05 * n_paths), params=params)
+                        inconclusive=(n_fail > 0.05 * n_paths), params=params,
+                        counters=counters)
 
 
 def dyson_collision_probe(N: int, n_paths: int, T: float, delta: float,
@@ -225,9 +286,8 @@ def dyson_collision_probe(N: int, n_paths: int, T: float, delta: float,
                                     base_stream=rng.stream_id)
     run = integrate_ensemble(initials, lambda X: dyson_drift(X, lam), T, delta,
                              rng.child(0), dt_max, c_dt)
-    return _stats_from_flags(run.hit, run.failed, delta, T,
-                             {"model": "dyson", "N": N, "rho_bar": rho_bar,
-                              "c_dt": c_dt, "dt_max": dt_max})
+    return _stats_from_run(run, delta, T, {"model": "dyson", "N": N, "rho_bar": rho_bar,
+                                           "c_dt": c_dt, "dt_max": dt_max})
 
 
 class PairDriftTable:
@@ -255,31 +315,34 @@ class PairDriftTable:
             x = np.stack([(self.ss - g) / 2.0, (self.ss + g) / 2.0], axis=1)
             rho, int1, int2 = palm_integrals(kernel, x, z, w, kzz)
             u[i] = np.log(np.maximum(rho - int1 + 0.5 * int2, 1e-300))
-        self.du_dlng = np.gradient(u, np.log(self.gs[1] / self.gs[0]), axis=0)
-        self.du_ds = np.gradient(u, self.ss[1] - self.ss[0], axis=1)
-        self._lng0 = np.log(self.gs[0])
-        self._dlng = np.log(self.gs[1] / self.gs[0])
-        self._ds = self.ss[1] - self.ss[0]
-
-    def _interp(self, table, fi, fj):
-        i = fi.astype(int)
-        j = fj.astype(int)
-        ti = fi - i
-        tj = fj - j
-        return (table[i, j] * (1 - ti) * (1 - tj) + table[i + 1, j] * ti * (1 - tj)
-                + table[i, j + 1] * (1 - ti) * tj + table[i + 1, j + 1] * ti * tj)
+        du_dlng = np.gradient(u, np.log(self.gs[1] / self.gs[0]), axis=0)
+        du_ds = np.gradient(u, self.ss[1] - self.ss[0], axis=1)
+        # row i * n_s + j holds (du/ds, du/dlog g) at (gs[i], ss[j]), so the
+        # four corners of a cell are rows k, k + n_s, k + 1 and k + n_s + 1
+        self.grad = np.stack([du_ds.ravel(), du_dlng.ravel()], axis=1)
+        self._corners = np.array([0, self.ss.size, 1, self.ss.size + 1])
+        # (log g, s) to fractional grid coordinates, clipped to the last cell
+        self._origin = np.array([np.log(self.gs[0]), self.ss[0]])
+        self._step = np.array([np.log(self.gs[1] / self.gs[0]), self.ss[1] - self.ss[0]])
+        self._top = np.array([self.gs.size - 1.001, self.ss.size - 1.001])
 
     def drift(self, X: np.ndarray) -> np.ndarray:
         """Half the gradient of log sigma_2 at each row (x1 < x2) of X."""
-        g = X[:, 1] - X[:, 0]
-        if np.any(g <= 0.0):
+        x1, x2 = X[:, 0], X[:, 1]
+        g = x2 - x1
+        if np.count_nonzero(g <= 0.0):
             raise SingularConfigurationError("pairs must be strictly sorted")
-        s = X[:, 0] + X[:, 1]
-        fi = np.clip((np.log(np.maximum(g, 1e-12)) - self._lng0) / self._dlng,
-                     0.0, self.gs.size - 1.001)
-        fj = np.clip((s - self.ss[0]) / self._ds, 0.0, self.ss.size - 1.001)
-        a = self._interp(self.du_ds, fi, fj)
-        b = self._interp(self.du_dlng, fi, fj) / g
+        f = np.stack([np.log(np.maximum(g, 1e-12)), x1 + x2], axis=1)
+        f = np.minimum(np.maximum((f - self._origin) / self._step, 0.0), self._top)
+        k = f.astype(int)
+        t = f - k
+        u = 1 - t
+        ti, tj, ui, uj = t[:, :1], t[:, 1:], u[:, :1], u[:, 1:]
+        # (m, 4, 2): both gradients at the four corners, in one gather
+        c = self.grad.take(k[:, :1] * self.ss.size + k[:, 1:] + self._corners, axis=0)
+        v = c[:, 0] * ui * uj + c[:, 1] * ti * uj + c[:, 2] * ui * tj + c[:, 3] * ti * tj
+        a = v[:, 0]
+        b = v[:, 1] / g
         return 0.5 * np.stack([a - b, a + b], axis=1)
 
 
@@ -306,8 +369,8 @@ def distorted_pair_collision_probe(table: PairDriftTable, initials: np.ndarray,
     """Hit frequency of the gradient dynamics on the two-point sector from
     the (n_paths, 2) initial pairs, e.g. conditioned_pair_initials."""
     run = integrate_ensemble(initials, table.drift, T, delta, rng.child(1), dt_max, c_dt)
-    return _stats_from_flags(run.hit, run.failed, delta, T,
-                             {"model": "distorted-pair", "c_dt": c_dt, "dt_max": dt_max})
+    return _stats_from_run(run, delta, T,
+                           {"model": "distorted-pair", "c_dt": c_dt, "dt_max": dt_max})
 
 
 def hitting_stats_json(stats: HittingStats) -> dict:

@@ -165,12 +165,12 @@ class CorrelationEstimate:
 
 def _bin_counts(samples: list[Configuration], bins) -> np.ndarray:
     """counts[s, b] of points of sample s inside the interval bin b = [lo, hi)."""
-    out = np.zeros((len(samples), len(bins)))
-    for s, cfg in enumerate(samples):
-        if cfg.count == 0:
-            continue
-        for bidx, (lo, hi) in enumerate(bins):
-            out[s, bidx] = np.count_nonzero((cfg.points >= lo) & (cfg.points < hi))
+    points = np.concatenate([cfg.points.ravel() for cfg in samples])
+    # owner[p] is the sample that point p came from
+    owner = np.repeat(np.arange(len(samples)), [cfg.points.size for cfg in samples])
+    out = np.empty((len(samples), len(bins)))
+    for b, (lo, hi) in enumerate(bins):
+        out[:, b] = np.bincount(owner[(points >= lo) & (points < hi)], minlength=len(samples))
     return out
 
 

@@ -6,7 +6,11 @@ eigenvalue-based sampler's variance convention.
 
 The single-path integrator is the step-by-step form of the adaptive
 Euler-Maruyama scheme that dysonlab.integrate_ensemble runs in lockstep;
-a one-path ensemble must reproduce it exactly.
+a one-path ensemble must reproduce it exactly.  The ensemble oracle is the
+lockstep engine in its plain form, which re-gathers the active set from
+the full state and recomputes every gap on every iteration, and the pair
+drift oracle interpolates the drift table's two gradients one at a time;
+dysonlab's engine and PairDriftTable.drift must match them bit for bit.
 
 The pair-series oracle evaluates the truncated window-density series
 pair by pair and node pair by node pair, through the Schur complement of
@@ -18,6 +22,9 @@ way, with no Schur complement and no conditioning test.
 
 The resolvent oracle solves the Nystrom system of L = K + K (Id - K)^-1 K
 directly from the kernel and the quadrature rule, with no eigenvectors.
+
+The bin-count oracle counts each sample's points in each bin with a
+Python loop.
 
 The log-gas energy and the Holder envelope constants are closed-form
 references that only tests read.
@@ -36,11 +43,22 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.stats import qmc
 
-from dysonlab import HittingStats, RngStream, Trajectory, integrate_ensemble
-from dysonlab.dynamics import _stats_from_flags
+from dysonlab import (EnsembleRun, HittingStats, RngStream, Trajectory,
+                      integrate_ensemble)
+from dysonlab.dynamics import _MAX_HALVINGS, _stats_from_run
 from dysonlab.errors import (IntegrationFailureError, KernelParameterError,
                              KernelValidityError, SingularConfigurationError)
 from dysonlab.statistics import _QMC_SEED, palm_integrals
+
+
+def bin_counts_oracle(samples, bins) -> np.ndarray:
+    """counts[s, b] of points of sample s in [lo, hi), one sample and one
+    bin at a time."""
+    out = np.zeros((len(samples), len(bins)))
+    for s, cfg in enumerate(samples):
+        for b, (lo, hi) in enumerate(bins):
+            out[s, b] = sum(1 for x in cfg.points if lo <= x < hi)
+    return out
 
 
 def loggas_energy(points, lam: float) -> float:
@@ -263,6 +281,95 @@ def integrate_sde_oracle(initial, drift_fn, T, delta, rng, dt_max=1e-3, c_dt=2e-
                       hit, hit_time, rejections)
 
 
+def integrate_ensemble_oracle(initials, drift, T, delta, rng, dt_max=1e-3, c_dt=2e-3,
+                              record=False) -> EnsembleRun:
+    """integrate_ensemble with the active set gathered from X and every
+    gap recomputed by np.diff on each iteration; it also counts the
+    iterations and each path's steps."""
+    X = np.array(initials, dtype=float, copy=True)
+    n_paths, n = X.shape
+    if n >= 2 and np.any(np.diff(X, axis=1) <= 0.0):
+        raise SingularConfigurationError("initial states must be strictly sorted")
+    gen = rng.generator()
+    t = np.zeros(n_paths)
+    hit = np.zeros(n_paths, dtype=bool)
+    failed = np.zeros(n_paths, dtype=bool)
+    hit_time = np.full(n_paths, np.nan)
+    rejections = np.zeros(n_paths, dtype=int)
+    steps = np.zeros(n_paths, dtype=int)
+    iterations = 0
+    if n >= 2 and delta > 0:
+        hit |= np.diff(X, axis=1).min(axis=1) <= delta
+        hit_time[hit] = 0.0
+    frames = [(t.copy(), X.copy())] if record else None
+    active = ~hit & (t < T)
+
+    while active.any():
+        idx = np.flatnonzero(active)
+        iterations += 1
+        steps[idx] += 1
+        Xa = X[idx]
+        g = np.diff(Xa, axis=1).min(axis=1) if n >= 2 else np.full(idx.size, np.inf)
+        dt = np.minimum(dt_max, T - t[idx])
+        fin = np.isfinite(g)
+        dt[fin] = np.minimum(dt[fin], c_dt * g[fin] * g[fin])
+        dr = drift(Xa)
+        prop = Xa + dr * dt[:, None] + np.sqrt(dt)[:, None] * gen.normal(size=Xa.shape)
+        bad = (np.diff(prop, axis=1).min(axis=1) <= 0.0) if n >= 2 else np.zeros(idx.size, bool)
+        for _ in range(_MAX_HALVINGS):
+            if not bad.any():
+                break
+            rejections[idx[bad]] += 1
+            dt[bad] *= 0.5
+            prop[bad] = (Xa[bad] + dr[bad] * dt[bad, None]
+                         + np.sqrt(dt[bad])[:, None] * gen.normal(size=(int(bad.sum()), n)))
+            bad = np.diff(prop, axis=1).min(axis=1) <= 0.0
+        if bad.any():
+            rejections[idx[bad]] += 1
+            failed[idx[bad]] = True
+            prop[bad] = Xa[bad]
+            dt[bad] = 0.0
+        X[idx] = prop
+        t[idx] = t[idx] + dt
+        if n >= 2 and delta > 0:
+            newly = np.diff(prop, axis=1).min(axis=1) <= delta
+            hit[idx[newly]] = True
+            hit_time[idx[newly]] = t[idx[newly]]
+        if record:
+            frames.append((t.copy(), X.copy()))
+        active = ~hit & ~failed & (t < T)
+    return EnsembleRun(hit, failed, hit_time, X, rejections, steps, iterations, frames)
+
+
+def pair_table_drift_oracle(table, X):
+    """PairDriftTable.drift with each gradient table interpolated on its
+    own (gap, sum) grid, the bilinear weights recomputed for each."""
+    shape = (table.gs.size, table.ss.size)
+    du_ds = table.grad[:, 0].reshape(shape)
+    du_dlng = table.grad[:, 1].reshape(shape)
+    lng0 = np.log(table.gs[0])
+    dlng = np.log(table.gs[1] / table.gs[0])
+    ds = table.ss[1] - table.ss[0]
+
+    def interp(tab, fi, fj):
+        i = fi.astype(int)
+        j = fj.astype(int)
+        ti = fi - i
+        tj = fj - j
+        return (tab[i, j] * (1 - ti) * (1 - tj) + tab[i + 1, j] * ti * (1 - tj)
+                + tab[i, j + 1] * (1 - ti) * tj + tab[i + 1, j + 1] * ti * tj)
+
+    g = X[:, 1] - X[:, 0]
+    if np.any(g <= 0.0):
+        raise SingularConfigurationError("pairs must be strictly sorted")
+    s = X[:, 0] + X[:, 1]
+    fi = np.clip((np.log(np.maximum(g, 1e-12)) - lng0) / dlng, 0.0, table.gs.size - 1.001)
+    fj = np.clip((s - table.ss[0]) / ds, 0.0, table.ss.size - 1.001)
+    a = interp(du_ds, fi, fj)
+    b = interp(du_dlng, fi, fj) / g
+    return 0.5 * np.stack([a - b, a + b], axis=1)
+
+
 def fit_gap_exponent(decomp) -> float:
     """Slope of log sigma_2(0, t) against log t over t in [1e-3, 1e-1].
 
@@ -326,4 +433,4 @@ def bessel_gap_hit_fraction(dim: float, g0s, delta: float, T: float,
         return np.stack([-b, b], axis=1)
 
     run = integrate_ensemble(X, drift, T, delta, rng)
-    return _stats_from_flags(run.hit, run.failed, delta, T, {"model": "bessel", "dim": dim})
+    return _stats_from_run(run, delta, T, {"model": "bessel", "dim": dim})

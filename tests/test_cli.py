@@ -349,6 +349,40 @@ def test_distorted_delta_sweep_decomposes_once(tmp_path, monkeypatch):
     assert json.loads(json.dumps(hitting_stats_json(second))) == sweep[1]
 
 
+def test_dynamics_manifest_reports_sde_counters(tmp_path, monkeypatch):
+    holder = {"family": "product", "params": {"alpha": 0.5},
+              "domain": {"kind": "full_line"}}
+    params = {"model": "distorted", "n_nodes": 100, "n_paths": 30, "T": 0.2,
+              "delta_sweep": [1e-3, 1e-2], "dt_max": 1e-2, "c_dt": 0.2}
+    calls = []
+    drift = dl.PairDriftTable.drift
+    monkeypatch.setattr(dl.PairDriftTable, "drift",
+                        lambda self, X: calls.append(len(X)) or drift(self, X))
+    path = write_config(tmp_path, {"experiment": "dynamics", "seed": 19, "kernel": holder,
+                                   "window": [-1, 1], "params": params,
+                                   "output": str(tmp_path / "d")})
+    assert cli.main(["dynamics", "--config", path]) == 0
+    sde = json.loads((tmp_path / "d" / "manifest.json").read_text())["summary"]["sde"]
+    monkeypatch.setattr(dl.PairDriftTable, "drift", drift)
+    decomp = dl.nystrom_decompose(dl.kernel_from_json(holder), (-1, 1), 100)
+    table, sampler = dl.PairDriftTable(decomp), dl.DppSampler(decomp)
+    expected = []
+    for k, delta in enumerate(params["delta_sweep"]):
+        rng = RngStream(19, k << 32)
+        initials = dl.conditioned_pair_initials(sampler, 30, rng)
+        run = dl.integrate_ensemble(initials, table.drift, 0.2, delta, rng.child(1),
+                                    dt_max=1e-2, c_dt=0.2)
+        expected.append({"delta": delta, "iterations": run.iterations,
+                         "path_steps": int(run.steps.sum()),
+                         "rejections": int(run.rejections.sum()),
+                         "failures": int(run.failed.sum())})
+    assert sde == expected
+    assert all(e["rejections"] > 0 for e in expected)
+    # one drift call per iteration, one drift row per path step
+    assert len(calls) == sum(e["iterations"] for e in expected)
+    assert sum(calls) == sum(e["path_steps"] for e in expected)
+
+
 def test_dynamics_experiment_and_probe_json(tmp_path):
     path = write_config(tmp_path, {
         "experiment": "dynamics", "seed": 11,

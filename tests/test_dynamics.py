@@ -7,8 +7,9 @@ import dysonlab as dl
 from dysonlab import RngStream
 from dysonlab.errors import IntegrationFailureError, SingularConfigurationError
 from dysonlab.statistics import palm_integrals
-from oracles import (bessel_gap_hit_fraction, gap_dimension_fit, integrate_sde_oracle,
-                     loggas_energy, series_sigma2_grid_oracle)
+from oracles import (bessel_gap_hit_fraction, gap_dimension_fit, integrate_ensemble_oracle,
+                     integrate_sde_oracle, loggas_energy, pair_table_drift_oracle,
+                     series_sigma2_grid_oracle)
 
 
 def one_path(points, drift, T, delta, rng, **kw):
@@ -184,6 +185,76 @@ def test_one_path_ensemble_matches_single_path_oracle(points, lam, T, delta, rng
         assert traj.n_rejections >= 3
 
 
+def assert_same_run(run, ref):
+    """Every field of two EnsembleRuns equal, bit for bit, frames included."""
+    assert np.array_equal(run.hit, ref.hit)
+    assert np.array_equal(run.failed, ref.failed)
+    assert np.array_equal(run.hit_time, ref.hit_time, equal_nan=True)
+    assert np.array_equal(run.final, ref.final)
+    assert np.array_equal(run.rejections, ref.rejections)
+    assert np.array_equal(run.steps, ref.steps)
+    assert run.iterations == ref.iterations
+    assert (run.frames is None) == (ref.frames is None)
+    if run.frames is not None:
+        assert len(run.frames) == len(ref.frames)
+        for (t, X), (t_ref, X_ref) in zip(run.frames, ref.frames):
+            assert np.array_equal(t, t_ref) and np.array_equal(X, X_ref)
+
+
+@pytest.mark.parametrize("T, kw", [
+    (0.1, {}),
+    # steps far above the gap scale: crossed proposals and their halvings
+    (0.3, {"dt_max": 1e-2, "c_dt": 0.2}),
+])
+def test_engine_matches_oracle_on_conditioned_pairs(product_half_dyn_decomp,
+                                                    product_half_drift_table, T, kw):
+    initials = dl.conditioned_pair_initials(dl.DppSampler(product_half_dyn_decomp), 200,
+                                            RngStream(14, 0))
+    table = product_half_drift_table
+    run = dl.integrate_ensemble(initials, table.drift, T, 1e-3, RngStream(14, 1), **kw)
+    ref = integrate_ensemble_oracle(initials, table.drift, T, 1e-3, RngStream(14, 1), **kw)
+    assert_same_run(run, ref)
+    assert run.hit.any() and not run.hit.all()
+    assert (run.rejections.sum() > 100) == bool(kw)
+
+
+def test_engine_matches_oracle_on_dyson_stack():
+    lam = dl.lambda_n(8, 0.5)
+    initials = dl.sample_log_gas_batch(8, 0.5, 15, 100)
+    # the second run takes steps near the gap scale: hits, crossings, halvings
+    for T, delta, kw in ((0.1, 1e-3, {}), (1.0, 0.1, {"dt_max": 0.5, "c_dt": 0.3})):
+        args = (initials, lambda X: dl.dyson_drift(X, lam), T, delta, RngStream(15, 1))
+        run = dl.integrate_ensemble(*args, **kw)
+        assert_same_run(run, integrate_ensemble_oracle(*args, **kw))
+    assert run.hit.any() and run.rejections.any()
+
+
+def test_engine_matches_oracle_frame_by_frame():
+    # paths stop at different iterations: hits, and T reached
+    initials = np.array([[-1.0, 0.2, 1.4], [-0.3, -0.28, 0.9], [0.0, 0.5, 0.52]])
+    args = (initials, lambda X: dl.dyson_drift(X, 0.5), 0.05, 1.5e-2, RngStream(16, 2))
+    run = dl.integrate_ensemble(*args, record=True)
+    assert_same_run(run, integrate_ensemble_oracle(*args, record=True))
+    assert 0 < run.hit.sum() < 3 and len(set(run.steps)) > 1
+
+
+def test_pair_drift_matches_oracle_off_the_grid(product_half_drift_table):
+    # gaps below the grid's first, beyond 2.2 window lengths and in between,
+    # sums inside the table's range and outside it on both sides
+    table = product_half_drift_table
+    gen = np.random.default_rng(17)
+    g = np.concatenate([10 ** gen.uniform(-15, -5, 40), gen.uniform(4.4, 9.0, 40),
+                        10 ** gen.uniform(-5, 0.6, 120), [1e-5, 4.4, 1e-12]])
+    s = np.concatenate([gen.uniform(-3.0, 3.0, 100), gen.uniform(-8.0, -3.0, 50),
+                        gen.uniform(3.0, 8.0, 50), [-3.0, 3.0, 0.0]])
+    gen.shuffle(s)
+    X = np.stack([(s - g) / 2, (s + g) / 2], axis=1)
+    X = X[X[:, 1] > X[:, 0]]
+    assert X.shape[0] > 190
+    assert np.array_equal(table.drift(X), pair_table_drift_oracle(table, X))
+    assert np.array_equal(table.drift(X[:1]), pair_table_drift_oracle(table, X[:1]))
+
+
 def test_brownian_increments_normal():
     traj = one_path([0.0], lambda x: dl.dyson_drift(x, 0.0), T=1.0,
                     delta=0.0, rng=RngStream(21, 0))
@@ -241,6 +312,8 @@ def test_failed_path_has_no_trajectory():
                                 RngStream(1, 4), record=True)
     assert run.failed[0] and not run.hit[0]
     assert run.rejections[0] == 21
+    assert_same_run(run, integrate_ensemble_oracle(np.array([[-0.5, 0.5]]), crush, 0.1, 0.0,
+                                                   RngStream(1, 4), record=True))
     with pytest.raises(IntegrationFailureError):
         dl.Trajectory.from_run(run)
 

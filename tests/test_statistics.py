@@ -8,7 +8,8 @@ from numpy.polynomial.legendre import leggauss
 import dysonlab as dl
 from dysonlab import RngStream
 from dysonlab.statistics import palm_integrals
-from oracles import bordered_det_oracle, sobol_det_oracle, sobol_points
+from dysonlab.statistics import _bin_counts
+from oracles import bin_counts_oracle, bordered_det_oracle, sobol_det_oracle, sobol_points
 
 
 def test_rho_det_values(sine_kernel):
@@ -64,6 +65,38 @@ def test_estimate_correlation_order2_same_bin(sine_samples, sine_kernel):
     grid = np.array([[dl.rho_det(sine_kernel, [a, b]) for b in xs] for a in xs])
     oracle = np.trapezoid(np.trapezoid(grid, xs, axis=1), xs)  # volume already 1
     assert abs(est.values[0] - oracle) <= 3 * est.std_errors[0]
+
+
+def test_bin_counts_match_per_sample_loop():
+    # points on a 1/8 lattice land exactly on the 1/4 bin edges; a third of
+    # the configurations are empty, and the pair bins overlap and nest
+    gen = np.random.default_rng(11)
+    samples = []
+    for i in range(60):
+        n = 0 if i % 3 == 0 else int(gen.integers(1, 9))
+        pts = np.unique(gen.integers(-16, 17, n) / 8.0)
+        samples.append(dl.Configuration(pts, (-2.0, 2.0)))
+    edges = np.linspace(-2.0, 2.0, 17)
+    bins1 = [(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])]
+    bins2 = [(-0.5, 0.5), (0.0, 1.0), (0.25, 0.5), (-2.0, 2.0)]
+    for bins in (bins1, bins2):
+        ref = bin_counts_oracle(samples, bins)
+        assert np.array_equal(_bin_counts(samples, bins), ref)
+        assert ref[::3].sum() == 0
+    ref = bin_counts_oracle(samples, bins1)
+    est = dl.estimate_correlation(samples, 1, bins1)
+    assert np.array_equal(est.values, (ref / 0.25).mean(axis=0))
+    ref = bin_counts_oracle(samples, bins2)
+    vols = np.array([hi - lo for lo, hi in bins2])
+    pairs = [(0, 1), (1, 2), (2, 2), (0, 3), (3, 3)]
+    est = dl.estimate_correlation(samples, 2, bins2, pairs=pairs)
+    for (i, j), v in zip(pairs, est.values):
+        nj = ref[:, j] - (i == j)
+        assert v == pytest.approx(np.mean(ref[:, i] * nj) / (vols[i] * vols[j]),
+                                  rel=1e-12, abs=1e-15)
+    # every point sits in exactly one of the 16 lattice bins but x = 2.0
+    total = sum(int(np.count_nonzero(c.points < 2.0)) for c in samples)
+    assert _bin_counts(samples, bins1).sum() == total
 
 
 def test_empty_batch_rejected():
