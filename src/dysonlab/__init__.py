@@ -12,8 +12,8 @@ from .errors import (ConfigError, DegenerateProjectionError, DysonLabError,
                      IntegrationFailureError, KernelParameterError,
                      KernelValidityError, SamplingError,
                      SingularConfigurationError)
-from .kernels import (AmbientDomain, Kernel, ValidationReport, construct_kernel,
-                      kernel_from_json, validate_kernel)
+from .kernels import (Kernel, ValidationReport, construct_kernel, kernel_from_json,
+                      validate_kernel)
 from .rng import RngStream, map_streams, stream_generators
 from .sampler import (Box, Configuration, DppSampler, lambda_n,
                       log_gas_window_counts, sample_dpp_batch, sample_log_gas,

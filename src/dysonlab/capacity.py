@@ -79,10 +79,11 @@ _PROFILES = {"log": (h_eps, h_eps_prime), "linear": (h_lin, h_lin_prime)}
 
 
 def _inner_mask(cfg: Configuration, inner) -> np.ndarray:
-    """Points inside the inner window: an interval (lo, hi) in 1-d, a Box in d >= 2."""
-    if cfg.dim == 1:
-        return (cfg.points >= inner[0]) & (cfg.points <= inner[1])
-    return inner.contains(cfg.points)
+    """Points inside the inner window: a Box in any dimension, or an
+    interval (lo, hi) of 1-d points."""
+    if isinstance(inner, Box):
+        return inner.contains(cfg.points.reshape(cfg.count, cfg.dim))
+    return (cfg.points >= inner[0]) & (cfg.points <= inner[1])
 
 
 def pair_energy(cfg: Configuration, eps: float, inner_window,

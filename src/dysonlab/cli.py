@@ -24,7 +24,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, combinations
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -155,7 +155,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{self.experiment} needs a {key!r} entry")
             else:
                 setattr(p, key, default() if callable(default) else default)
-        for holds, message in spec.across:
+        for holds, message in [*spec.across, _on_the_kernel_domain("window")]:
             if not holds(p):
                 raise ConfigError(message.format(p=p))
         return p
@@ -285,7 +285,8 @@ def _exp_correlations(p) -> tuple[int, dict, dict]:
     rho1 = [(_r(b[0]), _r(b[1]), _r(v), _r(se), str(est1.n_samples),
              _r(rho_det_box_mean(p.kernel, [b])))
             for b, v, se in zip(est1.bins, est1.values, est1.std_errors)]
-    est2 = estimate_correlation(samples, 2, p.pair_bins, pairs=[(0, 1)])
+    est2 = estimate_correlation(samples, 2, p.pair_bins,
+                                pairs=list(combinations(range(len(p.pair_bins)), 2)))
     rho2 = [(str(i), str(j), _r(v), _r(se), str(est2.n_samples),
              _r(rho_det_box_mean(p.kernel, [p.pair_bins[i], p.pair_bins[j]])))
             for (i, j), v, se in zip(est2.pairs, est2.values, est2.std_errors)]
@@ -390,6 +391,14 @@ def _kernel_for(key: str, choice: str) -> tuple:
             f"{key} {choice!r} needs a 'kernel' entry")
 
 
+def _on_the_kernel_domain(key: str) -> tuple:
+    """A half-line kernel is evaluated over `key`, an interval or a list of
+    them, so no part of it may reach below 0."""
+    return (lambda p: p.kernel is None or p.kernel.domain == "full_line"
+            or getattr(p, key) is None or min(np.ravel(getattr(p, key))) >= 0,
+            f"{key} {{p.{key}!r}} reaches below 0, off the {{p.kernel.family}} kernel's half line")
+
+
 def _one_count_per_n(p) -> bool:
     return _is_int(p.n_samples) or len(p.n_samples) == len(p.Ns)
 
@@ -436,7 +445,7 @@ _EXPERIMENTS = {
         "n_nodes": (_NODES, 256),
         "n_bins": (_int(1), 24),
         "pair_bins": (_list(_INTERVAL, 2), [(-0.1, 0.1), (0.4, 0.6)]),
-    }),
+    }, [_on_the_kernel_domain("pair_bins")]),
     "density-crosscheck": Experiment(_exp_density_crosscheck, {
         "kernel": (_KERNEL, REQUIRED),
         "window": (_INTERVAL, (-1.0, 1.0)),
@@ -468,7 +477,10 @@ _EXPERIMENTS = {
         "window": (_INTERVAL, (-1.0, 1.0)),
         "n_nodes": (_NODES, 400),
         "example_trajectory": (Rule("true or false", lambda v: isinstance(v, bool)), False),
-    }, [_kernel_for("model", "distorted")]),
+    }, [_kernel_for("model", "distorted"),
+        # the drift table evaluates the kernel at pairs outside the window
+        (lambda p: p.model != "distorted" or p.kernel.domain == "full_line",
+         "model 'distorted' needs a full-line kernel, not {p.kernel.family}")]),
     "capacity": Experiment(_exp_capacity, {
         "variant": (_choice("log", "linear"), "log"),
         "eps": (_list(_POSITIVE), [1e-2, 1e-3, 1e-4, 1e-5]),

@@ -10,6 +10,10 @@ product   K(x,y) = m(x) k(x-y) m(y) with m(x) = exp(-(x/scale)^2),
           k(t) = exp(-|t|^alpha), alpha in (0,1]               on the line
 custom    tabulated grid values with bilinear interpolation (negative tests)
 
+Each family is one row of `_FAMILIES`: its evaluator factory, its domain
+("half_line" x >= 0 for bessel, else "full_line") and each parameter's check,
+conversion, default and description.  A kernel's domain is its row's, never set.
+
 All evaluators are pure and vectorized; instances are immutable after
 construction and safe to share between threads.
 
@@ -26,37 +30,15 @@ Taylor expansion of the divided difference has no linear term.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special
 
+from . import spectral
 from .errors import KernelParameterError
 
 _DIAG_SWITCH = 1e-6
-
-FAMILIES = ("sine", "airy", "bessel", "product", "custom")
-
-
-@dataclass(frozen=True)
-class AmbientDomain:
-    """Where the point field lives: kind "full_line", or "half_line" (x >= 0,
-    the bessel family's)."""
-
-    kind: str = "full_line"
-
-    def __post_init__(self):
-        if self.kind not in ("full_line", "half_line"):
-            raise KernelParameterError(f"unknown domain kind {self.kind!r}")
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind}
-
-    @staticmethod
-    def from_json(data: dict) -> "AmbientDomain":
-        if set(data) != {"kind"}:
-            raise KernelParameterError(f"a domain is {{'kind': ...}} alone, got {data!r}")
-        return AmbientDomain(data["kind"])
 
 
 @dataclass(frozen=True)
@@ -66,22 +48,20 @@ class Kernel:
 
     family: str
     params: dict
-    domain: AmbientDomain
     _eval: Callable = field(repr=False, compare=False)
+
+    @property
+    def domain(self) -> str:
+        """Where the point field lives, "full_line" or "half_line": the family's."""
+        return _FAMILIES[self.family].domain
 
     def eval(self, x, y):
         return self._eval(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
-    def __call__(self, x, y):
-        return self.eval(x, y)
-
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "params": {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                       for k, v in self.params.items()},
-            "domain": self.domain.to_json(),
-        }
+        params = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
+                  for k, v in self.params.items()}
+        return {"family": self.family, "params": params, "domain": {"kind": self.domain}}
 
     def __reduce__(self):
         # the evaluators are closures: a kernel crosses a process boundary as its JSON
@@ -143,10 +123,6 @@ def _product_eval(alpha, scale):
 
 
 def _custom_eval(grid, values):
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise KernelParameterError("custom kernel needs a strictly increasing grid")
     if values.shape != (grid.size, grid.size):
         raise KernelParameterError("custom kernel values must be a (n, n) table over the grid")
 
@@ -165,65 +141,61 @@ def _custom_eval(grid, values):
     return ev
 
 
-def construct_kernel(family: str, domain: AmbientDomain | None = None, **params) -> Kernel:
-    """Build a kernel from a family tag and named parameters.
+class _Param(NamedTuple):
+    desc: str                 # what the parameter accepts
+    fails: Callable           # rejects the converted value
+    to: Callable = float      # the conversion
+    default: object = None    # None: required; None never converts to a passing value
 
-    sine:    rho_bar in (0, 1]
-    airy:    no parameters
-    bessel:  order > -1
-    product: alpha in (0, 1], scale > 0 (default 1)
-    custom:  grid (1d array), values ((n, n) table)
-    """
+
+class _Family(NamedTuple):
+    factory: Callable         # the evaluator, from the converted parameters by name
+    domain: str               # "full_line", or "half_line" (x >= 0)
+    params: dict              # name -> _Param, in order
+
+
+_FAMILIES = {
+    "sine": _Family(_sine_eval, "full_line", {
+        "rho_bar": _Param("a number in (0, 1]", lambda v: not 0.0 < v <= 1.0, default=1.0)}),
+    "airy": _Family(_airy_eval, "full_line", {}),
+    "bessel": _Family(_bessel_eval, "half_line", {
+        "order": _Param("a number > -1", lambda v: v <= -1.0, default=0.0)}),
+    "product": _Family(_product_eval, "full_line", {
+        "alpha": _Param("a number in (0, 1]", lambda v: not 0.0 < v <= 1.0, default=1.0),
+        "scale": _Param("a number > 0", lambda v: v <= 0.0, default=1.0)}),
+    "custom": _Family(_custom_eval, "full_line", {
+        "grid": _Param("a strictly increasing list of 2 or more numbers",
+                       lambda g: g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0),
+                       lambda v: np.asarray(v, dtype=float)),
+        "values": _Param("an (n, n) table over the grid", lambda v: v.ndim != 2,
+                         lambda v: np.asarray(v, dtype=float))}),
+}
+
+
+def construct_kernel(family: str, **params) -> Kernel:
+    """Build a kernel from a family tag and named parameters, each checked
+    against its family's row of `_FAMILIES`; an absent one takes its default."""
     family = str(family).lower()
-    if family not in FAMILIES:
+    if family not in _FAMILIES:
         raise KernelParameterError(f"unknown kernel family {family!r}")
-
-    if family == "sine":
-        rho_bar = float(params.pop("rho_bar", 1.0))
-        if not 0.0 < rho_bar <= 1.0:
-            raise KernelParameterError("sine kernel needs 0 < rho_bar <= 1")
-        ev = _sine_eval(rho_bar)
-        params_out = {"rho_bar": rho_bar}
-        domain = domain or AmbientDomain("full_line")
-    elif family == "airy":
-        ev = _airy_eval()
-        params_out = {}
-        domain = domain or AmbientDomain("full_line")
-    elif family == "bessel":
-        order = float(params.pop("order", 0.0))
-        if order <= -1.0:
-            raise KernelParameterError("bessel kernel needs order > -1")
-        ev = _bessel_eval(order)
-        params_out = {"order": order}
-        domain = domain or AmbientDomain("half_line")
-    elif family == "product":
-        alpha = float(params.pop("alpha", 1.0))
-        scale = float(params.pop("scale", 1.0))
-        if not 0.0 < alpha <= 1.0:
-            raise KernelParameterError("product kernel needs 0 < alpha <= 1")
-        if scale <= 0.0:
-            raise KernelParameterError("product kernel needs scale > 0")
-        ev = _product_eval(alpha, scale)
-        params_out = {"alpha": alpha, "scale": scale}
-        domain = domain or AmbientDomain("full_line")
-    else:
-        grid = params.pop("grid")
-        values = params.pop("values")
-        ev = _custom_eval(grid, values)
-        params_out = {"grid": np.asarray(grid, dtype=float),
-                      "values": np.asarray(values, dtype=float)}
-        domain = domain or AmbientDomain("full_line")
-
-    if params:
-        raise KernelParameterError(f"unknown parameters for {family}: {sorted(params)}")
-    if domain.kind == "half_line" and family != "bessel":
-        raise KernelParameterError("half_line domain is reserved for the bessel family")
-    return Kernel(family, params_out, domain, ev)
+    row = _FAMILIES[family]
+    unknown = set(params) - set(row.params)
+    if unknown:
+        raise KernelParameterError(f"unknown parameters for {family}: {sorted(unknown)}")
+    values = {}
+    for key, param in row.params.items():
+        values[key] = param.to(params.get(key, param.default))
+        if param.fails(values[key]):
+            raise KernelParameterError(f"{family} kernel: {key} must be {param.desc}")
+    return Kernel(family, values, row.factory(**values))
 
 
 def kernel_from_json(data: dict) -> Kernel:
-    domain = AmbientDomain.from_json(data["domain"]) if "domain" in data else None
-    return construct_kernel(data["family"], domain=domain, **data.get("params", {}))
+    """A kernel from its JSON; a "domain" entry must name the family's own."""
+    kernel = construct_kernel(data["family"], **data.get("params", {}))
+    if "domain" in data and data["domain"] != {"kind": kernel.domain}:
+        raise KernelParameterError(f"the {kernel.family} kernel's domain is {kernel.domain}")
+    return kernel
 
 
 @dataclass
@@ -249,8 +221,6 @@ def validate_kernel(kernel: Kernel, window, tol: float = 1e-8,
     in [-tol, 1 + tol] with a finite trace.  Passes iff both hold.
     Non-finite kernel values fail the report, naming the offending point.
     """
-    from . import spectral  # local import: spectral has no kernel dependency
-
     a, b = float(window[0]), float(window[1])
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise KernelParameterError("validation window must be a bounded interval")
@@ -273,17 +243,13 @@ def validate_kernel(kernel: Kernel, window, tol: float = 1e-8,
         return ValidationReport(False, (a, b), n_nodes, asym, np.nan, np.nan, np.nan,
                                 [f"eigendecomposition failed: {exc}"])
     raw = decomp.raw_eigenvalues
-    eig_min, eig_max = float(raw.min()), float(raw.max())
-    trace = float(raw.sum())
+    eig_min, eig_max, trace = float(raw.min()), float(raw.max()), float(raw.sum())
 
-    ok = True
     if asym > max(tol, 1e-10):
-        ok = False
         messages.append(f"hermitian asymmetry {asym:.3e} above tolerance")
     if eig_min < -tol or eig_max > 1.0 + tol:
-        ok = False
         messages.append(f"eigenvalues outside [-tol, 1+tol]: min {eig_min:.3e}, max {eig_max:.6g}")
     if not np.isfinite(trace):
-        ok = False
         messages.append("windowed trace is not finite")
-    return ValidationReport(ok, (a, b), n_nodes, asym, eig_min, eig_max, trace, messages)
+    return ValidationReport(not messages, (a, b), n_nodes, asym, eig_min, eig_max, trace,
+                            messages)

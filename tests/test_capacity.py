@@ -175,3 +175,12 @@ def test_poisson_linear_variant_against_pair_counting():
         if prev is not None:
             assert est.energy < prev
         prev = est.energy
+
+
+def test_one_dimensional_box_and_interval_give_the_same_estimate():
+    box = dl.Box([[0.0, 2.0]])
+    samples = [dl.sample_poisson(2.0, box, RngStream(5, i)) for i in range(200)]
+    assert samples[0].dim == 1
+    for eps in (0.1, 0.05):
+        assert (estimate_I_eps_from_samples(samples, eps, "linear", dl.Box([[0.2, 1.8]]))
+                == estimate_I_eps_from_samples(samples, eps, "linear", (0.2, 1.8)))

@@ -15,6 +15,7 @@ import dysonlab as dl
 from dysonlab import RngStream, cli, rng
 from dysonlab.dynamics import hitting_stats_json
 from dysonlab.errors import ConfigError, SamplingError
+from dysonlab.statistics import rho_det_box_mean
 
 from conftest import InlinePool
 
@@ -399,6 +400,16 @@ def test_dynamics_experiment_and_probe_json(tmp_path):
     assert len(traj) > 10
 
 
+def test_capacity_linear_on_a_one_dimensional_box(tmp_path):
+    path = write_config(tmp_path, {
+        "experiment": "capacity", "seed": 1, "output": str(tmp_path / "cap"),
+        "params": {"variant": "linear", "eps": [0.1, 0.05], "n_samples": 50,
+                   "box": [[0, 2]], "inner_pad": 0.2}})
+    assert cli.main(["capacity", "--config", path]) == 0
+    rows = (tmp_path / "cap" / "capacity.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [0.1, 0.05]
+
+
 def test_capacity_experiment_and_plot(tmp_path):
     path = write_config(tmp_path, {
         "experiment": "capacity", "seed": 13, "kernel": SINE, "window": [-3, 3],
@@ -476,6 +487,18 @@ def test_correlations_oracle_is_bin_average(tmp_path):
     assert rho1 == pytest.approx([1.0] * 6, abs=1e-12)
 
 
+def test_correlations_write_one_rho2_row_per_pair_of_bins(tmp_path):
+    bins = [[-0.1, 0.1], [0.4, 0.6], [1.0, 1.3]]
+    path = write_config(tmp_path, dict(edited(SMALL_CORRELATIONS, {"pair_bins": bins}),
+                                       output=str(tmp_path / "r")))
+    assert cli.main(["correlations", "--config", path]) == 0
+    rows = [r.split(",") for r in (tmp_path / "r" / "rho2.csv").read_text().splitlines()[1:]]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(0, 1), (0, 2), (1, 2)]
+    kernel = dl.construct_kernel("sine", rho_bar=1.0)
+    for i, j, *_, oracle in rows:
+        assert float(oracle) == rho_det_box_mean(kernel, [bins[int(i)], bins[int(j)]])
+
+
 def test_correlations_rerun_byte_identical(tmp_path):
     base = {"experiment": "correlations", "seed": 21, "kernel": SINE,
             "window": [-3, 3],
@@ -492,6 +515,7 @@ def test_correlations_rerun_byte_identical(tmp_path):
 
 
 HOLDER = {"family": "product", "params": {"alpha": 0.5}, "domain": {"kind": "full_line"}}
+BESSEL = {"family": "bessel", "params": {"order": 0.5}}
 SMALL_CORRELATIONS = {"experiment": "correlations", "seed": 1, "kernel": SINE,
                       "window": [-3, 3], "params": {"n_samples": 50, "n_nodes": 64,
                                                     "n_bins": 6}}
@@ -541,11 +565,18 @@ MALFORMED = [
     # the half-sample error compares balanced Sobol halves: a power of two
     ("density-crosscheck", dict(params_of("density-crosscheck", qmc_points=1000),
                                 kernel=HOLDER)),
-    # the two domain kinds are full_line and half_line
+    # a domain is {"kind": ...} alone, and the family's own
     ("validate", dict(params_of("validate"), window=[-3, 3],
                       kernel=dict(SINE, domain={"kind": "box", "bounds": [[-3, 3]]}))),
     ("validate", dict(params_of("validate"), window=[-3, 3],
                       kernel=dict(SINE, domain={"kind": "full_line", "bounds": [[-3, 3]]}))),
+    # a half-line kernel is evaluated only at x >= 0
+    ("validate", dict(params_of("validate"), window=[-1, 1], kernel=BESSEL)),
+    ("correlations", edited(SMALL_CORRELATIONS, kernel=BESSEL, window=[0, 3])),
+    ("dynamics", dict(params_of("dynamics", model="distorted", n_paths=4), kernel=BESSEL,
+                      window=[0.5, 2.0])),
+    ("validate", dict(params_of("validate"), window=[0, 1],
+                      kernel=dict(BESSEL, domain={"kind": "full_line"}))),
 ]
 
 

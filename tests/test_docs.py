@@ -1,11 +1,11 @@
 """The README matches the code: the library quick start runs as written, and
-the CLI params lists match the tables in `cli`."""
+the CLI params lists match the tables in `cli` and `kernels`."""
 
 import json
 import re
 from pathlib import Path
 
-from dysonlab import Box, cli
+from dysonlab import Box, cli, kernels
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -46,7 +46,12 @@ def test_readme_params_lists_match_the_tables():
         elif m := re.fullmatch(r"- `(\w+)`: (.+); default (.+)", line):
             rows[m.group(1)] = (m.group(2), read_default(m.group(3)))
     tables = {"top level": cli._TOP,
-              **{name: spec.params for name, spec in cli._EXPERIMENTS.items()}}
+              **{name: spec.params for name, spec in cli._EXPERIMENTS.items()},
+              # a kernel parameter without a default (None) is required
+              **{f"{name} kernel": {key: (param, cli.REQUIRED if param.default is None
+                                              else param.default)
+                                    for key, param in row.params.items()}
+                 for name, row in kernels._FAMILIES.items()}}
     assert listed.keys() == tables.keys()
     for name, table in tables.items():
         assert listed[name].keys() == table.keys(), name

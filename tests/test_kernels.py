@@ -117,6 +117,31 @@ def test_parameter_validation():
         dl.construct_kernel("gaussian")
     with pytest.raises(KernelParameterError):
         dl.construct_kernel("sine", rho_bar=0.5, bogus=1)
+    for grid, values in [([0, 0, 1], np.eye(3)), ([0], np.eye(1)), ([0, 1], np.eye(3)),
+                         ([0, 1], None), (None, np.eye(2))]:
+        with pytest.raises(KernelParameterError):
+            dl.construct_kernel("custom", grid=grid, values=values)
+
+
+@pytest.mark.parametrize("family, params, domain", [
+    ("sine", {}, "full_line"), ("airy", {}, "full_line"), ("bessel", {}, "half_line"),
+    ("product", {"alpha": 0.5}, "full_line"),
+    ("custom", {"grid": [0, 1], "values": [[1, 0], [0, 1]]}, "full_line"),
+])
+def test_kernel_domain_comes_from_its_family(family, params, domain):
+    k = dl.construct_kernel(family, **params)
+    assert k.domain == domain
+    with pytest.raises(KernelParameterError, match="unknown parameters"):
+        dl.construct_kernel(family, domain=domain, **params)
+    data = k.to_json()
+    assert data["domain"] == {"kind": domain}
+    # a JSON kernel may leave the domain out or give its own, and no other
+    assert dl.kernel_from_json({"family": family, "params": params}).to_json() == data
+    assert dl.kernel_from_json(data).to_json() == data
+    other = "full_line" if domain == "half_line" else "half_line"
+    for bad in ({"kind": other}, {"kind": domain, "bounds": [0, 1]}, domain):
+        with pytest.raises(KernelParameterError):
+            dl.kernel_from_json(dict(data, domain=bad))
 
 
 @pytest.mark.parametrize("case", [
