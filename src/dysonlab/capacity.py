@@ -27,7 +27,7 @@ import numpy as np
 
 from .sampler import Box, Configuration
 from .rng import RngStream
-from .statistics import _batch_se
+from .statistics import standard_error
 
 log = logging.getLogger(__name__)
 
@@ -150,8 +150,8 @@ def estimate_I_eps_from_samples(samples: list[Configuration], eps: float,
     degenerate = n_active == 0
     if degenerate:
         log.warning("no active samples at eps=%g; degenerate interval", eps)
-    return CapacityEstimate(eps, float(e.mean()), float(_batch_se(e)),
-                            float(g2.mean()), float(_batch_se(g2)),
+    return CapacityEstimate(eps, float(e.mean()), float(standard_error(e)),
+                            float(g2.mean()), float(standard_error(g2)),
                             len(samples), n_active, variant, degenerate)
 
 

@@ -45,7 +45,8 @@ from .sampler import (Box, Configuration, DppSampler, lambda_n,
                       log_gas_window_counts, sample_dpp_batch, sample_log_gas,
                       sample_log_gas_batch, sample_poisson_batch)
 from .spectral import nystrom_decompose
-from .statistics import crosscheck_density, estimate_correlation, rho_det_box_mean
+from .statistics import (crosscheck_density, estimate_correlation, rho_det_box_mean,
+                         standard_error)
 from .svg import Figure
 
 # ---------------------------------------------------------------------------
@@ -319,7 +320,7 @@ def _exp_convergence(p) -> tuple[int, dict, dict]:
         counts = partial(log_gas_window_counts, n, p.rho_bar, half=p.bin_halfwidth)
         in_bin = map_streams(counts, p.seed, idx << 32, m, p.workers)
         est = in_bin.mean() / (2 * p.bin_halfwidth)
-        se = in_bin.std(ddof=1) / np.sqrt(m) / (2 * p.bin_halfwidth)
+        se = standard_error(in_bin) / (2 * p.bin_halfwidth)
         rows.append((n, float(est), float(se), abs(float(est) - p.rho_bar)))
     gaps = [r[3] for r in rows]
     return 0, {"monotone_decreasing": bool(all(a > b for a, b in zip(gaps, gaps[1:]))),

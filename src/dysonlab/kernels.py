@@ -24,7 +24,9 @@ singularities.  They are evaluated through closed diagonal formulas,
 (the second form is the l'Hopital limit rewritten through the Bessel
 recurrences so that no cancellation survives), and the evaluator switches
 to the midpoint diagonal value once |x-y| < 1e-6, where the symmetric
-Taylor expansion of the divided difference has no linear term.
+Taylor expansion of the divided difference has no linear term.  At x = 0
+the bessel formulas meet infinite Bessel values for orders 0 < a < 1, and
+the evaluator returns the kernel's limits there for every order a >= 0.
 """
 
 from __future__ import annotations
@@ -102,10 +104,18 @@ def _bessel_eval(order):
         d = x - y
         near = np.abs(d) < _DIAG_SWITCH
         um = np.sqrt(0.5 * (x + y))
-        diag = (special.jv(a, um) ** 2 - special.jv(a + 1, um) * special.jv(a - 1, um)) / 4.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            off = (special.jv(a, sx) * sy * special.jvp(a, sy)
-                   - special.jv(a, sy) * sx * special.jvp(a, sx)) / (2.0 * d)
+            jpx, jpy = special.jvp(a, sx), special.jvp(a, sy)
+            diag = (special.jv(a, um) ** 2 - special.jv(a + 1, um) * special.jv(a - 1, um)) / 4.0
+            # the limits at 0, where J_a'(0) and J_{a-1}(0) are infinite for
+            # 0 < a < 1; orders below 0 are unbounded at 0
+            if a >= 0:
+                # s J_a'(s) -> 0
+                jpx, jpy = np.where(sx > 0, jpx, 0.0), np.where(sy > 0, jpy, 0.0)
+            if a > 0:
+                # K(0, 0) = 0
+                diag = np.where(um > 0, diag, 0.0)
+            off = (special.jv(a, sx) * sy * jpy - special.jv(a, sy) * sx * jpx) / (2.0 * d)
         return np.where(near, diag, off)
     return ev
 
@@ -159,15 +169,16 @@ _FAMILIES = {
         "rho_bar": _Param("a number in (0, 1]", lambda v: not 0.0 < v <= 1.0, default=1.0)}),
     "airy": _Family(_airy_eval, "full_line", {}),
     "bessel": _Family(_bessel_eval, "half_line", {
-        "order": _Param("a number > -1", lambda v: v <= -1.0, default=0.0)}),
+        "order": _Param("a number > -1", lambda v: not v > -1.0, default=0.0)}),
     "product": _Family(_product_eval, "full_line", {
         "alpha": _Param("a number in (0, 1]", lambda v: not 0.0 < v <= 1.0, default=1.0),
-        "scale": _Param("a number > 0", lambda v: v <= 0.0, default=1.0)}),
+        "scale": _Param("a number > 0", lambda v: not v > 0.0, default=1.0)}),
     "custom": _Family(_custom_eval, "full_line", {
         "grid": _Param("a strictly increasing list of 2 or more numbers",
-                       lambda g: g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0),
+                       lambda g: g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0),
                        lambda v: np.asarray(v, dtype=float)),
-        "values": _Param("an (n, n) table over the grid", lambda v: v.ndim != 2,
+        "values": _Param("an (n, n) table of finite numbers over the grid",
+                         lambda v: v.ndim != 2 or not np.all(np.isfinite(v)),
                          lambda v: np.asarray(v, dtype=float))}),
 }
 

@@ -17,10 +17,10 @@ Two independent routes compute the same window densities:
 
 The reported truncation_bound is a full error budget for the comparison:
 
-  remainder   min of a Hadamard-type tail (|I|^k (n+k)^((n+k)/2) M^(n+k) / k!)
-              and the symmetric-function tail rho_n(x) * sum_{k>k_max} e_k(lambda),
+  remainder   the symmetric-function tail rho_n(x) * sum_{k>k_max} e_k(lambda),
               valid since rho_{n+k}(x,y) <= rho_n(x) rho_k(y) for PSD kernels
-              and (1/k!) int rho_k equals the elementary symmetric sum e_k;
+              (Fischer's inequality) and (1/k!) int rho_k equals the
+              elementary symmetric sum e_k of the window eigenvalues;
   qmc         half-sample differences of the Sobol integrals;
   resolution  2 * |sigma_fred(n) - sigma_fred(n/4)|, its largest value over
               the tuples of the same order: a Richardson-style estimate of
@@ -53,7 +53,6 @@ _CHUNK = 1 << 17             # Sobol points per kernel-evaluation chunk
 # and 2) the error is at most 0.34 of a tuple's own 2 * diff and 0.22 of
 # the per-order envelope that crosscheck_density reports.
 _RESOLUTION_FACTOR = 2.0
-_N_BATCHES = 10              # sub-batches behind a batch-means standard error
 _ESYM_EXTRA = 48             # orders summed past k_max in the symmetric tail
 
 
@@ -174,13 +173,11 @@ def _bin_counts(samples: list[Configuration], bins) -> np.ndarray:
     return out
 
 
-def _batch_se(per_sample: np.ndarray) -> np.ndarray:
-    """Standard error of the mean from consecutive batch means."""
-    n = per_sample.shape[0]
-    n_batches = min(_N_BATCHES, n)
-    edges = np.linspace(0, n, n_batches + 1).astype(int)
-    means = np.stack([per_sample[a:b].mean(axis=0) for a, b in zip(edges[:-1], edges[1:])])
-    return means.std(axis=0, ddof=1) / np.sqrt(n_batches)
+def standard_error(per_sample: np.ndarray) -> np.ndarray:
+    """Standard error of each column's mean over independent draws (rows):
+    std / sqrt(n).  Every draw of the package has its own stream, so the
+    rows are independent."""
+    return per_sample.std(axis=0, ddof=1) / np.sqrt(per_sample.shape[0])
 
 
 def estimate_correlation(samples: list[Configuration], order: int, bins,
@@ -191,7 +188,7 @@ def estimate_correlation(samples: list[Configuration], order: int, bins,
     order 2: per bin pair (i, j), the factorial-moment estimator
     E[N_i N_j] / (vol_i vol_j) for i != j and E[N_i (N_i - 1)] / vol_i^2 on
     the diagonal; ``pairs`` defaults to all ordered pairs including the
-    diagonal.  Standard errors come from 10 consecutive sub-batches.
+    diagonal.  Standard errors are std / sqrt(n) over the samples.
     """
     if order not in (1, 2):
         raise ValueError("only orders 1 and 2 are estimable from counts")
@@ -202,7 +199,7 @@ def estimate_correlation(samples: list[Configuration], order: int, bins,
     if order == 1:
         per_sample = counts / vols
         return CorrelationEstimate(1, list(bins), None, per_sample.mean(axis=0),
-                                   _batch_se(per_sample), len(samples))
+                                   standard_error(per_sample), len(samples))
     if pairs is None:
         pairs = [(i, j) for i in range(len(bins)) for j in range(len(bins))]
     cols = []
@@ -213,7 +210,7 @@ def estimate_correlation(samples: list[Configuration], order: int, bins,
             cols.append(counts[:, i] * counts[:, j] / (vols[i] * vols[j]))
     per_sample = np.stack(cols, axis=1)
     return CorrelationEstimate(2, list(bins), list(pairs), per_sample.mean(axis=0),
-                               _batch_se(per_sample), len(samples))
+                               standard_error(per_sample), len(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +239,6 @@ def _elementary_symmetric_tail(lam: np.ndarray, k_max: int) -> float:
     for l in lam[lam > 0]:
         e[1:] = e[1:] + l * e[:-1]
     return float(e[k_max + 1:].sum())
-
-
-def _hadamard_tail(n: int, k_max: int, m_sup: float, length: float) -> float:
-    if m_sup <= 0:
-        return 0.0
-    total = 0.0
-    for k in range(k_max + 1, 400):
-        logt = (k * np.log(length) + 0.5 * (n + k) * np.log(n + k)
-                + (n + k) * np.log(m_sup) - lgamma(k + 1))
-        term = np.exp(min(logt, 700.0))
-        total += term
-        if k > 3 * (k_max + np.e * length * m_sup) and term < 1e-18 * max(total, 1.0):
-            break
-    return float(total)
 
 
 class SeriesEvaluator:
@@ -291,7 +274,6 @@ class SeriesEvaluator:
         self.length = b - a
         # K at the decomposition's node pairs, the one table of k = 1, 2
         self._kzz = self.kernel.eval(decomp.nodes[:, None], decomp.nodes[None, :])
-        self.m_sup = float(np.max(np.abs(self._kzz)))
 
     def _sobol_integrals(self, tuples: list[np.ndarray], k: int):
         """int rho_{n+k}(x, y) dy over the window for each tuple x, with its
@@ -353,12 +335,9 @@ class SeriesEvaluator:
         return sign * fac * integ, fac * err
 
     def remainder_bound(self, points) -> float:
-        pts = np.atleast_1d(np.asarray(points, dtype=float))
-        n = pts.size
-        fischer = (max(rho_det(self.kernel, pts), 0.0)
-                   * _elementary_symmetric_tail(self.decomp.eigenvalues, self.k_max))
-        hadamard = _hadamard_tail(n, self.k_max, self.m_sup, self.length)
-        return min(fischer, hadamard)
+        """rho_n(x) * sum_{k > k_max} e_k(lambda), which bounds the dropped terms."""
+        return (max(rho_det(self.kernel, points), 0.0)
+                * _elementary_symmetric_tail(self.decomp.eigenvalues, self.k_max))
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,16 @@ def test_estimate_with_common_samples_monotone(sine_samples):
     assert all(e.n_active > 0 for e in ests)
 
 
+def test_energy_errors_are_std_over_root_n(sine_samples):
+    # every draw has its own stream: std / sqrt(n) of the per-sample values
+    samples = sine_samples[:3000]
+    est = estimate_I_eps_from_samples(samples, 1e-2, "log", (-2, 2))
+    energy, g = np.array([dl.pair_energy(c, 1e-2, (-2, 2)) for c in samples]).T
+    root_n = np.sqrt(len(samples))
+    assert est.energy_se == pytest.approx(energy.std(ddof=1) / root_n, rel=1e-12)
+    assert est.l2_se == pytest.approx((g * g).std(ddof=1) / root_n, rel=1e-12)
+
+
 def test_degenerate_flag():
     cfgs = [dl.Configuration(np.array([0.0]), (-3.0, 3.0)) for _ in range(20)]
     est = estimate_I_eps_from_samples(cfgs, 1e-3, "log", (-2, 2))

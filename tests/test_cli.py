@@ -109,6 +109,15 @@ def test_sample_experiment_ndjson(tmp_path):
         assert pts == sorted(pts)
 
 
+def test_sample_bessel_on_a_window_from_zero(tmp_path):
+    path = write_config(tmp_path, {
+        "experiment": "sample", "seed": 4, "kernel": BESSEL, "window": [0, 6],
+        "params": {"n_samples": 30, "n_nodes": 128}, "output": str(tmp_path / "s")})
+    assert cli.main(["sample", "--config", path]) == 0
+    lines = (tmp_path / "s" / "samples.ndjson").read_text().splitlines()
+    assert len(lines) == 31
+
+
 def test_convergence_experiment_small(tmp_path):
     path = write_config(tmp_path, {
         "experiment": "convergence", "seed": 5,
@@ -577,6 +586,18 @@ MALFORMED = [
                       window=[0.5, 2.0])),
     ("validate", dict(params_of("validate"), window=[0, 1],
                       kernel=dict(BESSEL, domain={"kind": "full_line"}))),
+    # NaN, which json reads, fails every parameter check
+    ("validate", dict(params_of("validate"), window=[-1, 1],
+                      kernel={"family": "product", "params": {"scale": float("nan")}})),
+    ("validate", dict(params_of("validate"), window=[0, 1],
+                      kernel={"family": "bessel", "params": {"order": float("nan")}})),
+    ("validate", dict(params_of("validate"), window=[-1, 1],
+                      kernel={"family": "custom", "params": {
+                          "grid": [-1, float("nan"), 1], "values": np.eye(3).tolist()}})),
+    ("validate", dict(params_of("validate"), window=[-1, 1],
+                      kernel={"family": "custom", "params": {
+                          "grid": [-1, 0, 1], "values": [[1, 0, 0], [0, float("nan"), 0],
+                                                         [0, 0, 1]]}})),
 ]
 
 

@@ -88,6 +88,17 @@ def test_bessel_rejects_negative_argument():
         k.eval(-1.0, 0.5)
 
 
+@pytest.mark.parametrize("order", [0.0, 0.3, 0.5, 0.9, 1.0, 2.5])
+def test_bessel_takes_its_limits_at_zero(order):
+    # J_a'(0) and J_{a-1}(0) are infinite for 0 < a < 1, but K is bounded at 0
+    k = dl.construct_kernel("bessel", order=order)
+    assert k.eval(0.0, 0.0) == (0.25 if order == 0 else 0.0)
+    for x, y in [(0.0, 0.5), (0.5, 0.0)]:
+        assert np.isfinite(k.eval(x, y))
+        assert k.eval(x, y) == pytest.approx(k.eval(max(x, 1e-40), max(y, 1e-40)),
+                                             abs=1e-5)
+
+
 def test_divided_difference_diagonal_switch_is_smooth():
     # values just inside and outside the switch radius must agree closely
     for k in (dl.construct_kernel("airy"), dl.construct_kernel("bessel", order=1.0)):
@@ -188,13 +199,11 @@ def test_validate_constant_two_fails():
 
 
 def test_validate_reports_nonfinite_point():
-    grid = np.linspace(-1, 1, 9)
-    vals = np.zeros((9, 9))
-    vals[4, 4] = np.nan
-    k = dl.construct_kernel("custom", grid=grid, values=vals)
-    rep = dl.validate_kernel(k, (-1, 1))
+    # a bessel kernel of order in (-1, 0) is unbounded at 0
+    k = dl.construct_kernel("bessel", order=-0.5)
+    rep = dl.validate_kernel(k, (0, 1))
     assert not rep.passed
-    assert any("non-finite" in m for m in rep.messages)
+    assert rep.messages == ["non-finite kernel value at (0, 0)"]
 
 
 def test_holder_envelope_lipschitz():

@@ -284,3 +284,12 @@ def test_map_streams_caps_the_pool(monkeypatch, cores, workers, count, size):
     fn = partial(dl.log_gas_window_counts, 2, 1.0, half=0.5)
     assert np.array_equal(dl.map_streams(fn, 3, 0, count, workers), fn(3, count))
     assert InlinePool.sizes == [size]
+
+
+def test_bessel_draws_on_a_window_from_zero():
+    # the placement grid starts at the window's left end, x = 0
+    kernel = dl.construct_kernel("bessel", order=0.5)
+    sampler = dl.DppSampler(dl.nystrom_decompose(kernel, (0.0, 6.0), 128))
+    draws = [sampler.sample(RngStream(4, i)) for i in range(30)]
+    assert all(np.all((c.points >= 0.0) & (c.points <= 6.0)) for c in draws)
+    assert sum(c.count for c in draws) > 0

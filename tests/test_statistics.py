@@ -8,7 +8,7 @@ from numpy.polynomial.legendre import leggauss
 import dysonlab as dl
 from dysonlab import RngStream
 from dysonlab.statistics import palm_integrals
-from dysonlab.statistics import _bin_counts
+from dysonlab.statistics import _bin_counts, _elementary_symmetric_tail
 from oracles import bin_counts_oracle, bordered_det_oracle, sobol_det_oracle, sobol_points
 
 
@@ -99,6 +99,23 @@ def test_bin_counts_match_per_sample_loop():
     assert _bin_counts(samples, bins1).sum() == total
 
 
+def test_correlation_errors_are_std_over_root_n(sine_samples):
+    # every draw has its own stream: std / sqrt(n) of the per-sample values
+    samples = sine_samples[:3000]
+    edges = np.linspace(-3, 3, 7)
+    bins = list(zip(edges[:-1], edges[1:]))
+    counts, vols = _bin_counts(samples, bins), np.diff(edges)
+    root_n = np.sqrt(len(samples))
+    est1 = dl.estimate_correlation(samples, 1, bins)
+    np.testing.assert_allclose(est1.std_errors,
+                               (counts / vols).std(axis=0, ddof=1) / root_n, rtol=1e-12)
+    est2 = dl.estimate_correlation(samples, 2, bins, pairs=[(0, 1), (2, 2)])
+    per_sample = np.stack([counts[:, 0] * counts[:, 1] / (vols[0] * vols[1]),
+                           counts[:, 2] * (counts[:, 2] - 1) / vols[2] ** 2], axis=1)
+    np.testing.assert_allclose(est2.std_errors,
+                               per_sample.std(axis=0, ddof=1) / root_n, rtol=1e-12)
+
+
 def test_empty_batch_rejected():
     with pytest.raises(ValueError):
         dl.estimate_correlation([], 1, [(-1, 1)])
@@ -152,6 +169,23 @@ def test_sobol_terms_match_direct_determinants(family, params, n_ill):
             direct = (-1) ** k / factorial(k) * sobol_det_oracle(kernel, x, y, 2.0 ** k)
             assert abs(t - direct) < 1e-15 * 2.0 ** k / factorial(k), (k, x, t, direct)
             assert ev.term([x], k)[0][0] == t
+
+
+def test_elementary_symmetric_tail_sums_the_polynomial_coefficients():
+    # prod_i (z + lam_i) = sum_k e_k(lam) z^(12 - k)
+    lam = np.random.default_rng(11).uniform(0.0, 1.0, 12)
+    e = np.poly(-lam)
+    for k_max in range(14):
+        assert _elementary_symmetric_tail(lam, k_max) == pytest.approx(e[k_max + 1:].sum(),
+                                                                      rel=1e-12, abs=0)
+
+
+def test_remainder_is_the_symmetric_function_tail(product_lip_decomp, product_lip_kernel):
+    ev = dl.SeriesEvaluator(product_lip_decomp, k_max=4)
+    tail = _elementary_symmetric_tail(product_lip_decomp.eigenvalues, 4)
+    assert tail > 0
+    for x in [(), (0.3,), (-0.5, 0.2), (0.1, 0.1)]:
+        assert ev.remainder_bound(x) == max(dl.rho_det(product_lip_kernel, x), 0.0) * tail
 
 
 @pytest.mark.parametrize("qmc_points", [0, 1, 1000, 3 << 17])
