@@ -46,7 +46,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import IntegrationFailureError, SingularConfigurationError
 from .rng import RngStream
-from .sampler import DppSampler, lambda_n, sample_log_gas_batch
+from .sampler import _DPP_BLOCK, DppSampler, lambda_n, sample_log_gas_batch
 from .spectral import SpectralDecomposition
 from .statistics import palm_integrals
 
@@ -348,18 +348,20 @@ class PairDriftTable:
 
 def conditioned_pair_initials(sampler: DppSampler, n_paths: int,
                               rng: RngStream) -> np.ndarray:
-    """Equilibrium samples conditioned on exactly two points; attempt i
-    draws from stream rng.stream_id + i, for at most _MAX_PAIR_TRIES
-    attempts per path."""
+    """Equilibrium samples conditioned on exactly two points: the first
+    n_paths two-point draws among streams rng.stream_id + i, drawn in the
+    sampler's lockstep blocks, for at most _MAX_PAIR_TRIES attempts per path."""
     out = np.empty((n_paths, 2))
     got = 0
-    for i in range(_MAX_PAIR_TRIES * n_paths):
-        cfg = sampler.sample(RngStream(rng.seed, rng.stream_id + i))
-        if cfg.count == 2:
-            out[got] = cfg.points
-            got += 1
-            if got == n_paths:
-                return out
+    tries = _MAX_PAIR_TRIES * n_paths
+    for s in range(0, tries, _DPP_BLOCK):
+        for cfg in sampler.sample_batch(rng.seed, min(_DPP_BLOCK, tries - s),
+                                        base_stream=rng.stream_id + s):
+            if cfg.count == 2:
+                out[got] = cfg.points
+                got += 1
+                if got == n_paths:
+                    return out
     raise IntegrationFailureError("could not draw enough two-point configurations")
 
 

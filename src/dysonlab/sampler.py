@@ -6,7 +6,10 @@ eigenfunction independently with probability lambda_i, then place as many
 points as survived by sequentially sampling the retained frame's diagonal
 and projecting the frame orthogonally to the evaluation at each placed
 point.  Point counts are therefore an exact Bernoulli(lambda_i) sum by
-construction.
+construction.  DppSampler places a block of up to _DPP_BLOCK streams in
+lockstep, one step per point for all streams that kept the same number of
+eigenfunctions, and each draw is bit-identical to the draw of its stream
+alone (the one-at-a-time form is the oracle in tests/oracles.py).
 
 The log-gas sampler realizes the quadratic-confinement ensemble
 
@@ -38,8 +41,7 @@ import numpy as np
 
 from .errors import SamplingError
 from .rng import RngStream, stream_generators
-from .spectral import (RETAIN_CUTOFF, SpectralDecomposition, _extension,
-                       eigenfunction_values)
+from .spectral import SpectralDecomposition, _extension, eigenfunction_values
 
 log = logging.getLogger(__name__)
 
@@ -47,6 +49,9 @@ _ZERO_DENSITY = 1e-12
 _MAX_POINT_RETRIES = 100
 # log-gas draws per block: bounds memory whatever n_samples is
 _LOG_GAS_BLOCK = 4096
+# DPP draws placed in lockstep per block: each holds an (m, k) frame, about
+# 50 KB on the sine field at 256 nodes, so this bounds memory
+_DPP_BLOCK = 64
 # DPP placement grid: this many points per quadrature node, and at least _MIN_FINE
 _FINE_PER_NODE, _MIN_FINE = 4, 1024
 
@@ -107,6 +112,17 @@ class DppSampler:
     CDF of the trapezoid mass with a linear correction inside the selected
     cell.  Projection updates use exact eigenfunction values at the chosen
     point, so only the placement density is interpolated.
+
+    Draws are made in lockstep blocks of up to _DPP_BLOCK streams.  Each
+    stream keeps its own generator and draws its uniforms in the order a
+    lone draw would: the Bernoulli stage, then one per placement attempt.
+    Streams that kept the same number k of eigenfunctions are then placed
+    together, in k steps whose density, CDF, extension and projection work
+    runs on stacked arrays, item by item with the products a lone draw
+    makes.  So every draw is bit-identical to a lone draw of its stream,
+    whatever block it shares.  The rare paths (an extra uniform in a flat
+    cell, a retry after a zero projected density, the redraw of a tie on
+    the stream's child(1)) stay with the stream that takes them.
     """
 
     def __init__(self, decomp: SpectralDecomposition):
@@ -118,69 +134,117 @@ class DppSampler:
         self._extend = _extension(decomp)[0]  # for each placed point
         self.lam = decomp.eigenvalues
 
-    def _place(self, density, gen):
-        seg = 0.5 * (density[:-1] + density[1:]) * self.dx
-        total = seg.sum()
-        if total <= 0.0:
+    def sample(self, rng: RngStream) -> Configuration:
+        """One draw on stream ``rng``: a block of one."""
+        return self._draw([rng])[0]
+
+    def sample_batch(self, seed: int, n_samples: int,
+                     base_stream: int = 0) -> list[Configuration]:
+        """n_samples draws on streams base_stream + i, in lockstep blocks of
+        _DPP_BLOCK, so memory is bounded whatever n_samples is."""
+        out: list[Configuration] = []
+        for s in range(0, n_samples, _DPP_BLOCK):
+            e = min(s + _DPP_BLOCK, n_samples)
+            out += self._draw([RngStream(seed, base_stream + i) for i in range(s, e)])
+        return out
+
+    def _draw(self, rngs: list[RngStream]) -> list[Configuration]:
+        gens = [rng.generator() for rng in rngs]
+        u = np.array([gen.random(self.lam.size) for gen in gens])
+        keep = u[:, self.kept] < self.lam[self.kept]      # (n, n_kept): the Bernoulli stage
+        counts = np.count_nonzero(keep, axis=1)
+        out: list = [None] * len(rngs)
+        for k in np.unique(counts):
+            group = np.flatnonzero(counts == k)
+            cols = np.nonzero(keep[group])[1].reshape(group.size, k)
+            pts = np.sort(self._place_group(cols, [gens[i] for i in group]), axis=1)
+            # ties have probability zero; a draw with one is redrawn whole
+            tied = np.any(np.diff(pts, axis=1) <= 0.0, axis=1)
+            for i, p, tie in zip(group, pts, tied):
+                if tie:
+                    log.warning("tie in sampled configuration, resampling")
+                    out[i] = self._draw([rngs[i].child(1)])[0]
+                else:
+                    out[i] = Configuration(p, self.decomp.window)
+        return out
+
+    def _place_group(self, cols: np.ndarray, gens: list) -> np.ndarray:
+        """(G, k) points of G draws that each retained k eigenfunctions,
+        columns cols (G, k) of ext, placed in k lockstep steps."""
+        g, k = cols.shape
+        # each item laid out as ext[:, cols] lays it out, m contiguous: the
+        # density update's gemv sums in the order of that layout
+        frame = self.ext.T[cols].transpose(0, 2, 1)           # (G, m, k)
+        density = np.zeros((g, frame.shape[1]))
+        # column by column, the order np.sum takes over this layout, and no
+        # (G, m, k) temporary
+        for j in range(k):
+            density += frame[:, :, j] * frame[:, :, j]
+        basis = np.empty((g, k, k))
+        pts = np.empty((g, k))
+        for j in range(k):
+            x, v, norm2 = self._attempt(density, cols, basis[:, :j], gens)
+            retry = np.flatnonzero(norm2 < _ZERO_DENSITY)
+            for _ in range(_MAX_POINT_RETRIES):
+                if retry.size == 0:
+                    break
+                x[retry], v[retry], norm2[retry] = self._attempt(
+                    density[retry], cols[retry], basis[retry, :j], [gens[i] for i in retry])
+                retry = retry[norm2[retry] < _ZERO_DENSITY]
+            if retry.size:
+                raise SamplingError("projection step kept producing zero density")
+            pts[:, j] = x
+            e_new = v / np.sqrt(norm2)[:, None]
+            basis[:, j] = e_new
+            drop = (frame @ e_new[:, :, None])[:, :, 0]
+            density -= drop * drop
+            np.maximum(density, 0.0, out=density)
+        return pts
+
+    def _attempt(self, density, cols, basis, gens):
+        """One placement per row: the points x (G,), their retained
+        eigenfunction values projected off the rows of basis (G, j, k), and
+        the squared norms of those projections."""
+        x = self._place(density, gens)
+        v = self._extend(x[:, None])[:, 0][np.arange(x.size)[:, None], cols]
+        for i in range(basis.shape[1]):
+            e = basis[:, i]
+            v = v - (e[:, None] @ v[:, :, None])[:, 0] * e
+        return x, v, (v[:, None] @ v[:, :, None])[:, 0, 0]
+
+    def _place(self, density: np.ndarray, gens: list) -> np.ndarray:
+        """One point per row of density (G, m), drawn by gens[i] for row i."""
+        seg = density[:, :-1] + density[:, 1:]
+        seg *= 0.5
+        seg *= self.dx
+        total = seg.sum(axis=1)
+        if np.any(total <= 0.0):
             raise SamplingError("projected density vanished on the whole window")
-        cdf = np.cumsum(seg)
-        u = gen.random() * total
-        s = int(np.searchsorted(cdf, u))
-        s = min(s, seg.size - 1)
-        target = u - (cdf[s - 1] if s > 0 else 0.0)
-        d0, d1 = density[s], density[s + 1]
+        cdf = np.cumsum(seg, axis=1)
+        u = np.array([gen.random() for gen in gens]) * total
+        rows = np.arange(len(gens))
+        # the first cell whose cumulative mass reaches u, as searchsorted finds it
+        s = np.minimum(np.count_nonzero(cdf < u[:, None], axis=1), seg.shape[1] - 1)
+        target = u - np.where(s > 0, cdf[rows, s - 1], 0.0)
+        d0, d1 = density[rows, s], density[rows, s + 1]
         aq = 0.5 * (d1 - d0)
         c = target / self.dx
-        if abs(aq) < 1e-14 * max(d0, 1e-300):
-            xi = c / d0 if d0 > 0 else gen.random()
-        else:
-            disc = max(d0 * d0 + 4.0 * aq * c, 0.0)
-            xi = (-d0 + np.sqrt(disc)) / (2.0 * aq)
-        xi = min(max(xi, 0.0), 1.0)
+        flat = np.abs(aq) < 1e-14 * np.maximum(d0, 1e-300)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            disc = np.maximum(d0 * d0 + 4.0 * aq * c, 0.0)
+            xi = np.where(flat, c / d0, (-d0 + np.sqrt(disc)) / (2.0 * aq))
+        for i in np.flatnonzero(flat & ~(d0 > 0)):
+            xi[i] = gens[i].random()
+        xi = np.minimum(np.maximum(xi, 0.0), 1.0)
         return self.grid[s] + xi * self.dx
-
-    def sample(self, rng: RngStream) -> Configuration:
-        gen = rng.generator()
-        u = gen.random(self.lam.size)
-        retained = np.flatnonzero((u < self.lam) & (self.lam > RETAIN_CUTOFF))
-        k = retained.size
-        if k == 0:
-            return Configuration(np.empty(0), self.decomp.window)
-
-        cols = np.searchsorted(self.kept, retained)
-        frame = self.ext[:, cols]                      # (m, k) retained eigenfunctions
-        density = np.maximum(np.sum(frame * frame, axis=1), 0.0)
-        basis: list[np.ndarray] = []
-        pts = np.empty(k)
-        for j in range(k):
-            for attempt in range(_MAX_POINT_RETRIES + 1):
-                x = self._place(density, gen)
-                v = self._extend(np.array([x]))[0, cols]
-                for e in basis:
-                    v = v - np.dot(e, v) * e
-                norm2 = float(np.dot(v, v))
-                if norm2 >= _ZERO_DENSITY:
-                    break
-            else:
-                raise SamplingError("projection step kept producing zero density")
-            e_new = v / np.sqrt(norm2)
-            basis.append(e_new)
-            pts[j] = x
-            density = np.maximum(density - (frame @ e_new) ** 2, 0.0)
-
-        pts.sort()
-        if k >= 2 and np.min(np.diff(pts)) <= 0.0:
-            # ties have probability zero; redraw the whole configuration
-            log.warning("tie in sampled configuration, resampling")
-            return self.sample(rng.child(1))
-        return Configuration(pts, self.decomp.window)
 
 
 def sample_dpp_batch(decomp: SpectralDecomposition, seed: int, n_samples: int,
                      base_stream: int = 0) -> list[Configuration]:
-    """n_samples independent draws on streams base_stream + i."""
-    sampler = DppSampler(decomp)
-    return [sampler.sample(RngStream(seed, base_stream + i)) for i in range(n_samples)]
+    """n_samples independent draws on streams base_stream + i, placed in
+    lockstep blocks (DppSampler.sample_batch); each draw is bit-identical to
+    DppSampler.sample on its stream."""
+    return DppSampler(decomp).sample_batch(seed, n_samples, base_stream)
 
 
 def lambda_n(n: int, rho_bar: float) -> float:

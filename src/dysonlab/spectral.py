@@ -96,15 +96,18 @@ def nystrom_decompose(kernel, window, n_nodes: int,
 
 
 def _extension(decomp: SpectralDecomposition):
-    """(extend, kept): extend(x) is the Nystrom extension at the 1-d array x
-    of the eigenfunctions with lambda > RETAIN_CUTOFF, whose index array into
-    decomp.eigenvalues is kept.  Their eigenvector block is copied here, once,
-    as the fancy index lays it out; a different layout changes the sums."""
+    """(extend, kept): extend(x) is the Nystrom extension at the array x of
+    the eigenfunctions with lambda > RETAIN_CUTOFF, whose index array into
+    decomp.eigenvalues is kept; it has shape x.shape + (n_kept,).  Leading
+    axes of x are a stack, each item multiplied by the eigenvector block on
+    its own: an (r, 1) x gives each point the product a lone point gets.
+    The block is copied here, once, as the fancy index lays it out; a
+    different layout changes the sums."""
     kept = np.flatnonzero(decomp.eigenvalues > RETAIN_CUTOFF)
     block, lam = decomp.eigenvectors[:, kept], decomp.eigenvalues[kept]
 
     def extend(x):
-        rows = decomp.kernel.eval(x[:, None], decomp.nodes[None, :]) * decomp.weights
+        rows = decomp.kernel.eval(x[..., None], decomp.nodes) * decomp.weights
         return rows @ block / lam
     return extend, kept
 

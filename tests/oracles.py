@@ -23,6 +23,12 @@ way, with no Schur complement and no conditioning test.
 The resolvent oracle solves the Nystrom system of L = K + K (Id - K)^-1 K
 directly from the kernel and the quadrature rule, with no eigenvectors.
 
+The DPP draw oracle is the two-stage spectral sampler one draw at a
+time: each stream places its points alone, with scalar inverse-CDF steps
+and one projection at a time.  DppSampler, which places a block of streams
+in lockstep, must match it bit for bit, rare paths and errors included;
+the conditioned-pair oracle is the attempt loop over those lone draws.
+
 The bin-count oracle counts each sample's points in each bin with a
 Python loop.
 
@@ -43,11 +49,13 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.stats import qmc
 
-from dysonlab import (EnsembleRun, HittingStats, RngStream, Trajectory,
-                      integrate_ensemble)
-from dysonlab.dynamics import _MAX_HALVINGS, _stats_from_run
+from dysonlab import (Configuration, EnsembleRun, HittingStats, RngStream, Trajectory,
+                      integrate_ensemble, sampler)
+from dysonlab.dynamics import _MAX_HALVINGS, _MAX_PAIR_TRIES, _stats_from_run
 from dysonlab.errors import (IntegrationFailureError, KernelParameterError,
-                             KernelValidityError, SingularConfigurationError)
+                             KernelValidityError, SamplingError,
+                             SingularConfigurationError)
+from dysonlab.spectral import RETAIN_CUTOFF, _extension
 from dysonlab.statistics import _QMC_SEED, palm_integrals
 
 
@@ -59,6 +67,92 @@ def bin_counts_oracle(samples, bins) -> np.ndarray:
         for b, (lo, hi) in enumerate(bins):
             out[s, b] = sum(1 for x in cfg.points if lo <= x < hi)
     return out
+
+
+def dpp_place_oracle(table, density, gen):
+    """One point from the 1-d density on the table's grid: the trapezoid
+    CDF inverted by searchsorted, then the in-cell quadratic."""
+    seg = 0.5 * (density[:-1] + density[1:]) * table.dx
+    total = seg.sum()
+    if total <= 0.0:
+        raise SamplingError("projected density vanished on the whole window")
+    cdf = np.cumsum(seg)
+    u = gen.random() * total
+    s = int(np.searchsorted(cdf, u))
+    s = min(s, seg.size - 1)
+    target = u - (cdf[s - 1] if s > 0 else 0.0)
+    d0, d1 = density[s], density[s + 1]
+    aq = 0.5 * (d1 - d0)
+    c = target / table.dx
+    if abs(aq) < 1e-14 * max(d0, 1e-300):
+        xi = c / d0 if d0 > 0 else gen.random()
+    else:
+        disc = max(d0 * d0 + 4.0 * aq * c, 0.0)
+        xi = (-d0 + np.sqrt(disc)) / (2.0 * aq)
+    xi = min(max(xi, 0.0), 1.0)
+    return table.grid[s] + xi * table.dx
+
+
+def dpp_sample_oracle(table, rng) -> Configuration:
+    """One draw on stream rng from a DppSampler's tables, placed alone; the
+    retry limit and zero-density threshold are read from dysonlab.sampler
+    at each call, so a test that patches them patches both samplers."""
+    extend = _extension(table.decomp)[0]
+    gen = rng.generator()
+    u = gen.random(table.lam.size)
+    retained = np.flatnonzero((u < table.lam) & (table.lam > RETAIN_CUTOFF))
+    k = retained.size
+    if k == 0:
+        return Configuration(np.empty(0), table.decomp.window)
+
+    cols = np.searchsorted(table.kept, retained)
+    frame = table.ext[:, cols]                      # (m, k) retained eigenfunctions
+    density = np.maximum(np.sum(frame * frame, axis=1), 0.0)
+    basis: list[np.ndarray] = []
+    pts = np.empty(k)
+    for j in range(k):
+        for attempt in range(sampler._MAX_POINT_RETRIES + 1):
+            x = dpp_place_oracle(table, density, gen)
+            v = extend(np.array([x]))[0, cols]
+            for e in basis:
+                v = v - np.dot(e, v) * e
+            norm2 = float(np.dot(v, v))
+            if norm2 >= sampler._ZERO_DENSITY:
+                break
+        else:
+            raise SamplingError("projection step kept producing zero density")
+        e_new = v / np.sqrt(norm2)
+        basis.append(e_new)
+        pts[j] = x
+        density = np.maximum(density - (frame @ e_new) ** 2, 0.0)
+
+    pts.sort()
+    if k >= 2 and np.min(np.diff(pts)) <= 0.0:
+        # ties have probability zero; redraw the whole configuration
+        sampler.log.warning("tie in sampled configuration, resampling")
+        return dpp_sample_oracle(table, rng.child(1))
+    return Configuration(pts, table.decomp.window)
+
+
+def dpp_batch_oracle(table, seed, n_samples, base_stream=0) -> list[Configuration]:
+    """n_samples lone draws on streams base_stream + i."""
+    return [dpp_sample_oracle(table, RngStream(seed, base_stream + i))
+            for i in range(n_samples)]
+
+
+def conditioned_pair_initials_oracle(table, n_paths, rng) -> np.ndarray:
+    """The first n_paths two-point draws among streams rng.stream_id + i,
+    one lone draw at a time, for at most _MAX_PAIR_TRIES attempts per path."""
+    out = np.empty((n_paths, 2))
+    got = 0
+    for i in range(_MAX_PAIR_TRIES * n_paths):
+        cfg = dpp_sample_oracle(table, RngStream(rng.seed, rng.stream_id + i))
+        if cfg.count == 2:
+            out[got] = cfg.points
+            got += 1
+            if got == n_paths:
+                return out
+    raise IntegrationFailureError("could not draw enough two-point configurations")
 
 
 def loggas_energy(points, lam: float) -> float:

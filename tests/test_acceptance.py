@@ -122,9 +122,7 @@ def test_criterion_3_density_oracle_equivalence(product_half_decomp,
         # void probability against the empty-sample fraction
         det = dl.fredholm_det(decomp)
         n = 6_000
-        sampler = dl.DppSampler(decomp)
-        empty = sum(sampler.sample(RngStream(99_100, i)).count == 0
-                    for i in range(n))
+        empty = sum(c.count == 0 for c in dl.sample_dpp_batch(decomp, 99_100, n))
         se = np.sqrt(det * (1 - det) / n)
         assert abs(empty / n - det) <= 3 * se, (label, empty / n, det)
     elapsed = time.time() - t0

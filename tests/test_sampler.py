@@ -1,5 +1,7 @@
+import logging
 import os
 import pickle
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -9,8 +11,10 @@ from scipy import stats
 import dysonlab as dl
 from dysonlab import RngStream, rng
 
+import oracles
 from conftest import InlinePool, synthetic_rank1_decomposition, phi_of
-from oracles import check_density_matches_energy, metropolis_pair_sample
+from oracles import (check_density_matches_energy, conditioned_pair_initials_oracle,
+                     dpp_batch_oracle, dpp_place_oracle, metropolis_pair_sample)
 
 
 def test_stream_determinism():
@@ -42,16 +46,15 @@ def test_zero_kernel_always_empty(zero_decomp):
 
 
 def test_rank1_projection_exactly_one_point():
-    sampler = dl.DppSampler(synthetic_rank1_decomposition(eigenvalue=1.0))
-    counts = {sampler.sample(RngStream(9, i)).count for i in range(200)}
+    draws = dl.sample_dpp_batch(synthetic_rank1_decomposition(eigenvalue=1.0), 9, 200)
+    counts = {c.count for c in draws}
     assert counts == {1}
 
 
 def test_rank1_projection_histogram():
     d = synthetic_rank1_decomposition(eigenvalue=1.0)
     phi = phi_of(d)
-    sampler = dl.DppSampler(d)
-    pts = np.array([sampler.sample(RngStream(42, i)).points[0] for i in range(10_000)])
+    pts = np.array([c.points[0] for c in dl.sample_dpp_batch(d, 42, 10_000)])
     edges = np.linspace(-2.2, 2.2, 13)
     observed, _ = np.histogram(pts, bins=edges)
     fine = np.linspace(-3, 3, 4001)
@@ -293,3 +296,131 @@ def test_bessel_draws_on_a_window_from_zero():
     draws = [sampler.sample(RngStream(4, i)) for i in range(30)]
     assert all(np.all((c.points >= 0.0) & (c.points <= 6.0)) for c in draws)
     assert sum(c.count for c in draws) > 0
+
+
+# three blocks and part of a fourth, on streams from a nonzero base
+N_ORACLE, BASE_ORACLE = 3 * dl.sampler._DPP_BLOCK + 37, 1_000
+
+
+def _same_draws(a, b) -> bool:
+    return len(a) == len(b) and all(np.array_equal(x.points, y.points)
+                                    and x.window == y.window for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("decomp", ["sine_decomp", "product_half_dyn_decomp", "bessel",
+                                    "zero_decomp", "rank1"])
+def test_lockstep_draws_match_the_lone_draw_oracle(request, decomp):
+    if decomp == "bessel":   # on a window from 0, where the grid meets the kernel's limits
+        d = dl.nystrom_decompose(dl.construct_kernel("bessel", order=0.5), (0.0, 6.0), 128)
+    elif decomp == "rank1":
+        d = synthetic_rank1_decomposition(eigenvalue=1.0)
+    else:
+        d = request.getfixturevalue(decomp)
+    table = dl.DppSampler(d)
+    draws = dl.sample_dpp_batch(d, 17, N_ORACLE, base_stream=BASE_ORACLE)
+    assert _same_draws(draws, dpp_batch_oracle(table, 17, N_ORACLE, BASE_ORACLE))
+    for i in (0, dl.sampler._DPP_BLOCK - 1, dl.sampler._DPP_BLOCK, N_ORACLE - 1):
+        rng = RngStream(17, BASE_ORACLE + i)
+        assert _same_draws([table.sample(rng)], [draws[i]])
+
+
+def test_conditioned_pairs_match_the_lone_draw_loop(product_half_dyn_decomp):
+    table = dl.DppSampler(product_half_dyn_decomp)
+    rng = RngStream(23, 5 << 32)
+    assert np.array_equal(dl.conditioned_pair_initials(table, 150, rng),
+                          conditioned_pair_initials_oracle(table, 150, rng))
+    # one point in every draw: both give up after _MAX_PAIR_TRIES draws
+    rank1 = dl.DppSampler(synthetic_rank1_decomposition(eigenvalue=1.0))
+    for fn in (dl.conditioned_pair_initials, conditioned_pair_initials_oracle):
+        with pytest.raises(dl.IntegrationFailureError):
+            fn(rank1, 1, rng)
+
+
+def test_retries_match_the_oracle(monkeypatch, sine_decomp):
+    # a zero-density threshold near typical projected norms forces retries
+    monkeypatch.setattr(dl.sampler, "_ZERO_DENSITY", 0.3)
+    table = dl.DppSampler(sine_decomp)
+    placed = []
+    place = dl.DppSampler._place
+    monkeypatch.setattr(dl.DppSampler, "_place",
+                        lambda self, d, gens: placed.append(len(gens)) or place(self, d, gens))
+    draws = table.sample_batch(3, 100, base_stream=7)
+    assert sum(placed) > sum(c.count for c in draws)
+    assert _same_draws(draws, dpp_batch_oracle(table, 3, 100, 7))
+
+
+def test_ties_are_redrawn_as_the_oracle_redraws_them(monkeypatch, caplog, sine_decomp):
+    # points snapped to a half-unit grid tie; a zero projected norm still retries
+    monkeypatch.setattr(dl.sampler, "_ZERO_DENSITY", 1e-300)
+    place, place_oracle = dl.DppSampler._place, oracles.dpp_place_oracle
+    monkeypatch.setattr(dl.DppSampler, "_place",
+                        lambda self, d, gens: np.round(place(self, d, gens) * 2) / 2)
+    monkeypatch.setattr(oracles, "dpp_place_oracle",
+                        lambda table, d, gen: np.round(place_oracle(table, d, gen) * 2) / 2)
+    table = dl.DppSampler(sine_decomp)
+    with caplog.at_level(logging.WARNING, logger=dl.sampler.log.name):
+        draws = table.sample_batch(3, 100, base_stream=7)
+        ties = len(caplog.records)
+        expected = dpp_batch_oracle(table, 3, 100, 7)
+    assert ties > 0 and len(caplog.records) == 2 * ties
+    assert all("tie" in r.getMessage() for r in caplog.records)
+    assert _same_draws(draws, expected)
+
+
+@pytest.mark.parametrize("threshold, vanish, message", [
+    (np.inf, False, "kept producing zero density"),
+    (dl.sampler._ZERO_DENSITY, True, "density vanished")])
+def test_sampling_errors_match_the_oracle(monkeypatch, sine_decomp, threshold, vanish,
+                                          message):
+    monkeypatch.setattr(dl.sampler, "_ZERO_DENSITY", threshold)
+    table = dl.DppSampler(sine_decomp)
+    if vanish:
+        table.ext = np.zeros_like(table.ext)
+    with pytest.raises(dl.SamplingError, match=message):
+        table.sample_batch(3, 100)
+    with pytest.raises(dl.SamplingError, match=message):
+        dpp_batch_oracle(table, 3, 100)
+
+
+class _Uniforms:
+    """Stands in for a generator: random() returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def test_flat_cells_place_as_the_oracle_places(sine_decomp):
+    table = dl.DppSampler(sine_decomp)
+    m = table.grid.size
+    rising = np.linspace(0.0, 1.0, m) ** 2
+    right_zero = np.where(np.arange(m) < m // 2, 1.0, 0.0)
+    density = np.stack([np.ones(m), right_zero, rising])
+    # a constant row is flat with d0 > 0; past the last cell of the row whose
+    # right half is zero, the flat cell has d0 = 0 and takes a second uniform
+    values = [(0.3,), (2.0, 0.25), (0.6,)]
+    gens = [_Uniforms(*v) for v in values]
+    x = table._place(density, gens)
+    for row, v, gen, xi in zip(density, values, gens, x):
+        oracle_gen = _Uniforms(*v)
+        assert xi == dpp_place_oracle(table, row, oracle_gen)
+        assert gen.values == oracle_gen.values == []
+    assert x[1] == table.grid[m - 2] + 0.25 * table.dx
+
+
+def test_lockstep_memory_does_not_grow_by_blocks(sine_decomp):
+    # blocks are placed one after another, so four hold no more frames at a
+    # time than one; what varies is the largest group of equal counts
+    table = dl.DppSampler(sine_decomp)
+
+    def peak(n_blocks):
+        tracemalloc.start()
+        try:
+            table.sample_batch(5, n_blocks * dl.sampler._DPP_BLOCK)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    frames = dl.sampler._DPP_BLOCK * table.grid.size * 8 * sine_decomp.eigenvalues.sum()
+    assert peak(4) - peak(1) < frames

@@ -287,8 +287,7 @@ def test_resolution_term_covers_node_count_error(product_half_decomp,
 def test_void_probability_matches_sampling(product_lip_decomp):
     det = dl.fredholm_det(product_lip_decomp)
     n = 3000
-    sampler = dl.DppSampler(product_lip_decomp)
-    empty = sum(sampler.sample(RngStream(55, i)).count == 0 for i in range(n))
+    empty = sum(c.count == 0 for c in dl.sample_dpp_batch(product_lip_decomp, 55, n))
     frac = empty / n
     se = np.sqrt(det * (1 - det) / n)
     assert abs(frac - det) <= 3 * se
@@ -296,8 +295,7 @@ def test_void_probability_matches_sampling(product_lip_decomp):
 
 def test_count_sum_identity(product_lip_decomp):
     lam = product_lip_decomp.eigenvalues
-    sampler = dl.DppSampler(product_lip_decomp)
-    counts = np.array([sampler.sample(RngStream(56, i)).count for i in range(3000)])
+    counts = np.array([c.count for c in dl.sample_dpp_batch(product_lip_decomp, 56, 3000)])
     se = counts.std(ddof=1) / np.sqrt(counts.size)
     assert abs(counts.mean() - lam.sum()) <= 3 * se
 
