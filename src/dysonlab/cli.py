@@ -4,10 +4,10 @@ One JSON config file describes one experiment; the only flags are
 --config, --seed (override) and --out (override).  Every config value is
 checked against its row in `_TOP` or `_EXPERIMENTS` before any output.  Each
 runner returns its files' text; `run` writes them, then a manifest echoing
-the config, the seed, library versions, wall time and each file's size and
-sha256.  Every file's name, text format and write live in this module.
-Replicas are keyed by stream id, so a fixed config+seed reproduces
-byte-identical numeric artifacts on any worker-pool size.
+the config, the seed, library versions, BLAS thread variables, wall time and
+each file's size and sha256.  Every file's name, text format and write live
+in this module.  Replicas are keyed by stream id, so a fixed config+seed
+reproduces byte-identical numeric artifacts on any worker-pool size.
 
 Exit codes: 0 success, 2 config error, 3 numerical validation failure,
 4 inconclusive probe.
@@ -604,7 +604,9 @@ def run(cfg: ExperimentConfig, out_dir=None) -> int:
                    for key in ("experiment", "seed", "kernel", "window", "params", "workers")},
         "seed": cfg.seed,
         "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
-                     "scipy": scipy.__version__, "dyson_lab": __version__},
+                     "scipy": scipy.__version__, "dyson_lab": __version__,
+                     **{v: os.environ.get(v) for v in
+                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}},
         "wall_time_s": time.time() - t0,
         "artifacts": artifacts,
         "exit_code": code,

@@ -9,7 +9,7 @@ It integrates two drift fields:
   quadratic-confinement ensemble density, for one configuration or a stack;
 * the gradient field half * grad log sigma_2 of a windowed determinantal
   density in the two-point sector, interpolated from a PairDriftTable of
-  the series-route density.  The caller builds one table per
+  log det L (spectral.l_matrix).  The caller builds one table per
   decomposition and passes it to every probe on it.
 
 The step rule is dt = min(dt_max, c_dt * g_min^2) with g_min the current
@@ -42,13 +42,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import IntegrationFailureError, SingularConfigurationError
 from .rng import RngStream
 from .sampler import _DPP_BLOCK, DppSampler, lambda_n, sample_log_gas_batch
-from .spectral import SpectralDecomposition
-from .statistics import palm_integrals
+from .spectral import SpectralDecomposition, l_matrix, nystrom_decompose
 
 _MAX_HALVINGS = 20
 # two-point draws allowed per conditioned initial pair
@@ -57,7 +55,7 @@ _MAX_PAIR_TRIES = 400
 _Z95 = 1.959963984540054
 # PairDriftTable grid: log-spaced gaps from _TABLE_G_MIN to 2.2 window
 # lengths, sums spanning the window widened by 1 on each side, and the
-# Gauss rule of the series integrals
+# node count of the table's own decomposition
 _TABLE_G_MIN, _TABLE_N_G, _TABLE_N_S, _TABLE_N_QUAD = 1e-5, 240, 161, 48
 
 
@@ -294,27 +292,24 @@ class PairDriftTable:
     """Gradient drift of a two-particle windowed density on a
     (log gap) x (sum) grid with bilinear interpolation.
 
-    The tabulated density is the series route truncated after k = 2, in
-    closed form (palm_integrals) on a 48-node Gauss rule over the window;
-    tabulating d log sigma / d log g keeps relative accuracy uniform down
-    to tiny gaps, where the drift behaves like a/(2 g).
+    u = log det L(x1, x2) is tabulated from spectral.l_matrix on a 48-node
+    decomposition of the same kernel and window: log sigma_2 less the
+    constant log det(Id - K).  L uses K(x1, x2) itself, so it resolves the
+    cusp below the node spacing; tabulating du / d log g keeps relative
+    accuracy uniform down to tiny gaps, where the drift behaves like a/(2 g).
+    An eigenvalue numerically at 1 raises DegenerateProjectionError.
     """
 
     def __init__(self, decomp: SpectralDecomposition):
         a, b = decomp.window
         self.gs = np.geomspace(_TABLE_G_MIN, 2.2 * (b - a), _TABLE_N_G)
         self.ss = np.linspace(2 * a - 1.0, 2 * b + 1.0, _TABLE_N_S)
-        z0, w0 = leggauss(_TABLE_N_QUAD)
-        z = 0.5 * (b - a) * z0 + 0.5 * (b + a)
-        w = 0.5 * (b - a) * w0
-        kernel = decomp.kernel
-        kzz = kernel.eval(z[:, None], z[None, :])
+        rule = nystrom_decompose(decomp.kernel, decomp.window, _TABLE_N_QUAD)
         u = np.empty((self.gs.size, self.ss.size))
         # one gap at a time keeps the (pairs, 2, nodes) blocks small
         for i, g in enumerate(self.gs):
             x = np.stack([(self.ss - g) / 2.0, (self.ss + g) / 2.0], axis=1)
-            rho, int1, int2 = palm_integrals(kernel, x, z, w, kzz)
-            u[i] = np.log(np.maximum(rho - int1 + 0.5 * int2, 1e-300))
+            u[i] = np.log(np.maximum(np.linalg.det(l_matrix(rule, x)), 1e-300))
         du_dlng = np.gradient(u, np.log(self.gs[1] / self.gs[0]), axis=0)
         du_ds = np.gradient(u, self.ss[1] - self.ss[0], axis=1)
         # row i * n_s + j holds (du/ds, du/dlog g) at (gs[i], ss[j]), so the

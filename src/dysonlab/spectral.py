@@ -140,10 +140,12 @@ def fredholm_det(decomp: SpectralDecomposition) -> float:
 
 
 def l_matrix(decomp: SpectralDecomposition, points) -> np.ndarray:
-    """L evaluated on the n x n grid of a point tuple, by the resolvent
-    identity L = K + K (Id - K)^-1 K on the decomposition's rule."""
+    """L evaluated on the n x n grid of a point tuple (n,), or of each tuple
+    of a stack (..., n) as (..., n, n), by the resolvent identity
+    L = K + K (Id - K)^-1 K on the decomposition's rule."""
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     lam = _non_projection_eigenvalues(decomp)
     k = decomp.kernel
-    r = (k.eval(pts[:, None], decomp.nodes[None, :]) * decomp.weights) @ decomp.eigenvectors
-    return k.eval(pts[:, None], pts[None, :]) + (r / (1.0 - lam)) @ r.T
+    r = (k.eval(pts[..., :, None], decomp.nodes) * decomp.weights) @ decomp.eigenvectors
+    return (k.eval(pts[..., :, None], pts[..., None, :])
+            + (r / (1.0 - lam)) @ np.swapaxes(r, -1, -2))

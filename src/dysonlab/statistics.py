@@ -10,10 +10,10 @@ Two independent routes compute the same window densities:
       sigma_n(x) = sum_k (-1)^k / k! * int_{I^k} rho_{n+k}(x, y) dy,
 
   with rho computed as plain kernel determinants.  The k = 1, 2 integrals
-  are closed forms over the decomposition's Gauss nodes (palm_integrals,
-  also behind dynamics.PairDriftTable).  Each k >= 3 integral is one
-  streamed pass over scrambled Sobol points that serves every tuple at
-  once, so no independent cubature is built and no Sobol block is stored.
+  are closed forms over the decomposition's Gauss nodes (palm_integrals).
+  Each k >= 3 integral is one streamed pass over scrambled Sobol points
+  that serves every tuple at once, so no independent cubature is built and
+  no Sobol block is stored.
 
 The reported truncation_bound is a full error budget for the comparison:
 

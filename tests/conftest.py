@@ -1,10 +1,13 @@
 """Shared fixtures. Expensive decompositions and sample batches are
 session-scoped so module tests and the acceptance suite reuse them."""
 
+import os
+import sys
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
+import scipy
 from numpy.polynomial.legendre import leggauss
 
 import dysonlab as dl
@@ -13,7 +16,21 @@ from oracles import fit_gap_exponent
 ACCEPTANCE_LINES: list[str] = []
 
 
+def pytest_report_header(config):
+    """The versions and BLAS thread variables that DPP draws and criteria 6
+    and 7 depend on, at the head of every test log."""
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return [f"python {sys.version.split()[0]}, numpy {np.__version__}, "
+            f"scipy {scipy.__version__}",
+            ", ".join(f"{v}={os.environ.get(v, 'unset')}" for v in blas)]
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    if not terminalreporter.showheader:
+        # -q hides the header, so a log written with -q gets the lines here
+        terminalreporter.section("environment")
+        for line in pytest_report_header(config):
+            terminalreporter.write_line(line)
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:

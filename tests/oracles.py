@@ -21,7 +21,8 @@ oracle averages det K(x u y) over the series route's Sobol points the same
 way, with no Schur complement and no conditioning test.
 
 The resolvent oracle solves the Nystrom system of L = K + K (Id - K)^-1 K
-directly from the kernel and the quadrature rule, with no eigenvectors.
+directly from the kernel and the quadrature rule, with no eigenvectors;
+l_matrix and the log det L behind PairDriftTable are checked against it.
 
 The DPP draw oracle is the two-stage spectral sampler one draw at a
 time: each stream places its points alone, with scalar inverse-CDF steps

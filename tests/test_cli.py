@@ -669,8 +669,43 @@ def test_failed_run_writes_only_its_manifest(tmp_path, monkeypatch):
     assert manifest["summary"] == {"error": "projected density vanished"}
 
 
+def test_distorted_run_on_a_projection_window_stops_before_sampling(tmp_path, monkeypatch):
+    # the sine kernel on [-5, 5] has an eigenvalue numerically at 1, where L
+    # is undefined: the drift table raises before any two-point draw
+    out = tmp_path / "sine"
+    path = write_config(tmp_path, {
+        "experiment": "dynamics", "seed": 3, "kernel": SINE, "window": [-5, 5],
+        "params": {"model": "distorted", "n_nodes": 64, "n_paths": 5, "T": 0.05,
+                   "delta_sweep": [1e-3]}, "output": str(out)})
+
+    def no_draws(*a, **kw):
+        raise AssertionError("conditioned_pair_initials was reached")
+    monkeypatch.setattr(cli, "conditioned_pair_initials", no_draws)
+    assert cli.main(["dynamics", "--config", path]) == 3
+    manifest = assert_manifest_lists_every_file(out)
+    assert manifest["artifacts"] == []
+    error = manifest["summary"]["error"]
+    assert "numerically a projection direction" in error and "\n" not in error
+
+
 SMALL_DYSON = {"experiment": "dynamics", "seed": 5,
                "params": {"model": "dyson", "N": 3, "n_paths": 4, "T": 0.01}}
+
+
+def test_manifest_records_blas_thread_variables(tmp_path, monkeypatch):
+    # DPP draws, criterion 6 and criterion 7's fit move with the BLAS
+    # thread count, so the manifest says which of its variables were set
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    out = tmp_path / "d"
+    path = write_config(tmp_path, dict(SMALL_DYSON, output=str(out)))
+    assert cli.main(["dynamics", "--config", path]) == 0
+    versions = json.loads((out / "manifest.json").read_text())["versions"]
+    assert versions == {"python": versions["python"], "numpy": np.__version__,
+                        "scipy": versions["scipy"], "dyson_lab": dl.__version__,
+                        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                        "MKL_NUM_THREADS": "2"}
 
 
 def test_rerun_removes_files_the_earlier_manifest_lists(tmp_path):

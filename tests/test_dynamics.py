@@ -9,7 +9,7 @@ from dysonlab.errors import IntegrationFailureError, SingularConfigurationError
 from dysonlab.statistics import palm_integrals
 from oracles import (bessel_gap_hit_fraction, gap_dimension_fit, integrate_ensemble_oracle,
                      integrate_sde_oracle, loggas_energy, pair_table_drift_oracle,
-                     series_sigma2_grid_oracle)
+                     resolvent_l_oracle, series_sigma2_grid_oracle)
 
 
 def one_path(points, drift, T, delta, rng, **kw):
@@ -140,12 +140,33 @@ def test_series_sigma2_grid_matches_schur_oracle(product_half_kernel):
     assert np.max(np.abs(fast - slow) / slow) < 1e-11
 
 
-def test_pair_drift_table_matches_direct_series(product_half_dyn_decomp,
-                                                product_half_drift_table):
-    # table interpolation against direct finite differences of the same
-    # series-route density evaluated on the decomposition's full grid
+def test_pair_drift_table_gradients_match_resolvent_oracle(
+        product_half_kernel, product_half_drift_table,
+        product_lip_kernel, product_lip_drift_table):
+    # log det L by one linear solve on the table's own 48-node Gauss rule
+    # (the window is [-1, 1], so the rule needs no map), one gap row at a
+    # time, differenced as the table does; a density a few percent off,
+    # such as the series truncated after k = 2, misses by up to 0.12 here
+    z, w = leggauss(48)
+    for kernel, table in ((product_half_kernel, product_half_drift_table),
+                          (product_lip_kernel, product_lip_drift_table)):
+        n = table.ss.size
+        u = np.empty((table.gs.size, n))
+        for i, g in enumerate(table.gs):
+            x = np.stack([(table.ss - g) / 2, (table.ss + g) / 2], axis=1).ravel()
+            L = resolvent_l_oracle(kernel, z, w, x).reshape(n, 2, n, 2)
+            u[i] = np.log(np.linalg.det(L[np.arange(n), :, np.arange(n), :]))
+        ref = np.stack([np.gradient(u, table.ss[1] - table.ss[0], axis=1).ravel(),
+                        np.gradient(u, np.log(table.gs[1] / table.gs[0]), axis=0).ravel()],
+                       axis=1)
+        assert np.max(np.abs(table.grad - ref) / np.maximum(1.0, np.abs(ref))) < 1e-7
+
+
+def test_pair_drift_table_matches_fredholm_differences(product_half_dyn_decomp,
+                                                       product_half_drift_table):
+    # table interpolation, on its 48-node rule, against direct finite
+    # differences of log sigma_2 on the 400-node decomposition of the run
     table = product_half_drift_table
-    ev = dl.SeriesEvaluator(product_half_dyn_decomp, k_max=2)
     gen = np.random.default_rng(4)
     worst = 0.0
     for _ in range(20):
@@ -153,7 +174,8 @@ def test_pair_drift_table_matches_direct_series(product_half_dyn_decomp,
         s = gen.uniform(-1.0, 1.0)
         x = np.array([(s - g) / 2, (s + g) / 2])
         h = min(1e-3, 0.2 * g)
-        up, dn = sum(ev.term([[x[0], x[1] + h], [x[0], x[1] - h]], k)[0] for k in range(3))
+        up, dn = (dl.sigma_fredholm(product_half_dyn_decomp, [x[0], x[1] + d])
+                  for d in (h, -h))
         direct = 0.5 * (np.log(up) - np.log(dn)) / (2 * h)
         tab = table.drift(x[None, :])[0][1]
         worst = max(worst, abs(tab - direct) / max(2.0, abs(direct)))

@@ -114,6 +114,17 @@ def test_l_matrix_matches_series(product_lip_decomp, product_half_decomp):
         assert L[0, 1] == pytest.approx(L[1, 0], abs=1e-12)
 
 
+def test_stacked_l_matrix_matches_each_tuple(product_half_dyn_decomp):
+    # a stack of tuples (..., n) gives each tuple's own n x n matrix, bit for bit
+    gen = np.random.default_rng(8)
+    for shape in ((161, 2), (4, 5, 3), (1, 1)):
+        pts = gen.uniform(-1.5, 1.5, shape)
+        got = dl.l_matrix(product_half_dyn_decomp, pts)
+        assert got.shape == (*shape, shape[-1])
+        for idx in np.ndindex(shape[:-1]):
+            assert np.array_equal(got[idx], dl.l_matrix(product_half_dyn_decomp, pts[idx]))
+
+
 def test_invalid_kernel_raises_on_decompose():
     grid = np.linspace(-1, 1, 9)
     k = dl.construct_kernel("custom", grid=grid, values=2.0 * np.ones((9, 9)))
