@@ -330,37 +330,39 @@ def _exp_convergence(p) -> tuple[int, dict, dict]:
 
 
 def _exp_dynamics(p) -> tuple[int, dict, dict]:
-    if p.model == "distorted":
+    # delta k runs on stream k << 32; every delta is integrated in one pass
+    rngs = [RngStream(p.seed, k << 32) for k in range(len(p.delta_sweep))]
+    if p.model == "dyson":
+        probes = dyson_collision_probe(p.N, p.n_paths, list(zip(p.delta_sweep, rngs)), p.T,
+                                       rho_bar=p.rho_bar, dt_max=p.dt_max, c_dt=p.c_dt)
+    else:
         # one decomposition, drift table and sampler serve every delta
         decomp = nystrom_decompose(p.kernel, p.window, p.n_nodes)
         table = PairDriftTable(decomp)
         sampler = DppSampler(decomp)
-    results, sde = [], []
-    for k, delta in enumerate(p.delta_sweep):
-        rng = RngStream(p.seed, k << 32)
-        if p.model == "dyson":
-            stats = dyson_collision_probe(p.N, p.n_paths, p.T, delta, rng, rho_bar=p.rho_bar,
-                                          dt_max=p.dt_max, c_dt=p.c_dt)
-        else:
-            initials = conditioned_pair_initials(sampler, p.n_paths, rng)
-            stats = distorted_pair_collision_probe(table, initials, p.T, delta, rng,
-                                                   dt_max=p.dt_max, c_dt=p.c_dt)
-        results.append(hitting_stats_json(stats))
-        sde.append({"delta": delta, **stats.counters})
+        sweep = [(conditioned_pair_initials(sampler, p.n_paths, rng), delta, rng)
+                 for delta, rng in zip(p.delta_sweep, rngs)]
+        probes = distorted_pair_collision_probe(table, sweep, p.T, dt_max=p.dt_max,
+                                                c_dt=p.c_dt)
+    results = [hitting_stats_json(stats) for stats in probes]
+    sde = [{"delta": stats.delta, **stats.counters} for stats in probes]
     files = {"probe.json": _json_text(results)}
     if p.example_trajectory:
         lam = lambda_n(p.N, p.rho_bar)
         init = sample_log_gas(p.N, p.rho_bar, RngStream(p.seed, 1 << 48))
-        example = integrate_ensemble(init.points[None, :], lambda X: dyson_drift(X, lam),
-                                     T=min(p.T, 0.2), delta=0.0,
-                                     rng=RngStream(p.seed, (1 << 48) + 1), record=True)
+        [example] = integrate_ensemble([(init.points[None, :], 0.0,
+                                         RngStream(p.seed, (1 << 48) + 1))],
+                                       lambda X: dyson_drift(X, lam), T=min(p.T, 0.2),
+                                       record=True)
         traj = Trajectory.from_run(example)
         files["trajectory.csv"] = _csv(
             ",".join(["time", *(f"x{i}" for i in range(traj.states.shape[1])), "min_gap"]),
             [list(map(_r, [t, *row, g]))
              for t, row, g in zip(traj.times, traj.states, traj.min_gap_series)])
     return ((4 if any(r["inconclusive"] for r in results) else 0),
-            {"probes": len(results), "sde": sde}, files)
+            # the sweep's lockstep iterations, one drift call each
+            {"probes": len(results), "sde": sde,
+             "drift_calls": max(r["iterations"] for r in sde)}, files)
 
 
 def _exp_capacity(p) -> tuple[int, dict, dict]:

@@ -1,8 +1,9 @@
 """Interacting-particle stochastic dynamics and collision statistics.
 
-One adaptive Euler-Maruyama engine, integrate_ensemble, advances every
-path set in lockstep; a single recorded trajectory is an ensemble of one.
-It integrates two drift fields:
+One adaptive Euler-Maruyama engine, integrate_ensemble, advances a sweep
+of jobs, each an initial path set with its own delta and noise stream, in
+one lockstep loop; a single recorded trajectory is a sweep of one job of
+one path.  It integrates two drift fields:
 
 * the log-gas field dyson_drift, component i = sum_{j != i} 1/(x_i - x_j)
   - lam * x_i, which is half the gradient of the log of the
@@ -17,16 +18,18 @@ minimum gap; a proposal that breaks the strict ordering is rejected and
 retried with dt/2 (at most 20 halvings, after which the path is counted as
 an integration failure).  Paths are independent jobs keyed by stream id.
 
-An iteration makes one drift call on the active paths and one normal draw
-of shape (active, n) in path order, plus one draw per halving round for
-the crossed paths.  The active set stays compact between iterations: its
-states, times and minimum gaps live from one step to the next and are
-written back and compressed only when a path stops (or on every step when
-recording), so an iteration costs a fixed few dozen numpy calls on arrays
-of the active set's size.  That fixed cost, not the arithmetic, is the
-engine's time when a few dozen paths remain.  Every draw and every float
-equals that of the plain form that re-gathers the active set from the
-full state on each iteration.
+An iteration makes one drift call on the active paths of every job and,
+per job with active paths, one normal draw of shape (active, n) in path
+order, plus one such draw per halving round for the crossed paths.  The
+active set stays compact between iterations: its states, times, minimum
+gaps and deltas live from one step to the next and are written back and
+compressed only when a path stops (or on every step when recording), so
+an iteration costs a fixed few dozen numpy calls on arrays of the active
+set's size.  That fixed cost, not the arithmetic, is the engine's time
+when a few dozen paths remain, and a sweep pays it once for all of its
+deltas.  Every draw and every float of a job equals that of a lone run
+of it in the plain form that re-gathers the active set from the full
+state on each iteration.
 
 A "hit" means the minimum gap dropped to the threshold delta, the
 computational stand-in for a collision.  For a two-particle system with
@@ -80,7 +83,7 @@ def dyson_drift(points, lam: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class EnsembleRun(NamedTuple):
-    """Per-path outcome of integrate_ensemble."""
+    """Per-path outcome of one job of integrate_ensemble."""
 
     hit: np.ndarray          # (n_paths,) bool
     failed: np.ndarray       # (n_paths,) bool: step halvings exhausted
@@ -88,69 +91,86 @@ class EnsembleRun(NamedTuple):
     final: np.ndarray        # (n_paths, n) states at the end
     rejections: np.ndarray   # (n_paths,) proposals rejected for crossing
     steps: np.ndarray        # (n_paths,) iterations the path was active in
-    iterations: int          # lockstep iterations, one drift call each
-    frames: list | None      # [(t, X)] at the start and after each iteration
+    iterations: int          # the last lockstep iteration with an active path
+    frames: list | None      # [(t, X)] at the start and after each of its iterations
 
 
 def _min_gaps(Y: np.ndarray) -> np.ndarray:
     """Minimum gap of each sorted row of Y (at least two columns)."""
-    return (Y[:, 1:] - Y[:, :-1]).min(axis=1)
+    d = Y[:, 1:] - Y[:, :-1]
+    return d[:, 0] if d.shape[1] == 1 else d.min(axis=1)
 
 
-def integrate_ensemble(initials, drift, T: float, delta: float, rng: RngStream,
-                       dt_max: float = 1e-3, c_dt: float = 2e-3,
-                       record: bool = False) -> EnsembleRun:
-    """Adaptive Euler-Maruyama paths of dX = drift(X) dt + dB, all
-    advanced in lockstep with per-path steps.
+def _normals(gens: list, counts: np.ndarray, n: int) -> np.ndarray:
+    """(sum(counts), n) standard normals, counts[j] rows from gens[j] in
+    job order; jobs with no rows draw nothing."""
+    parts = [gen.normal(size=(c, n)) for gen, c in zip(gens, counts) if c]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    ``initials`` is (n_paths, n) with strictly increasing rows and
-    ``drift`` maps an (m, n) stack of states to its (m, n) drift.  A path
-    stops at T, at its first hit of a minimum gap <= delta (delta = 0
-    disables hit detection), or when 20 halvings of its step cannot keep
-    the ordering (a failure).  Noise is drawn per iteration for the active
-    set from rng, so results depend on the generator sequence but not on
-    any worker decomposition.  With ``record``, frames holds copies of
-    (t, X) for every path at the start and after every iteration.
+
+def integrate_ensemble(jobs, drift, T: float, dt_max: float = 1e-3, c_dt: float = 2e-3,
+                       record: bool = False) -> list[EnsembleRun]:
+    """Adaptive Euler-Maruyama paths of dX = drift(X) dt + dB for a sweep
+    of jobs, every path advanced in lockstep with its own step; one
+    EnsembleRun per job.
+
+    A job is ``(initials, delta, rng)``: (n_paths, n) states with strictly
+    increasing rows, the job's hit threshold and its noise stream.  Every
+    job has the same n, and ``drift`` maps an (m, n) stack of states to its
+    (m, n) drift row by row, so one call per iteration serves the sweep.
+    A path stops at T, at its first hit of a minimum gap <= its job's delta
+    (delta = 0 disables hit detection), or when 20 halvings of its step
+    cannot keep the ordering (a failure).  Each job draws the noise of its
+    active paths from its own rng, in path order, so its run is that of a
+    lone job bit for bit, and depends on the generator sequence but not on
+    the rest of the sweep or any worker decomposition.  With ``record``,
+    a job's frames hold copies of its (t, X) at the start and after every
+    iteration it had an active path in.
     """
-    X = np.array(initials, dtype=float, copy=True)
+    jobs = list(jobs)
+    sizes = [len(init) for init, _, _ in jobs]
+    X = np.concatenate([np.asarray(init, dtype=float) for init, _, _ in jobs])
     n_paths, n = X.shape
     pairs = n >= 2
     if pairs and np.any(np.diff(X, axis=1) <= 0.0):
         raise SingularConfigurationError("initial states must be strictly sorted")
-    gen = rng.generator()
+    gens = [rng.generator() for _, _, rng in jobs]
+    rows = [slice(end - size, end) for end, size in zip(np.cumsum(sizes), sizes)]
+    job = np.repeat(np.arange(len(jobs)), sizes)
+    # a sorted state's gaps are positive, so delta = 0 never hits
+    delta = np.array([d for _, d, _ in jobs], dtype=float)[job]
     t = np.zeros(n_paths)
-    hit = np.zeros(n_paths, dtype=bool)
     failed = np.zeros(n_paths, dtype=bool)
     hit_time = np.full(n_paths, np.nan)
     rejections = np.zeros(n_paths, dtype=int)
     steps = np.zeros(n_paths, dtype=int)
     gaps = _min_gaps(X) if pairs else np.full(n_paths, np.inf)
-    detect = pairs and delta > 0
-    if detect:
-        hit |= gaps <= delta
-        hit_time[hit] = 0.0
-    frames = [(t.copy(), X.copy())] if record else None
+    hit = gaps <= delta
+    hit_time[hit] = 0.0
+    frames = [[(t[r].copy(), X[r].copy())] for r in rows] if record else None
 
     # the active set stays compact between iterations: its rows of X and
-    # t, and its minimum gaps, which the last accepted proposal gave; X and
-    # t are written back only when a path stops
+    # t, its minimum gaps, which the last accepted proposal gave, and its
+    # deltas; X and t are written back, and the per-job active counts
+    # taken, only when a path stops
     idx = np.flatnonzero(~hit & (t < T))
-    Xa, ta, ga = X[idx], t[idx], gaps[idx]
-    iterations = 0
+    Xa, ta, ga, da = X[idx], t[idx], gaps[idx], delta[idx]
+    counts = np.bincount(job[idx], minlength=len(jobs))
+    it = 0
     while idx.size:
-        iterations += 1
+        it += 1
         dt = np.minimum(dt_max, T - ta)
         if pairs:
             # fmin leaves dt alone where the gap is not finite
             dt = np.fmin(dt, c_dt * ga * ga)
         dr = drift(Xa)
-        prop = Xa + dr * dt[:, None] + np.sqrt(dt)[:, None] * gen.normal(size=Xa.shape)
+        prop = Xa + dr * dt[:, None] + np.sqrt(dt)[:, None] * _normals(gens, counts, n)
         failing = None
         if pairs:
             ga = _min_gaps(prop)
             bad = ga <= 0.0
             if np.count_nonzero(bad):
-                bad = _halve_crossed(bad, Xa, dr, dt, prop, ga, gen, idx, rejections)
+                bad = _halve_crossed(bad, Xa, dr, dt, prop, ga, gens, job, idx, rejections)
                 if np.count_nonzero(bad):
                     # an active path's gap exceeds delta, so exhaustion is a failure
                     rejections[idx[bad]] += 1
@@ -161,39 +181,41 @@ def integrate_ensemble(initials, drift, T: float, delta: float, rng: RngStream,
                     failing = bad
         ta = ta + dt
         Xa = prop
-        stop = ta >= T
-        if detect:
-            newly = ga <= delta
-            stop |= newly
+        newly = ga <= da
+        stop = (ta >= T) | newly
         if failing is not None:
             stop |= failing
         if record:
             X[idx] = Xa
             t[idx] = ta
-            frames.append((t.copy(), X.copy()))
+            for j in np.flatnonzero(counts):
+                frames[j].append((t[rows[j]].copy(), X[rows[j]].copy()))
         if np.count_nonzero(stop):
-            if detect:
-                hit[idx[newly]] = True
-                hit_time[idx[newly]] = ta[newly]
+            hit[idx[newly]] = True
+            hit_time[idx[newly]] = ta[newly]
             done = idx[stop]
             X[done] = Xa[stop]
             t[done] = ta[stop]
-            steps[done] = iterations
+            steps[done] = it
             keep = ~stop
-            idx, Xa, ta, ga = idx[keep], Xa[keep], ta[keep], ga[keep]
-    return EnsembleRun(hit, failed, hit_time, X, rejections, steps, iterations, frames)
+            idx, Xa, ta, ga, da = idx[keep], Xa[keep], ta[keep], ga[keep], da[keep]
+            counts = np.bincount(job[idx], minlength=len(jobs))
+    # a job's last iteration is that of its last path to stop
+    return [EnsembleRun(hit[r], failed[r], hit_time[r], X[r], rejections[r], steps[r],
+                        int(steps[r].max(initial=0)), frames[j] if record else None)
+            for j, r in enumerate(rows)]
 
 
-def _halve_crossed(bad, Xa, dr, dt, prop, ga, gen, idx, rejections) -> np.ndarray:
+def _halve_crossed(bad, Xa, dr, dt, prop, ga, gens, job, idx, rejections) -> np.ndarray:
     """Redraw each crossed proposal (mask ``bad``) with half its step and
-    fresh noise, at most _MAX_HALVINGS times, updating dt, prop, its gaps
-    ga and the rejection counts in place; returns the mask still crossed."""
-    n = Xa.shape[1]
+    fresh noise from its job's generator, at most _MAX_HALVINGS times,
+    updating dt, prop, its gaps ga and the rejection counts in place;
+    returns the mask still crossed."""
     for _ in range(_MAX_HALVINGS):
         rejections[idx[bad]] += 1
         dt[bad] *= 0.5
-        rows = (Xa[bad] + dr[bad] * dt[bad, None]
-                + np.sqrt(dt[bad])[:, None] * gen.normal(size=(int(bad.sum()), n)))
+        noise = _normals(gens, np.bincount(job[idx[bad]], minlength=len(gens)), Xa.shape[1])
+        rows = Xa[bad] + dr[bad] * dt[bad, None] + np.sqrt(dt[bad])[:, None] * noise
         prop[bad] = rows
         ga[bad] = _min_gaps(rows)
         bad = ga <= 0.0
@@ -275,17 +297,18 @@ def _stats_from_run(run: EnsembleRun, delta, T, params) -> HittingStats:
                         counters=counters)
 
 
-def dyson_collision_probe(N: int, n_paths: int, T: float, delta: float,
-                          rng: RngStream, rho_bar: float = 0.5,
-                          dt_max: float = 1e-3, c_dt: float = 2e-3) -> HittingStats:
-    """Hit frequency of the log-gas dynamics started in equilibrium."""
+def dyson_collision_probe(N: int, n_paths: int, sweep, T: float, rho_bar: float = 0.5,
+                          dt_max: float = 1e-3, c_dt: float = 2e-3) -> list[HittingStats]:
+    """Hit frequency of the log-gas dynamics started in equilibrium, one
+    HittingStats per ``(delta, rng)`` of the sweep: n_paths initial states
+    from streams rng.stream_id + i, and the noise from rng.child(0), all
+    deltas integrated in one lockstep pass."""
     lam = lambda_n(N, rho_bar)
-    initials = sample_log_gas_batch(N, rho_bar, rng.seed, n_paths,
-                                    base_stream=rng.stream_id)
-    run = integrate_ensemble(initials, lambda X: dyson_drift(X, lam), T, delta,
-                             rng.child(0), dt_max, c_dt)
-    return _stats_from_run(run, delta, T, {"model": "dyson", "N": N, "rho_bar": rho_bar,
-                                           "c_dt": c_dt, "dt_max": dt_max})
+    jobs = [(sample_log_gas_batch(N, rho_bar, rng.seed, n_paths, base_stream=rng.stream_id),
+             delta, rng.child(0)) for delta, rng in sweep]
+    runs = integrate_ensemble(jobs, lambda X: dyson_drift(X, lam), T, dt_max, c_dt)
+    params = {"model": "dyson", "N": N, "rho_bar": rho_bar, "c_dt": c_dt, "dt_max": dt_max}
+    return [_stats_from_run(run, delta, T, dict(params)) for run, (_, delta, _) in zip(runs, jobs)]
 
 
 class PairDriftTable:
@@ -312,33 +335,43 @@ class PairDriftTable:
             u[i] = np.log(np.maximum(np.linalg.det(l_matrix(rule, x)), 1e-300))
         du_dlng = np.gradient(u, np.log(self.gs[1] / self.gs[0]), axis=0)
         du_ds = np.gradient(u, self.ss[1] - self.ss[0], axis=1)
-        # row i * n_s + j holds (du/ds, du/dlog g) at (gs[i], ss[j]), so the
-        # four corners of a cell are rows k, k + n_s, k + 1 and k + n_s + 1
-        self.grad = np.stack([du_ds.ravel(), du_dlng.ravel()], axis=1)
-        self._corners = np.array([0, self.ss.size, 1, self.ss.size + 1])
+        # column i * n_s + j holds half (du/ds, du/dlog g) at (gs[i], ss[j]),
+        # so the four corners of a cell are columns k, k + n_s, k + 1 and
+        # k + n_s + 1; halving is exact, so the drift needs no final factor
+        self.half_grad = 0.5 * np.stack([du_ds.ravel(), du_dlng.ravel()])
+        self._corners = np.array([[0], [self.ss.size], [1], [self.ss.size + 1]])
         # (log g, s) to fractional grid coordinates, clipped to the last cell
-        self._origin = np.array([np.log(self.gs[0]), self.ss[0]])
-        self._step = np.array([np.log(self.gs[1] / self.gs[0]), self.ss[1] - self.ss[0]])
-        self._top = np.array([self.gs.size - 1.001, self.ss.size - 1.001])
+        self._origin = np.array([[np.log(self.gs[0])], [self.ss[0]]])
+        self._step = np.array([[np.log(self.gs[1] / self.gs[0])], [self.ss[1] - self.ss[0]]])
+        self._top = np.array([[self.gs.size - 1.001], [self.ss.size - 1.001]])
 
     def drift(self, X: np.ndarray) -> np.ndarray:
-        """Half the gradient of log sigma_2 at each row (x1 < x2) of X."""
+        """Half the gradient of log sigma_2 at each row (x1 < x2) of X.
+
+        The work runs on (2, m) arrays, a coordinate or component per row,
+        so every operation loops over the m pairs in one contiguous run."""
         x1, x2 = X[:, 0], X[:, 1]
         g = x2 - x1
         if np.count_nonzero(g <= 0.0):
             raise SingularConfigurationError("pairs must be strictly sorted")
-        f = np.stack([np.log(np.maximum(g, 1e-12)), x1 + x2], axis=1)
-        f = np.minimum(np.maximum((f - self._origin) / self._step, 0.0), self._top)
+        f = np.empty((2, X.shape[0]))
+        np.log(np.maximum(g, 1e-12), out=f[0])
+        np.add(x1, x2, out=f[1])
+        f -= self._origin
+        f /= self._step
+        f = np.minimum(np.maximum(f, 0.0, out=f), self._top, out=f)
         k = f.astype(int)
         t = f - k
         u = 1 - t
-        ti, tj, ui, uj = t[:, :1], t[:, 1:], u[:, :1], u[:, 1:]
-        # (m, 4, 2): both gradients at the four corners, in one gather
-        c = self.grad.take(k[:, :1] * self.ss.size + k[:, 1:] + self._corners, axis=0)
+        ti, tj, ui, uj = t[0], t[1], u[0], u[1]
+        # (2, 4, m): both half gradients at the four corners, in one gather
+        c = self.half_grad.take(k[0] * self.ss.size + k[1] + self._corners, axis=1)
         v = c[:, 0] * ui * uj + c[:, 1] * ti * uj + c[:, 2] * ui * tj + c[:, 3] * ti * tj
-        a = v[:, 0]
-        b = v[:, 1] / g
-        return 0.5 * np.stack([a - b, a + b], axis=1)
+        b = v[1] / g
+        out = np.empty(X.shape)
+        np.subtract(v[0], b, out=out[:, 0])
+        np.add(v[0], b, out=out[:, 1])
+        return out
 
 
 def conditioned_pair_initials(sampler: DppSampler, n_paths: int,
@@ -360,14 +393,17 @@ def conditioned_pair_initials(sampler: DppSampler, n_paths: int,
     raise IntegrationFailureError("could not draw enough two-point configurations")
 
 
-def distorted_pair_collision_probe(table: PairDriftTable, initials: np.ndarray,
-                                   T: float, delta: float, rng: RngStream,
-                                   dt_max: float = 1e-3, c_dt: float = 2e-3) -> HittingStats:
-    """Hit frequency of the gradient dynamics on the two-point sector from
-    the (n_paths, 2) initial pairs, e.g. conditioned_pair_initials."""
-    run = integrate_ensemble(initials, table.drift, T, delta, rng.child(1), dt_max, c_dt)
-    return _stats_from_run(run, delta, T,
-                           {"model": "distorted-pair", "c_dt": c_dt, "dt_max": dt_max})
+def distorted_pair_collision_probe(table: PairDriftTable, sweep, T: float,
+                                   dt_max: float = 1e-3,
+                                   c_dt: float = 2e-3) -> list[HittingStats]:
+    """Hit frequency of the gradient dynamics on the two-point sector, one
+    HittingStats per ``(initials, delta, rng)`` of the sweep: (n_paths, 2)
+    initial pairs, e.g. conditioned_pair_initials, and the noise from
+    rng.child(1), all deltas integrated in one lockstep pass."""
+    jobs = [(initials, delta, rng.child(1)) for initials, delta, rng in sweep]
+    runs = integrate_ensemble(jobs, table.drift, T, dt_max, c_dt)
+    params = {"model": "distorted-pair", "c_dt": c_dt, "dt_max": dt_max}
+    return [_stats_from_run(run, delta, T, dict(params)) for run, (_, delta, _) in zip(runs, jobs)]
 
 
 def hitting_stats_json(stats: HittingStats) -> dict:

@@ -7,10 +7,13 @@ eigenvalue-based sampler's variance convention.
 The single-path integrator is the step-by-step form of the adaptive
 Euler-Maruyama scheme that dysonlab.integrate_ensemble runs in lockstep;
 a one-path ensemble must reproduce it exactly.  The ensemble oracle is the
-lockstep engine in its plain form, which re-gathers the active set from
-the full state and recomputes every gap on every iteration, and the pair
-drift oracle interpolates the drift table's two gradients one at a time;
-dysonlab's engine and PairDriftTable.drift must match them bit for bit.
+lockstep engine in its plain form for one job, which re-gathers the
+active set from the full state and recomputes every gap on every
+iteration.  One pair drift oracle interpolates the drift table's two
+gradients one at a time; the other is the drift's stacked form, which
+builds its coordinates and components row-major with np.stack and
+halves the full gradients at the end.  dysonlab's engine and PairDriftTable.drift must
+match them bit for bit.
 
 The pair-series oracle evaluates the truncated window-density series
 pair by pair and node pair by node pair, through the Schur complement of
@@ -440,8 +443,7 @@ def pair_table_drift_oracle(table, X):
     """PairDriftTable.drift with each gradient table interpolated on its
     own (gap, sum) grid, the bilinear weights recomputed for each."""
     shape = (table.gs.size, table.ss.size)
-    du_ds = table.grad[:, 0].reshape(shape)
-    du_dlng = table.grad[:, 1].reshape(shape)
+    du_ds, du_dlng = (2.0 * table.half_grad).reshape(2, *shape)
     lng0 = np.log(table.gs[0])
     dlng = np.log(table.gs[1] / table.gs[0])
     ds = table.ss[1] - table.ss[0]
@@ -462,6 +464,33 @@ def pair_table_drift_oracle(table, X):
     fj = np.clip((s - table.ss[0]) / ds, 0.0, table.ss.size - 1.001)
     a = interp(du_ds, fi, fj)
     b = interp(du_dlng, fi, fj) / g
+    return 0.5 * np.stack([a - b, a + b], axis=1)
+
+
+def pair_drift_stack_oracle(table, X):
+    """PairDriftTable.drift in its row-major stacked form: (m, 2) grid
+    coordinates and drift components built by np.stack, the full gradients
+    gathered as (m, 4, 2) at the four corners and halved at the end."""
+    gs, ss = table.gs, table.ss
+    grad = 2.0 * table.half_grad.T
+    corners = np.array([0, ss.size, 1, ss.size + 1])
+    origin = np.array([np.log(gs[0]), ss[0]])
+    step = np.array([np.log(gs[1] / gs[0]), ss[1] - ss[0]])
+    top = np.array([gs.size - 1.001, ss.size - 1.001])
+    x1, x2 = X[:, 0], X[:, 1]
+    g = x2 - x1
+    if np.count_nonzero(g <= 0.0):
+        raise SingularConfigurationError("pairs must be strictly sorted")
+    f = np.stack([np.log(np.maximum(g, 1e-12)), x1 + x2], axis=1)
+    f = np.minimum(np.maximum((f - origin) / step, 0.0), top)
+    k = f.astype(int)
+    t = f - k
+    u = 1 - t
+    ti, tj, ui, uj = t[:, :1], t[:, 1:], u[:, :1], u[:, 1:]
+    c = grad.take(k[:, :1] * ss.size + k[:, 1:] + corners, axis=0)
+    v = c[:, 0] * ui * uj + c[:, 1] * ti * uj + c[:, 2] * ui * tj + c[:, 3] * ti * tj
+    a = v[:, 0]
+    b = v[:, 1] / g
     return 0.5 * np.stack([a - b, a + b], axis=1)
 
 
@@ -527,5 +556,5 @@ def bessel_gap_hit_fraction(dim: float, g0s, delta: float, T: float,
         b = 0.5 * (dim - 1.0) / g
         return np.stack([-b, b], axis=1)
 
-    run = integrate_ensemble(X, drift, T, delta, rng)
+    [run] = integrate_ensemble([(X, delta, rng)], drift, T)
     return _stats_from_run(run, delta, T, {"model": "bessel", "dim": dim})

@@ -149,8 +149,8 @@ def test_criterion_4_density_exponents(gap_slope_half, gap_slope_lip):
 
 def test_criterion_5_non_collision():
     t0 = time.time()
-    probe = dl.dyson_collision_probe(8, 1000, T=1.0, delta=1e-3,
-                                     rng=RngStream(501_000, 0), rho_bar=0.5)
+    [probe] = dl.dyson_collision_probe(8, 1000, [(1e-3, RngStream(501_000, 0))], T=1.0,
+                                       rho_bar=0.5)
     ok_hits = probe.ci_high < 0.01 and not probe.inconclusive
     # oracle: dimension-3 radial gaps from the same equilibrium's min gaps
     initials = dl.sample_log_gas_batch(8, 0.5, 501_001, 1000)
@@ -179,8 +179,8 @@ def test_criterion_6_collision(product_half_dyn_decomp, product_lip_dyn_decomp,
 
     def probe(decomp, table):
         initials = dl.conditioned_pair_initials(dl.DppSampler(decomp), 1000, rng)
-        return dl.distorted_pair_collision_probe(table, initials, T=1.0, delta=1e-3,
-                                                 rng=rng)
+        [stats_] = dl.distorted_pair_collision_probe(table, [(initials, 1e-3, rng)], T=1.0)
+        return stats_
 
     holder = probe(product_half_dyn_decomp, product_half_drift_table)
     lipschitz = probe(product_lip_dyn_decomp, product_lip_drift_table)

@@ -328,7 +328,7 @@ def test_distorted_delta_sweep_decomposes_once(tmp_path, monkeypatch):
     base = {"experiment": "dynamics", "seed": 17, "kernel": holder,
             "window": [-1, 1],
             "params": {"model": "distorted", "n_nodes": 100, "n_paths": 30,
-                       "T": 0.05, "delta_sweep": [1e-3, 1e-2]}}
+                       "T": 0.05, "delta_sweep": [1e-3, 1e-2, 3e-2]}}
     calls = []
     decompose = cli.nystrom_decompose
     monkeypatch.setattr(cli, "nystrom_decompose",
@@ -344,19 +344,27 @@ def test_distorted_delta_sweep_decomposes_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     assert builds == {"DppSampler": 1, "PairDriftTable": 1}
     sweep = json.loads((tmp_path / "sweep" / "probe.json").read_text())
-    # delta k runs on stream k << 32 whatever the sweep; each single-delta
-    # reference builds its own decomposition, as every delta once did
+    sde = json.loads((tmp_path / "sweep" / "manifest.json").read_text())["summary"]["sde"]
+    assert len({e["iterations"] for e in sde}) == 3
+    # delta k runs on stream k << 32 whatever the sweep, and the sweep's one
+    # lockstep pass gives each delta's lone run; each single-delta reference
+    # builds its own decomposition, as every delta once did
     single = dict(base, params=dict(base["params"], delta_sweep=[1e-3]),
                   output=str(tmp_path / "one"))
     path = write_config(tmp_path, single, name="one.json")
     assert cli.main(["dynamics", "--config", path]) == 0
     assert json.loads((tmp_path / "one" / "probe.json").read_text()) == sweep[:1]
+    assert json.loads((tmp_path / "one" / "manifest.json").read_text())["summary"]["sde"] \
+        == sde[:1]
     fresh = decompose(dl.kernel_from_json(holder), (-1, 1), 100)
-    rng = RngStream(17, 1 << 32)
-    initials = dl.conditioned_pair_initials(dl.DppSampler(fresh), 30, rng)
-    second = dl.distorted_pair_collision_probe(dl.PairDriftTable(fresh), initials,
-                                               0.05, 1e-2, rng)
-    assert json.loads(json.dumps(hitting_stats_json(second))) == sweep[1]
+    for k in (1, 2):
+        rng = RngStream(17, k << 32)
+        delta = base["params"]["delta_sweep"][k]
+        initials = dl.conditioned_pair_initials(dl.DppSampler(fresh), 30, rng)
+        [alone] = dl.distorted_pair_collision_probe(dl.PairDriftTable(fresh),
+                                                    [(initials, delta, rng)], 0.05)
+        assert json.loads(json.dumps(hitting_stats_json(alone))) == sweep[k]
+        assert {"delta": delta, **alone.counters} == sde[k]
 
 
 def test_dynamics_manifest_reports_sde_counters(tmp_path, monkeypatch):
@@ -372,7 +380,7 @@ def test_dynamics_manifest_reports_sde_counters(tmp_path, monkeypatch):
                                    "window": [-1, 1], "params": params,
                                    "output": str(tmp_path / "d")})
     assert cli.main(["dynamics", "--config", path]) == 0
-    sde = json.loads((tmp_path / "d" / "manifest.json").read_text())["summary"]["sde"]
+    summary = json.loads((tmp_path / "d" / "manifest.json").read_text())["summary"]
     monkeypatch.setattr(dl.PairDriftTable, "drift", drift)
     decomp = dl.nystrom_decompose(dl.kernel_from_json(holder), (-1, 1), 100)
     table, sampler = dl.PairDriftTable(decomp), dl.DppSampler(decomp)
@@ -380,16 +388,17 @@ def test_dynamics_manifest_reports_sde_counters(tmp_path, monkeypatch):
     for k, delta in enumerate(params["delta_sweep"]):
         rng = RngStream(19, k << 32)
         initials = dl.conditioned_pair_initials(sampler, 30, rng)
-        run = dl.integrate_ensemble(initials, table.drift, 0.2, delta, rng.child(1),
-                                    dt_max=1e-2, c_dt=0.2)
+        [run] = dl.integrate_ensemble([(initials, delta, rng.child(1))], table.drift, 0.2,
+                                      dt_max=1e-2, c_dt=0.2)
         expected.append({"delta": delta, "iterations": run.iterations,
                          "path_steps": int(run.steps.sum()),
                          "rejections": int(run.rejections.sum()),
                          "failures": int(run.failed.sum())})
-    assert sde == expected
+    assert summary["sde"] == expected
     assert all(e["rejections"] > 0 for e in expected)
-    # one drift call per iteration, one drift row per path step
-    assert len(calls) == sum(e["iterations"] for e in expected)
+    # one drift call per lockstep iteration of the sweep, one drift row per
+    # path step
+    assert len(calls) == summary["drift_calls"] == max(e["iterations"] for e in expected)
     assert sum(calls) == sum(e["path_steps"] for e in expected)
 
 

@@ -8,14 +8,14 @@ from dysonlab import RngStream
 from dysonlab.errors import IntegrationFailureError, SingularConfigurationError
 from dysonlab.statistics import palm_integrals
 from oracles import (bessel_gap_hit_fraction, gap_dimension_fit, integrate_ensemble_oracle,
-                     integrate_sde_oracle, loggas_energy, pair_table_drift_oracle,
-                     resolvent_l_oracle, series_sigma2_grid_oracle)
+                     integrate_sde_oracle, loggas_energy, pair_drift_stack_oracle,
+                     pair_table_drift_oracle, resolvent_l_oracle, series_sigma2_grid_oracle)
 
 
 def one_path(points, drift, T, delta, rng, **kw):
     """Trajectory of a one-path ensemble started at ``points``."""
-    run = dl.integrate_ensemble(np.array([points], dtype=float), drift, T, delta,
-                                rng, record=True, **kw)
+    [run] = dl.integrate_ensemble([(np.array([points], dtype=float), delta, rng)], drift, T,
+                                  record=True, **kw)
     return dl.Trajectory.from_run(run)
 
 
@@ -159,7 +159,8 @@ def test_pair_drift_table_gradients_match_resolvent_oracle(
         ref = np.stack([np.gradient(u, table.ss[1] - table.ss[0], axis=1).ravel(),
                         np.gradient(u, np.log(table.gs[1] / table.gs[0]), axis=0).ravel()],
                        axis=1)
-        assert np.max(np.abs(table.grad - ref) / np.maximum(1.0, np.abs(ref))) < 1e-7
+        grad = 2.0 * table.half_grad.T
+        assert np.max(np.abs(grad - ref) / np.maximum(1.0, np.abs(ref))) < 1e-7
 
 
 def test_pair_drift_table_matches_fredholm_differences(product_half_dyn_decomp,
@@ -233,7 +234,7 @@ def test_engine_matches_oracle_on_conditioned_pairs(product_half_dyn_decomp,
     initials = dl.conditioned_pair_initials(dl.DppSampler(product_half_dyn_decomp), 200,
                                             RngStream(14, 0))
     table = product_half_drift_table
-    run = dl.integrate_ensemble(initials, table.drift, T, 1e-3, RngStream(14, 1), **kw)
+    [run] = dl.integrate_ensemble([(initials, 1e-3, RngStream(14, 1))], table.drift, T, **kw)
     ref = integrate_ensemble_oracle(initials, table.drift, T, 1e-3, RngStream(14, 1), **kw)
     assert_same_run(run, ref)
     assert run.hit.any() and not run.hit.all()
@@ -243,20 +244,23 @@ def test_engine_matches_oracle_on_conditioned_pairs(product_half_dyn_decomp,
 def test_engine_matches_oracle_on_dyson_stack():
     lam = dl.lambda_n(8, 0.5)
     initials = dl.sample_log_gas_batch(8, 0.5, 15, 100)
+    drift = lambda X: dl.dyson_drift(X, lam)  # noqa: E731
     # the second run takes steps near the gap scale: hits, crossings, halvings
     for T, delta, kw in ((0.1, 1e-3, {}), (1.0, 0.1, {"dt_max": 0.5, "c_dt": 0.3})):
-        args = (initials, lambda X: dl.dyson_drift(X, lam), T, delta, RngStream(15, 1))
-        run = dl.integrate_ensemble(*args, **kw)
-        assert_same_run(run, integrate_ensemble_oracle(*args, **kw))
+        [run] = dl.integrate_ensemble([(initials, delta, RngStream(15, 1))], drift, T, **kw)
+        assert_same_run(run, integrate_ensemble_oracle(initials, drift, T, delta,
+                                                       RngStream(15, 1), **kw))
     assert run.hit.any() and run.rejections.any()
 
 
 def test_engine_matches_oracle_frame_by_frame():
     # paths stop at different iterations: hits, and T reached
     initials = np.array([[-1.0, 0.2, 1.4], [-0.3, -0.28, 0.9], [0.0, 0.5, 0.52]])
-    args = (initials, lambda X: dl.dyson_drift(X, 0.5), 0.05, 1.5e-2, RngStream(16, 2))
-    run = dl.integrate_ensemble(*args, record=True)
-    assert_same_run(run, integrate_ensemble_oracle(*args, record=True))
+    drift = lambda X: dl.dyson_drift(X, 0.5)  # noqa: E731
+    [run] = dl.integrate_ensemble([(initials, 1.5e-2, RngStream(16, 2))], drift, 0.05,
+                                  record=True)
+    assert_same_run(run, integrate_ensemble_oracle(initials, drift, 0.05, 1.5e-2,
+                                                   RngStream(16, 2), record=True))
     assert 0 < run.hit.sum() < 3 and len(set(run.steps)) > 1
 
 
@@ -275,6 +279,88 @@ def test_pair_drift_matches_oracle_off_the_grid(product_half_drift_table):
     assert X.shape[0] > 190
     assert np.array_equal(table.drift(X), pair_table_drift_oracle(table, X))
     assert np.array_equal(table.drift(X[:1]), pair_table_drift_oracle(table, X[:1]))
+
+
+def test_pair_drift_matches_stacked_form_bit_for_bit(product_half_drift_table):
+    # the out= form against np.stack with a final halving, per region of
+    # the grid: inside it, below its first gap, with sums off both ends,
+    # and clipped to its last cell in the gap
+    table = product_half_drift_table
+    gen = np.random.default_rng(18)
+    g_top, s_lo, s_hi = table.gs[-1], table.ss[0], table.ss[-1]
+    regions = {
+        "interior": (10 ** gen.uniform(-4.9, 0.5, 60), gen.uniform(-2.9, 2.9, 60)),
+        "below g_min": (10 ** gen.uniform(-15, -5.01, 30), gen.uniform(-2.9, 2.9, 30)),
+        "sums outside ss": (10 ** gen.uniform(-4, 0, 30),
+                            np.concatenate([gen.uniform(s_lo - 5, s_lo, 15),
+                                            gen.uniform(s_hi, s_hi + 5, 15)])),
+        "top cell": (np.concatenate([gen.uniform(g_top, 3 * g_top, 28), [g_top, g_top]]),
+                     gen.uniform(-2.9, 2.9, 30)),
+    }
+    for name, (g, s) in regions.items():
+        X = np.stack([(s - g) / 2, (s + g) / 2], axis=1)
+        assert np.all(X[:, 1] > X[:, 0]), name
+        assert np.array_equal(table.drift(X), pair_drift_stack_oracle(table, X)), name
+        assert np.array_equal(table.drift(X[:1]), pair_drift_stack_oracle(table, X[:1])), name
+    for crossed in ([0.1, 0.1], [0.2, 0.1]):
+        X = np.array([[-0.5, 0.5], crossed])
+        for drift in (table.drift, lambda X: pair_drift_stack_oracle(table, X)):
+            with pytest.raises(SingularConfigurationError):
+                drift(X)
+
+
+class _NoDraws:
+    """A stream whose generator fails on any draw."""
+
+    def generator(self):
+        return self
+
+    def normal(self, *args, **kwargs):
+        raise AssertionError("a job with no active path drew noise")
+
+
+def test_sweep_matches_lone_runs_of_each_job():
+    gen = np.random.default_rng(19)
+
+    def pairs(gaps, at=0.0):
+        c = at + gen.uniform(-0.5, 0.5, len(gaps))
+        return np.stack([c - gaps / 2, c + gaps / 2], axis=1)
+
+    def crush_far_right(X):
+        # pairs beyond x = 50 are pushed through each other at every step
+        # size; the others diffuse with no drift
+        push = np.where(X[:, :1] > 50.0, 1e9, 0.0)
+        return np.concatenate([push, -push], axis=1)
+
+    lam = dl.lambda_n(8, 0.5)
+    sweeps = [
+        # steps far above the gap scale: halvings, hits, failures
+        (crush_far_right, 0.3, {"dt_max": 0.05, "c_dt": 50.0}, [
+            (pairs(gen.uniform(0.02, 0.1, 30)), 1e-2, RngStream(19, 1)),
+            (pairs(np.full(3, 1.0), at=100.0), 0.0, RngStream(19, 2)),
+            (pairs(gen.uniform(0.005, 0.05, 5)), 0.1, _NoDraws()),
+            (pairs(gen.uniform(0.5, 1.0, 12)), 0.0, RngStream(19, 3)),
+        ]),
+        (lambda X: dl.dyson_drift(X, lam), 0.5, {"dt_max": 0.5, "c_dt": 0.3}, [
+            (dl.sample_log_gas_batch(8, 0.5, 20, 50), 1e-2, RngStream(20, 1)),
+            (dl.sample_log_gas_batch(8, 0.5, 21, 17), 0.0, RngStream(20, 2)),
+            (dl.sample_log_gas_batch(8, 0.5, 22, 1), 5e-2, RngStream(20, 3)),
+        ]),
+    ]
+    for drift, T, kw, jobs in sweeps:
+        for record in (False, True):
+            runs = dl.integrate_ensemble(jobs, drift, T, record=record, **kw)
+            assert len(runs) == len(jobs)
+            for run, job in zip(runs, jobs):
+                [lone] = dl.integrate_ensemble([job], drift, T, record=record, **kw)
+                assert_same_run(run, lone)
+        assert len({run.iterations for run in runs}) == len(jobs)
+        assert any(run.rejections.any() for run in runs)
+    halving, failing, within, _ = dl.integrate_ensemble(sweeps[0][3], *sweeps[0][:2],
+                                                        **sweeps[0][2])
+    assert halving.hit.any() and halving.rejections.any() and not halving.failed.any()
+    assert failing.failed.all() and failing.iterations == 1
+    assert within.hit.all() and within.iterations == 0 and not within.steps.any()
 
 
 def test_brownian_increments_normal():
@@ -321,8 +407,8 @@ def test_immediate_hit_when_delta_exceeds_gap():
 
 def test_engine_rejects_unsorted_initials():
     with pytest.raises(SingularConfigurationError):
-        dl.integrate_ensemble(np.array([[0.0, 1.0], [0.3, 0.3]]), np.zeros_like,
-                              0.1, 0.0, RngStream(1, 3))
+        dl.integrate_ensemble([(np.array([[0.0, 1.0], [0.3, 0.3]]), 0.0, RngStream(1, 3))],
+                              np.zeros_like, 0.1)
 
 
 def test_failed_path_has_no_trajectory():
@@ -330,8 +416,8 @@ def test_failed_path_has_no_trajectory():
     def crush(X):
         return np.stack([np.full(len(X), 1e9), np.full(len(X), -1e9)], axis=1)
 
-    run = dl.integrate_ensemble(np.array([[-0.5, 0.5]]), crush, 0.1, 0.0,
-                                RngStream(1, 4), record=True)
+    [run] = dl.integrate_ensemble([(np.array([[-0.5, 0.5]]), 0.0, RngStream(1, 4))], crush,
+                                  0.1, record=True)
     assert run.failed[0] and not run.hit[0]
     assert run.rejections[0] == 21
     assert_same_run(run, integrate_ensemble_oracle(np.array([[-0.5, 0.5]]), crush, 0.1, 0.0,
@@ -342,17 +428,16 @@ def test_failed_path_has_no_trajectory():
 
 def test_dyson_pair_no_hits():
     # a lone pair is the dimension-3 radial case: delta-approaches are rare
-    stats_ = dl.dyson_collision_probe(2, 1000, T=1.0, delta=1e-3,
-                                      rng=RngStream(60, 0), rho_bar=0.5)
+    [stats_] = dl.dyson_collision_probe(2, 1000, [(1e-3, RngStream(60, 0))], T=1.0,
+                                        rho_bar=0.5)
     assert stats_.n_hit <= 3
     assert stats_.n_failures == 0
 
 
 def test_distorted_half_hits_from_small_gap(product_half_drift_table):
-    stats_ = dl.distorted_pair_collision_probe(product_half_drift_table,
-                                               np.tile([-0.05, 0.05], (400, 1)),
-                                               T=1.0, delta=1e-3,
-                                               rng=RngStream(61, 0))
+    [stats_] = dl.distorted_pair_collision_probe(
+        product_half_drift_table, [(np.tile([-0.05, 0.05], (400, 1)), 1e-3, RngStream(61, 0))],
+        T=1.0)
     assert stats_.hit_fraction > 0.5
     oracle = bessel_gap_hit_fraction(1.5, np.full(400, 0.1), delta=1e-3,
                                      T=1.0, rng=RngStream(61, 9))
@@ -393,8 +478,8 @@ def test_equilibrium_preserved_under_dynamics():
     N, T, n_paths = 4, 2.0, 1200
     lam = dl.lambda_n(N, 1.0)
     initials = dl.sample_log_gas_batch(N, 1.0, 81, n_paths)
-    run = dl.integrate_ensemble(initials, lambda X: dl.dyson_drift(X, lam), T, 0.0,
-                                RngStream(81, 1 << 40), dt_max=1e-3, c_dt=2e-3)
+    [run] = dl.integrate_ensemble([(initials, 0.0, RngStream(81, 1 << 40))],
+                                  lambda X: dl.dyson_drift(X, lam), T, dt_max=1e-3, c_dt=2e-3)
     assert not run.failed.any()
     final = run.final
     fresh = dl.sample_log_gas_batch(N, 1.0, 82, n_paths)
