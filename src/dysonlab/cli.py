@@ -301,13 +301,16 @@ def _exp_density_crosscheck(p) -> tuple[int, dict, dict]:
     gen = RngStream(p.seed, 0).generator()
     tuples = [np.sort(gen.uniform(p.window[0], p.window[1], p.orders[i % len(p.orders)]))
               for i in range(p.n_tuples)]
-    values = crosscheck_density(decomp, tuples, k_max=p.k_max, qmc_points=p.qmc_points)
+    ill_blocks: dict[int, int] = {}
+    values = crosscheck_density(decomp, tuples, k_max=p.k_max, qmc_points=p.qmc_points,
+                                ill_blocks=ill_blocks)
     rows = [(str(dv.order), ";".join(map(_r, dv.points)), _r(dv.value_series),
              _r(dv.value_fredholm), _r(dv.truncation_bound),
              *(_r(dv.components[c]) for c in ("remainder", "qmc", "resolution")),
              str(int(dv.consistent))) for dv in values]
     bad = [dv for dv in values if not dv.consistent]
-    return (0 if not bad else 3), {"n_tuples": len(values), "n_inconsistent": len(bad)}, {
+    return (0 if not bad else 3), {"n_tuples": len(values), "n_inconsistent": len(bad),
+                                   "ill_blocks": ill_blocks}, {
         "density_crosscheck.csv": _csv("order,points,value_series,value_fredholm,"
                                        "truncation_bound,remainder,qmc,resolution,"
                                        "consistent", rows)}

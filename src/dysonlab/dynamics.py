@@ -120,7 +120,12 @@ def integrate_ensemble(jobs, drift, T: float, dt_max: float = 1e-3, c_dt: float 
     (m, n) drift row by row, so one call per iteration serves the sweep.
     A path stops at T, at its first hit of a minimum gap <= its job's delta
     (delta = 0 disables hit detection), or when 20 halvings of its step
-    cannot keep the ordering (a failure).  Each job draws the noise of its
+    cannot keep the ordering (a failure).  The step dt = min(dt_max, c_dt g^2)
+    has no floor, so with delta = 0 a drift that drives a pair together
+    may shrink it without end and the path never reach T: one pair of the
+    alpha = 1/2 distorted probe from (-0.5, 0.5), with T = 2 (400-node
+    product decomposition, RngStream(3, 1)), had a gap of 1.4e-17 and had
+    not reached T after 200,000 iterations.  Each job draws the noise of its
     active paths from its own rng, in path order, so its run is that of a
     lone job bit for bit, and depends on the generator sequence but not on
     the rest of the sweep or any worker decomposition.  With ``record``,

@@ -13,7 +13,8 @@ Two independent routes compute the same window densities:
   are closed forms over the decomposition's Gauss nodes (palm_integrals).
   Each k >= 3 integral is one streamed pass over scrambled Sobol points
   that serves every tuple at once, so no independent cubature is built and
-  no Sobol block is stored.
+  no Sobol block is stored; per slice each block K(y, y) is eliminated
+  once, as L D L^T, and that one elimination serves every tuple.
 
 The reported truncation_bound is a full error budget for the comparison:
 
@@ -91,6 +92,64 @@ def _det_small(m: np.ndarray) -> np.ndarray:
                 - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
                 + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
     return np.linalg.det(m)
+
+
+def _ldl_blocks(kernel, yt: np.ndarray):
+    """LDL^T of a slice's blocks C = K(y, y), stored point-last.
+
+    yt holds the m points y of the slice as (k, m).  Only the lower
+    triangle of C is evaluated, one kernel call per row, and it is
+    eliminated in place without pivoting, which is stable since C is SPD.
+    Returns det C as the product of the pivots, the ill mask
+    det C < 1e-12 * prod C_jj and the (k, k, m) factor: the pivots d_j on
+    its diagonal, the multipliers below it, its upper triangle unset.  A
+    pivot that is not positive, a NaN included, marks its block ill and is
+    replaced by 1, so the elimination and the substitution stay finite and
+    silent; an ill block's values come from the bordered fallback.
+    """
+    k, m = yt.shape
+    f = np.empty((k, k, m))
+    for i in range(k):
+        f[i, :i + 1] = kernel.eval(yt[i], yt[:i + 1])
+    diag_prod = np.prod(np.diagonal(f), axis=1)
+    det_c = np.ones(m)
+    broken = np.zeros(m, dtype=bool)
+    for j in range(k):
+        piv = f[j, j]
+        bad = ~(piv > 0)
+        if bad.any():
+            broken |= bad
+            piv[bad] = 1.0
+        det_c *= piv
+        col = f[j + 1:, j].copy()
+        f[j + 1:, j] /= piv
+        for i in range(j + 1, k):
+            f[i, j + 1:i + 1] -= f[i, j] * col[:i - j]
+    ill = broken | ~(det_c >= 1e-12 * np.maximum(diag_prod, 1e-300))
+    return det_c, ill, f
+
+
+def _schur_point_last(a: np.ndarray, r: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Schur complements A - B C^-1 B^T over a slice, as an (m, n, n) view.
+
+    r = B^T = K(y, x) has shape (k, n, m) and is forward-substituted in
+    place with the multipliers of f, the factor from _ldl_blocks; each
+    entry is then A_pq - sum_j r_jp r_jq / d_j, summed in j order.
+    """
+    k, n, m = r.shape
+    for i in range(1, k):
+        for j in range(i):
+            r[i] -= f[i, j] * r[j]
+    rd = r / np.diagonal(f).T[:, None, :]
+    schur = np.empty((n, n, m))
+    for p in range(n):
+        for q in range(p, n):
+            acc = r[0, p] * rd[0, q]
+            for j in range(1, k):
+                acc += r[j, p] * rd[j, q]
+            schur[p, q] = a[p, q] - acc
+            schur[q, p] = a[q, p] - acc
+    return schur.transpose(2, 0, 1)
 
 
 def _minors(a: np.ndarray, r: int, complement: bool = False) -> np.ndarray:
@@ -248,14 +307,16 @@ class SeriesEvaluator:
     Terms k <= 2 are closed forms over the decomposition's Gauss nodes
     (palm_integrals), one call per tuple.  A term k >= 3 is one pass over
     the order-k scrambled Sobol points, _CHUNK at a time, shared by every
-    tuple of the batch: per slice the blocks C = K(y, y), their
-    determinants and an ill-conditioning mask are evaluated once, the
-    well-conditioned blocks are inverted, and each tuple's integrand is
-    det C det(A - B C^-1 B^T) with A = K(x, x) and B = K(x, y), or the
-    bordered determinant det K(x u y) taken directly on the ill blocks, so
-    no inverse of an ill block is ever used and none is regularized.  No
-    block outlives its slice, so memory grows with qmc_points only through
-    one integrand vector per tuple.
+    tuple of the batch: per slice the blocks C = K(y, y) are factored once
+    as L D L^T, point-last and in place (_ldl_blocks), which gives det C
+    and the ill mask det C < 1e-12 prod C_jj.  Each tuple's integrand is
+    det C det(A - B C^-1 B^T) with A = K(x, x) and B = K(x, y), the Schur
+    block assembled from B forward-substituted with the shared multipliers
+    (_schur_point_last), or the bordered determinant det K(x u y) taken
+    directly on the ill blocks, so no factor of an ill block is ever used
+    and none is regularized.  No block outlives its slice, so memory grows
+    with qmc_points only through one integrand vector per tuple.
+    ``ill_blocks`` counts the ill blocks met, per order k.
     """
 
     def __init__(self, decomp: SpectralDecomposition, k_max: int = 6,
@@ -274,6 +335,8 @@ class SeriesEvaluator:
         self.length = b - a
         # K at the decomposition's node pairs, the one table of k = 1, 2
         self._kzz = self.kernel.eval(decomp.nodes[:, None], decomp.nodes[None, :])
+        # ill blocks met by the Sobol passes, per order k
+        self.ill_blocks: dict[int, int] = {}
 
     def _sobol_integrals(self, tuples: list[np.ndarray], k: int):
         """int rho_{n+k}(x, y) dy over the window for each tuple x, with its
@@ -285,25 +348,17 @@ class SeriesEvaluator:
         vals = [np.empty(n_y) for _ in tuples]
         for s in range(0, n_y, _CHUNK):
             y = a + (b - a) * sob.random(min(_CHUNK, n_y - s))
-            c = self.kernel.eval(y[:, :, None], y[:, None, :])
-            det_c = _det_small(c)
-            diag_prod = np.prod(np.einsum("mkk->mk", c), axis=1)
-            ill = det_c < 1e-12 * np.maximum(diag_prod, 1e-300)
-            # an ill block's values come from the fallback below, so the
-            # identity stands in for it; freeing C lowers the peak by a slice
-            c[ill] = np.eye(k)
-            c_inv = np.linalg.inv(c)
-            del c
+            yt = np.ascontiguousarray(y.T)
+            det_c, ill, f = _ldl_blocks(self.kernel, yt)
+            self.ill_blocks[k] = self.ill_blocks.get(k, 0) + int(np.count_nonzero(ill))
             y_ill = y[ill]
             for x, a_mat, v in zip(tuples, a_mats, vals):
                 out = v[s:s + y.shape[0]]
                 if x.size == 0:
                     out[:] = det_c
-                    continue
-                b_mat = self.kernel.eval(x[None, :, None], y[:, None, :])
-                bc = np.einsum("mik,mkl->mil", b_mat, c_inv)
-                schur = a_mat[None, :, :] - np.einsum("mik,mjk->mij", bc, b_mat)
-                out[:] = det_c * _det_small(schur)
+                else:
+                    r = self.kernel.eval(yt[:, None, :], x[None, :, None])
+                    out[:] = det_c * _det_small(_schur_point_last(a_mat, r, f))
                 if y_ill.size:
                     z = np.concatenate([np.broadcast_to(x, (y_ill.shape[0], x.size)), y_ill],
                                        axis=1)
@@ -368,11 +423,14 @@ class DensityValue:
 
 
 def crosscheck_density(decomp: SpectralDecomposition, tuples,
-                       k_max: int = 6, qmc_points: int = 1 << 20) -> list[DensityValue]:
+                       k_max: int = 6, qmc_points: int = 1 << 20,
+                       ill_blocks: dict | None = None) -> list[DensityValue]:
     """Evaluate both routes at each tuple with a full error budget.
 
     ``tuples`` is an iterable of point tuples (the empty tuple asks for the
     void probability).  Each series order is one batched term over them all.
+    A dict passed as ``ill_blocks`` receives the series route's count of
+    ill Sobol blocks per order k >= 3 (SeriesEvaluator.ill_blocks).
     """
     ev = SeriesEvaluator(decomp, k_max=k_max, qmc_points=qmc_points)
     coarse = nystrom_decompose(decomp.kernel, decomp.window,
@@ -384,6 +442,8 @@ def crosscheck_density(decomp: SpectralDecomposition, tuples,
         t, e = ev.term(pts_list, k)
         terms += t
         qmc_errs += e
+    if ill_blocks is not None:
+        ill_blocks.update(ev.ill_blocks)
 
     fred = [sigma_fredholm(decomp, pts) for pts in pts_list]
     diffs = [abs(f - sigma_fredholm(coarse, pts))

@@ -18,6 +18,7 @@ from dysonlab.errors import ConfigError, SamplingError
 from dysonlab.statistics import rho_det_box_mean
 
 from conftest import InlinePool
+from oracles import sobol_points
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -400,6 +401,26 @@ def test_dynamics_manifest_reports_sde_counters(tmp_path, monkeypatch):
     # path step
     assert len(calls) == summary["drift_calls"] == max(e["iterations"] for e in expected)
     assert sum(calls) == sum(e["path_steps"] for e in expected)
+
+
+def test_density_manifest_reports_ill_blocks(tmp_path):
+    # keyed by k, each the count of the np.linalg.det rule on the Sobol points
+    path = write_config(tmp_path, {
+        "experiment": "density-crosscheck", "seed": 4, "kernel": SINE, "window": [-1, 1],
+        "params": {"n_nodes": 16, "k_max": 5, "n_tuples": 2, "orders": [0, 1],
+                   "qmc_points": 1 << 12},
+        "output": str(tmp_path / "d")})
+    assert cli.main(["density-crosscheck", "--config", path]) == 0
+    summary = json.loads((tmp_path / "d" / "manifest.json").read_text())["summary"]
+    kernel = dl.kernel_from_json(SINE)
+    expected = {}
+    for k in (3, 4, 5):
+        y = sobol_points(k, (-1.0, 1.0), 1 << 12)
+        c = kernel.eval(y[:, :, None], y[:, None, :])
+        diag_prod = np.prod(np.einsum("mkk->mk", c), axis=1)
+        expected[str(k)] = int(np.count_nonzero(np.linalg.det(c) < 1e-12 * diag_prod))
+    assert summary["ill_blocks"] == expected
+    assert expected["5"] > 0
 
 
 def test_dynamics_experiment_and_probe_json(tmp_path):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from math import factorial
 
 import numpy as np
@@ -169,6 +170,52 @@ def test_sobol_terms_match_direct_determinants(family, params, n_ill):
             direct = (-1) ** k / factorial(k) * sobol_det_oracle(kernel, x, y, 2.0 ** k)
             assert abs(t - direct) < 1e-15 * 2.0 ** k / factorial(k), (k, x, t, direct)
             assert ev.term([x], k)[0][0] == t
+
+
+ORDERS_3_AND_4 = [(-0.6, 0.1, 0.7), (-0.5, -0.2, 0.2, 0.2), (0.3,), (), (-0.9, -0.3, 0.4, 0.8)]
+
+
+@pytest.mark.parametrize("family, params, tuples, n_points", [
+    # rank one: every block of two or more points is singular, so every
+    # Sobol block meets a pivot that is not positive and takes the fallback
+    ("custom", {"grid": [-2.0, 2.0], "values": [[0.3, 0.3], [0.3, 0.3]]},
+     [(), (0.3,), (-0.75, 0.45)], 1 << 10),
+    # Schur blocks of 3 x 3 (closed form) and 4 x 4 (LU), one with a
+    # repeated point, batched with lower orders
+    ("sine", {"rho_bar": 1.0}, ORDERS_3_AND_4, 1 << 12),
+    ("product", {"alpha": 0.5}, ORDERS_3_AND_4, 1 << 12),
+])
+def test_sobol_terms_are_silent_and_batch_independent(family, params, tuples, n_points):
+    kernel = dl.construct_kernel(family, **params)
+    decomp = dl.nystrom_decompose(kernel, (-1.0, 1.0), 16)
+    ev = dl.SeriesEvaluator(decomp, k_max=6, qmc_points=n_points)
+    lone = dl.SeriesEvaluator(decomp, k_max=6, qmc_points=n_points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(3, 7):
+            y = sobol_points(k, (-1.0, 1.0), n_points)
+            c = kernel.eval(y[:, :, None], y[:, None, :])
+            diag_prod = np.prod(np.einsum("mkk->mk", c), axis=1)
+            terms, _ = ev.term(tuples, k)
+            assert ev.ill_blocks[k] == np.count_nonzero(np.linalg.det(c) < 1e-12 * diag_prod)
+            for x, t in zip(tuples, terms):
+                direct = (-1) ** k / factorial(k) * sobol_det_oracle(kernel, x, y, 2.0 ** k)
+                assert abs(t - direct) < 1e-15 * 2.0 ** k / factorial(k), (k, x, t, direct)
+                assert lone.term([x], k)[0][0] == t
+    if family == "custom":
+        assert ev.ill_blocks == {k: n_points for k in range(3, 7)}
+
+
+def test_series_counts_ill_blocks_per_order():
+    # the counts the np.linalg.det rule gives in
+    # test_sobol_terms_match_direct_determinants
+    kernel = dl.construct_kernel("sine", rho_bar=1.0)
+    ev = dl.SeriesEvaluator(dl.nystrom_decompose(kernel, (-1.0, 1.0), 64), k_max=6,
+                            qmc_points=1 << 14)
+    assert ev.ill_blocks == {}
+    for k in range(7):
+        ev.term([(0.3,)], k)
+    assert ev.ill_blocks == {3: 2, 4: 132, 5: 1728, 6: 9689}
 
 
 def test_elementary_symmetric_tail_sums_the_polynomial_coefficients():
