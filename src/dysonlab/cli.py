@@ -45,8 +45,8 @@ from .sampler import (Box, Configuration, DppSampler, lambda_n,
                       log_gas_window_counts, sample_dpp_batch, sample_log_gas,
                       sample_log_gas_batch, sample_poisson_batch)
 from .spectral import nystrom_decompose
-from .statistics import (crosscheck_density, estimate_correlation, rho_det_box_mean,
-                         standard_error)
+from .statistics import (_SOBOL_BITS, _SOBOL_DIMS, crosscheck_density, estimate_correlation,
+                         rho_det_box_mean, standard_error)
 from .svg import Figure
 
 # ---------------------------------------------------------------------------
@@ -458,9 +458,12 @@ _EXPERIMENTS = {
         "n_nodes": (_NODES, 1024),
         "n_tuples": (_int(1), 20),
         "orders": (_list(_int(0)), [0, 1, 2]),
-        "k_max": (_int(0), 6),
-        "qmc_points": (Rule("a power of two >= 2",
-                            lambda v: _is_int(v) and v >= 2 and v & (v - 1) == 0), 1 << 20),
+        # one Sobol dimension per order, of a sequence of 2^30 points
+        "k_max": (Rule(f"an integer from 0 to {_SOBOL_DIMS}",
+                       lambda v: _is_int(v) and 0 <= v <= _SOBOL_DIMS), 6),
+        "qmc_points": (Rule(f"a power of two from 2 to 2^{_SOBOL_BITS}",
+                            lambda v: (_is_int(v) and 2 <= v <= 1 << _SOBOL_BITS
+                                       and v & (v - 1) == 0)), 1 << 20),
     }),
     "convergence": Experiment(_exp_convergence, {
         "Ns": (_list(_int(1)), [8, 16, 32]),

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import special
 
 from . import spectral
 from .errors import KernelParameterError
@@ -78,6 +77,8 @@ def _sine_eval(rho_bar):
 
 
 def _airy_eval():
+    from scipy import special      # only the airy and bessel families need scipy
+
     def ev(x, y):
         x, y = np.broadcast_arrays(x, y)
         ai_x, aip_x, _, _ = special.airy(x)
@@ -94,6 +95,7 @@ def _airy_eval():
 
 
 def _bessel_eval(order):
+    from scipy import special
     a = float(order)
 
     def ev(x, y):

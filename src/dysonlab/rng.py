@@ -14,11 +14,11 @@ is the one place that spreads a range of streams over worker processes.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
+import numpy.random  # numpy 2 imports it on first use; RngStream always needs it
 
 _MASK64 = (1 << 64) - 1
 
@@ -96,6 +96,7 @@ def map_streams(fn: Callable, seed: int, start: int, count: int, workers: int):
     procs = min(workers, count, os.cpu_count() or 1)
     if procs <= 1:
         return fn(seed, count, base_stream=start)
+    from concurrent.futures import ProcessPoolExecutor   # only a pool needs it
     edges = [start + count * j // procs for j in range(procs + 1)]
     with ProcessPoolExecutor(max_workers=procs) as ex:
         futures = [ex.submit(fn, seed, b - a, base_stream=a)

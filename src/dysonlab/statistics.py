@@ -16,6 +16,11 @@ Two independent routes compute the same window densities:
   no Sobol block is stored; per slice each block K(y, y) is eliminated
   once, as L D L^T, and that one elimination serves every tuple.
 
+The Sobol points are scipy's scrambled Sobol sequence,
+scipy.stats.qmc.Sobol(d=k, scramble=True, seed=_QMC_SEED + k), bit for
+bit, generated here in numpy (_sobol_slices) from the Joe-Kuo direction
+numbers file that scipy ships, so scipy.stats is never imported.
+
 The reported truncation_bound is a full error budget for the comparison:
 
   remainder   the symmetric-function tail rho_n(x) * sum_{k>k_max} e_k(lambda),
@@ -34,12 +39,13 @@ Cross-checks assert |series - fredholm| <= max(1e-6, 3 * truncation_bound).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from math import lgamma
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.stats import qmc
 
 from .sampler import Configuration
 from .spectral import (SpectralDecomposition, fredholm_det, l_matrix,
@@ -47,6 +53,8 @@ from .spectral import (SpectralDecomposition, fredholm_det, l_matrix,
 
 _QMC_SEED = 202406           # pinned: reruns must be byte-identical
 _CHUNK = 1 << 17             # Sobol points per kernel-evaluation chunk
+_SOBOL_BITS = 30             # scipy's default: a sequence of 2^30 points
+_SOBOL_DIMS = 21201          # rows of the direction numbers, the largest k
 # Resolution error from the node-count-vs-quarter difference: for an
 # O(n^-a) route the unknown error E satisfies diff = E (4^a - 1), so
 # 2 * diff covers every a >= 1/2.  Against a rule with four times the
@@ -55,6 +63,71 @@ _CHUNK = 1 << 17             # Sobol points per kernel-evaluation chunk
 # the per-order envelope that crosscheck_density reports.
 _RESOLUTION_FACTOR = 2.0
 _ESYM_EXTRA = 48             # orders summed past k_max in the symmetric tail
+
+
+@cache
+def _sobol_table() -> tuple[np.ndarray, np.ndarray]:
+    """(poly, vinit) of the Joe-Kuo direction numbers (Joe & Kuo, SIAM J.
+    Sci. Comput. 30, 2008), read once from the file that scipy ships."""
+    import scipy
+    with np.load(Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz") as z:
+        return z["poly"], z["vinit"]
+
+
+def _sobol_directions(d: int) -> np.ndarray:
+    """(d, _SOBOL_BITS) direction numbers of the first d dimensions, column j
+    scaled by 2^(bits - 1 - j): Bratley & Fox's recurrence on each row's
+    primitive polynomial, as scipy's _initialize_v computes them."""
+    poly, vinit = _sobol_table()
+    v = np.ones((d, _SOBOL_BITS), dtype=np.int64)
+    for i in range(1, d):
+        p = int(poly[i])
+        m = p.bit_length() - 1
+        row = [int(c) for c in vinit[i, :m]]
+        for j in range(m, _SOBOL_BITS):
+            new = row[j - m]
+            for t in range(1, m + 1):
+                if p >> (m - t) & 1:
+                    new ^= row[j - t] << t
+            row.append(new)
+        v[i] = row
+    return v << np.arange(_SOBOL_BITS - 1, -1, -1)
+
+
+def _sobol_slices(d: int, seed: int, n: int):
+    """The first n points of scipy's qmc.Sobol(d, scramble=True, seed=seed),
+    bit for bit, as float64 slices of min(_CHUNK, n) points each; n is a
+    power of two.  A slice is the (points, d) transpose of a C-ordered
+    (d, points) array, so each coordinate's points are contiguous.
+
+    The scramble draws what scipy draws, in its order: the digital shift,
+    then a random lower unit-triangular bit matrix per dimension (Matousek,
+    J. Complexity 14, 1998), which maps each direction number's bits.
+    Points come in Gray-code order, so the slice that starts at s, a
+    multiple of its length, is the first slice XORed with the direction
+    numbers of the set bits of s ^ (s >> 1).
+    """
+    bits = _SOBOL_BITS
+    rng = np.random.default_rng(seed)
+    shift = (rng.integers(2, size=(d, bits), dtype=np.uint32)
+             @ 2 ** np.arange(bits, dtype=np.uint32))
+    ltm = np.tril(rng.integers(2, size=(d, bits, bits), dtype=np.uint32))
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    msb_first = np.arange(bits - 1, -1, -1)
+    v_bits = _sobol_directions(d)[:, :, None] >> msb_first & 1
+    parity = np.einsum("dpi,dji->djp", ltm, v_bits) & 1
+    sv = (parity << msb_first).sum(axis=2).astype(np.uint32)
+    length = min(_CHUNK, n)
+    # the reflected Gray code: point 2^b + i is point 2^b - 1 - i XOR sv[:, b]
+    first = np.empty((d, length), dtype=np.uint32)
+    first[:, 0] = shift
+    for b in range(length.bit_length() - 1):
+        np.bitwise_xor(first[:, (1 << b) - 1::-1], sv[:, b, None], out=first[:, 1 << b:2 << b])
+    for s in range(0, n, length):
+        gray = s ^ (s >> 1)
+        offset = np.bitwise_xor.reduce(sv[:, [b for b in range(bits) if gray >> b & 1]],
+                                       axis=1, initial=0)
+        yield ((first ^ offset[:, None]) * 2.0 ** -bits).T
 
 
 def rho_det(kernel, points) -> float:
@@ -321,12 +394,15 @@ class SeriesEvaluator:
 
     def __init__(self, decomp: SpectralDecomposition, k_max: int = 6,
                  qmc_points: int = 1 << 20):
-        if k_max < 0:
-            raise ValueError("k_max must be nonnegative")
+        if not 0 <= k_max <= _SOBOL_DIMS:
+            raise ValueError(f"k_max must be from 0 to {_SOBOL_DIMS}, the dimensions "
+                             "of the Sobol direction numbers")
         self.qmc_points = int(qmc_points)
-        if self.qmc_points < 2 or self.qmc_points & (self.qmc_points - 1):
-            raise ValueError("qmc_points must be a power of two >= 2, so that the "
-                             "half-sample error compares two balanced Sobol nets")
+        if (not 2 <= self.qmc_points <= 1 << _SOBOL_BITS
+                or self.qmc_points & (self.qmc_points - 1)):
+            raise ValueError(f"qmc_points must be a power of two from 2 to 2^{_SOBOL_BITS}, "
+                             "so that the half-sample error compares two balanced "
+                             "nets of one Sobol sequence")
         self.decomp = decomp
         self.kernel = decomp.kernel
         self.k_max = k_max
@@ -343,11 +419,10 @@ class SeriesEvaluator:
         half-sample error, from one streamed pass over the Sobol points."""
         a, b = self.window
         n_y = self.qmc_points
-        sob = qmc.Sobol(d=k, scramble=True, seed=_QMC_SEED + k)
         a_mats = [self.kernel.eval(x[:, None], x[None, :]) for x in tuples]
         vals = [np.empty(n_y) for _ in tuples]
-        for s in range(0, n_y, _CHUNK):
-            y = a + (b - a) * sob.random(min(_CHUNK, n_y - s))
+        for s, u in zip(range(0, n_y, _CHUNK), _sobol_slices(k, _QMC_SEED + k, n_y)):
+            y = a + (b - a) * u
             yt = np.ascontiguousarray(y.T)
             det_c, ill, f = _ldl_blocks(self.kernel, yt)
             self.ill_blocks[k] = self.ill_blocks.get(k, 0) + int(np.count_nonzero(ill))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dysonlab as dl
-from dysonlab import RngStream, cli, rng
+from dysonlab import RngStream, cli
 from dysonlab.dynamics import hitting_stats_json
 from dysonlab.errors import ConfigError, SamplingError
 from dysonlab.statistics import rho_det_box_mean
@@ -247,7 +248,7 @@ def test_dyson_lab_threads_must_be_a_positive_integer(tmp_path, capsys, monkeypa
 
 
 def test_worker_pool_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
-    monkeypatch.setattr(rng, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     runs = []
@@ -628,6 +629,10 @@ MALFORMED = [
                       kernel={"family": "custom", "params": {
                           "grid": [-1, 0, 1], "values": [[1, 0, 0], [0, float("nan"), 0],
                                                          [0, 0, 1]]}})),
+    # the Sobol sequence has 2^30 points and 21,201 dimensions
+    ("density-crosscheck", dict(params_of("density-crosscheck", qmc_points=1 << 31),
+                                kernel=HOLDER)),
+    ("density-crosscheck", dict(params_of("density-crosscheck", k_max=21202), kernel=HOLDER)),
 ]
 
 
@@ -829,7 +834,7 @@ def no_pool(*a, **kw):
 @given(case=mutated_configs())
 def test_mutated_configs_never_end_in_a_traceback(tmp_path, monkeypatch, case):
     monkeypatch.delenv("DYSON_LAB_THREADS", raising=False)
-    monkeypatch.setattr(rng, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     experiment, cfg = case
     with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
         cfg = dict(cfg, output=str(Path(tmp) / "out"))

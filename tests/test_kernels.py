@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +59,34 @@ def test_special_function_reference_values():
     for a, x, j, jp in BESSEL_REF:
         assert special.jv(a, x) == pytest.approx(j, rel=1e-12)
         assert special.jvp(a, x) == pytest.approx(jp, rel=1e-12)
+
+
+FRESH_IMPORT = """
+import sys
+import numpy as np
+import dysonlab, dysonlab.cli
+loaded = [m for m in sys.modules if m.startswith(("scipy.stats", "scipy.special"))
+          or m == "concurrent.futures.process"]
+x = np.linspace(0.0, 4.0, 33)
+airy = dysonlab.construct_kernel("airy").eval(x[:, None] - 2.0, x[None, :] - 2.0)
+bessel = dysonlab.construct_kernel("bessel", order=0.5).eval(x[:, None], x[None, :])
+print(loaded, np.concatenate([airy, bessel]).tobytes().hex())
+"""
+
+
+def test_fresh_import_loads_no_scipy_stats_special_or_process_pool():
+    # a run imports scipy.special only for the airy and bessel kernels; this
+    # process has imported it already, so the lazy path needs a fresh one
+    src = str(Path(dl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", FRESH_IMPORT], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out[0] == "[]"
+    x = np.linspace(0.0, 4.0, 33)
+    airy = dl.construct_kernel("airy").eval(x[:, None] - 2.0, x[None, :] - 2.0)
+    bessel = dl.construct_kernel("bessel", order=0.5).eval(x[:, None], x[None, :])
+    assert out[1] == np.concatenate([airy, bessel]).tobytes().hex()
 
 
 def test_sine_values():

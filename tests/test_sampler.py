@@ -1,3 +1,4 @@
+import concurrent.futures
 import logging
 import os
 import pickle
@@ -9,7 +10,7 @@ import pytest
 from scipy import stats
 
 import dysonlab as dl
-from dysonlab import RngStream, rng
+from dysonlab import RngStream
 
 import oracles
 from conftest import InlinePool, synthetic_rank1_decomposition, phi_of
@@ -281,7 +282,7 @@ def test_map_streams_matches_serial(monkeypatch, sine_decomp, count, workers):
 @pytest.mark.parametrize("cores, workers, count, size", [
     (64, 5000, 10, 10), (64, 3, 10, 3), (4, 5000, 1000, 4)])
 def test_map_streams_caps_the_pool(monkeypatch, cores, workers, count, size):
-    monkeypatch.setattr(rng, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     fn = partial(dl.log_gas_window_counts, 2, 1.0, half=0.5)

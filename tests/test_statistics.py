@@ -5,11 +5,13 @@ from math import factorial
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.stats import qmc
 
 import dysonlab as dl
 from dysonlab import RngStream
 from dysonlab.statistics import palm_integrals
-from dysonlab.statistics import _bin_counts, _elementary_symmetric_tail
+from dysonlab.statistics import (_CHUNK, _QMC_SEED, _SOBOL_DIMS, _bin_counts,
+                                 _elementary_symmetric_tail, _sobol_slices, _sobol_table)
 from oracles import bin_counts_oracle, bordered_det_oracle, sobol_det_oracle, sobol_points
 
 
@@ -235,11 +237,31 @@ def test_remainder_is_the_symmetric_function_tail(product_lip_decomp, product_li
         assert ev.remainder_bound(x) == max(dl.rho_det(product_lip_kernel, x), 0.0) * tail
 
 
-@pytest.mark.parametrize("qmc_points", [0, 1, 1000, 3 << 17])
-def test_series_needs_a_power_of_two_of_sobol_points(zero_decomp, qmc_points):
+@pytest.mark.parametrize("qmc_points, k_max, match", [
+    (0, 6, "power of two"), (1, 6, "power of two"), (1000, 6, "power of two"),
+    (3 << 17, 6, "power of two"),
+    # the Sobol sequence has 2^30 points and one dimension per direction-number row
+    (1 << 31, 6, "to 2\\^30"), (1 << 10, _SOBOL_DIMS + 1, "k_max")],
+    ids=["0", "1", "1000", "393216", "2147483648", "k_max-21202"])
+def test_series_needs_a_power_of_two_of_sobol_points(zero_decomp, qmc_points, k_max, match):
     # the half-sample error compares the two halves as balanced nets
-    with pytest.raises(ValueError, match="power of two"):
-        dl.SeriesEvaluator(zero_decomp, qmc_points=qmc_points)
+    with pytest.raises(ValueError, match=match):
+        dl.SeriesEvaluator(zero_decomp, k_max=k_max, qmc_points=qmc_points)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 12345])
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 9, 40])
+def test_sobol_slices_match_scipy(d, seed):
+    # scipy's scrambled Sobol engine is the oracle, drawn in the same slices;
+    # seed None is the series route's own seed for dimension d
+    assert len(_sobol_table()[0]) == _SOBOL_DIMS == qmc.Sobol.MAXDIM
+    seed = _QMC_SEED + d if seed is None else seed
+    for n in [2, 64, 1 << 17, 1 << 19]:
+        sob = qmc.Sobol(d=d, scramble=True, seed=seed)
+        for got in _sobol_slices(d, seed, n):
+            assert got.dtype == np.float64 and got.shape == (min(n, _CHUNK), d)
+            assert np.array_equal(got, sob.random(got.shape[0])), (d, seed, n)
+        assert sob.num_generated == n
 
 
 def test_sobol_term_memory_does_not_grow_by_blocks(product_lip_decomp):
