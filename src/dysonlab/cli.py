@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, combinations
 from pathlib import Path
@@ -41,49 +40,21 @@ from .dynamics import (PairDriftTable, Trajectory, conditioned_pair_initials,
 from .errors import ConfigError, DysonLabError
 from .kernels import kernel_from_json, validate_kernel
 from .rng import RngStream, map_streams
+from .rules import POSITIVE, REQUIRED, UNIT, Rule, check_table, is_int, is_real
 from .sampler import (Box, Configuration, DppSampler, lambda_n,
                       log_gas_window_counts, sample_dpp_batch, sample_log_gas,
                       sample_log_gas_batch, sample_poisson_batch)
 from .spectral import nystrom_decompose
-from .statistics import (_SOBOL_BITS, _SOBOL_DIMS, crosscheck_density, estimate_correlation,
-                         rho_det_box_mean, standard_error)
+from .statistics import (K_MAX_RULE, QMC_POINTS_RULE, crosscheck_density,
+                         estimate_correlation, rho_det_box_mean, standard_error)
 from .svg import Figure
 
 # ---------------------------------------------------------------------------
 # config checks: one row (rule, default) per key
 # ---------------------------------------------------------------------------
 
-REQUIRED = object()  # the default of a key that must be given
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A finite number; a bool is not one."""
-    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
-
-
-@dataclass(frozen=True)
-class Rule:
-    """`ok` accepts a value, `desc` names what it accepts, `to` converts it."""
-
-    desc: str
-    ok: Callable
-    to: Callable = lambda value: value
-
-    def __call__(self, key: str, value):
-        if not self.ok(value):
-            raise ConfigError(f"{key} must be {self.desc}, got {value!r}")
-        try:
-            return self.to(value)
-        except (KeyError, TypeError, ValueError) as exc:  # e.g. KernelParameterError
-            raise ConfigError(f"{key}: {exc}") from exc
-
-
 def _int(lo: int) -> Rule:
-    return Rule(f"an integer >= {lo}", lambda v: _is_int(v) and v >= lo)
+    return Rule(f"an integer >= {lo}", lambda v: is_int(v) and v >= lo)
 
 
 def _list(item: Rule, min_len: int = 1, to=None) -> Rule:
@@ -97,11 +68,9 @@ def _choice(*options: str) -> Rule:
 
 
 _OBJECT = Rule("a JSON object", lambda v: isinstance(v, dict))
-_POSITIVE = Rule("a number > 0", lambda v: _is_real(v) and v > 0, float)
-_RHO_BAR = Rule("a number in (0, 1]", lambda v: _is_real(v) and 0 < v <= 1, float)
 _WORKERS, _NODES, _SAMPLES = _int(1), _int(8), _int(2)
 _INTERVAL = Rule("[lo, hi] with lo < hi", lambda v: isinstance(v, list) and len(v) == 2
-                 and all(map(_is_real, v)) and v[0] < v[1], tuple)
+                 and all(map(is_real, v)) and v[0] < v[1], tuple)
 _BOX = _list(_INTERVAL, to=Box)
 _KERNEL = Rule("an object with a 'family' and optional 'params' and 'domain'",
                lambda v: isinstance(v, dict) and "family" in v
@@ -117,7 +86,7 @@ def _threads_env() -> int:
 # Top-level keys; an absent or null key takes the default, called if it is a
 # function.  An experiment's table may override a row.
 _TOP = {
-    "seed": (Rule("an integer in [0, 2^64)", lambda v: _is_int(v) and 0 <= v < 1 << 64),
+    "seed": (Rule("an integer in [0, 2^64)", lambda v: is_int(v) and 0 <= v < 1 << 64),
              REQUIRED),
     "workers": (_WORKERS, _threads_env),
     "output": (Rule("a non-empty string", lambda v: isinstance(v, str) and v != ""), None),
@@ -126,36 +95,20 @@ _TOP = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """A config as given; `check` gives the values its experiment reads."""
-
-    experiment: str
-    seed: int
-    kernel: dict | None = None
-    window: list | None = None
-    params: dict = field(default_factory=dict)
-    output: str | None = None
-    workers: int | None = None
+class ExperimentConfig(SimpleNamespace):
+    """A config as given: its experiment, its params and each key of `_TOP`,
+    None if absent; `check` gives the values its experiment reads."""
 
     def check(self) -> SimpleNamespace:
         """Every value the experiment reads, checked against its row, with
         defaults filled in and the kernel built."""
         spec = _EXPERIMENTS[self.experiment]
-        table = {**_TOP, **spec.params}
-        unknown = set(self.params) - (set(table) - set(_TOP))
-        if unknown:
-            raise ConfigError(f"unknown params for {self.experiment}: {sorted(unknown)}")
-        given = {key: getattr(self, key) for key in _TOP if getattr(self, key) is not None}
-        given.update(self.params)
-        p = SimpleNamespace()
-        for key, (rule, default) in table.items():
-            if key in given:
-                setattr(p, key, rule(key, given[key]))
-            elif default is REQUIRED:
-                raise ConfigError(f"{self.experiment} needs a {key!r} entry")
-            else:
-                setattr(p, key, default() if callable(default) else default)
+        clash = sorted(set(self.params) & set(_TOP))
+        if clash:
+            raise ConfigError(f"unknown parameters for {self.experiment}: {clash}")
+        top = {key: getattr(self, key) for key in _TOP if getattr(self, key) is not None}
+        p = SimpleNamespace(**check_table({**_TOP, **spec.params}, {**top, **self.params},
+                                          self.experiment))
         for holds, message in [*spec.across, _on_the_kernel_domain("window")]:
             if not holds(p):
                 raise ConfigError(message.format(p=p))
@@ -168,13 +121,10 @@ def load_config(path) -> ExperimentConfig:
             data = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    unknown = set(_OBJECT("config", data)) - {"experiment", "params", *_TOP}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    _choice(*_EXPERIMENTS)("experiment", data.get("experiment"))
-    return ExperimentConfig(data["experiment"], data.get("seed"), data.get("kernel"),
-                            data.get("window"), _OBJECT("params", data.get("params", {})),
-                            data.get("output"), data.get("workers"))
+    # the file's entries; `check` checks those of _TOP, after any --seed override
+    table = {"experiment": (_choice(*_EXPERIMENTS), REQUIRED), "params": (_OBJECT, dict),
+             **{key: (Rule("any value", lambda v: True), None) for key in _TOP}}
+    return ExperimentConfig(**check_table(table, _OBJECT("config", data), "the config"))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +356,7 @@ def _on_the_kernel_domain(key: str) -> tuple:
 
 
 def _one_count_per_n(p) -> bool:
-    return _is_int(p.n_samples) or len(p.n_samples) == len(p.Ns)
+    return is_int(p.n_samples) or len(p.n_samples) == len(p.Ns)
 
 
 def _log_eps_span_two_decades(p) -> bool:
@@ -431,7 +381,7 @@ _EXPERIMENTS = {
     "validate": Experiment(_exp_validate, {
         "kernel": (_KERNEL, REQUIRED),
         "window": (_INTERVAL, REQUIRED),
-        "tol": (_POSITIVE, 1e-8),
+        "tol": (POSITIVE, 1e-8),
         "n_nodes": (_NODES, 256),
     }),
     "sample": Experiment(_exp_sample, {
@@ -440,8 +390,8 @@ _EXPERIMENTS = {
         "window": (_INTERVAL, (-3.0, 3.0)),
         "n_nodes": (_NODES, 256),
         "N": (_int(1), 8),
-        "rho_bar": (Rule(_RHO_BAR.desc, _RHO_BAR.ok), 1.0),  # the header echoes it as given
-        "intensity": (_POSITIVE, 1.0),
+        "rho_bar": (Rule(UNIT.desc, UNIT.ok), 1.0),  # the header echoes it as given
+        "intensity": (POSITIVE, 1.0),
         "box": (_BOX, Box([[0.0, 1.0]] * 3)),
     }, [_kernel_for("sampler", "dpp")]),
     "correlations": Experiment(_exp_correlations, {
@@ -458,31 +408,27 @@ _EXPERIMENTS = {
         "n_nodes": (_NODES, 1024),
         "n_tuples": (_int(1), 20),
         "orders": (_list(_int(0)), [0, 1, 2]),
-        # one Sobol dimension per order, of a sequence of 2^30 points
-        "k_max": (Rule(f"an integer from 0 to {_SOBOL_DIMS}",
-                       lambda v: _is_int(v) and 0 <= v <= _SOBOL_DIMS), 6),
-        "qmc_points": (Rule(f"a power of two from 2 to 2^{_SOBOL_BITS}",
-                            lambda v: (_is_int(v) and 2 <= v <= 1 << _SOBOL_BITS
-                                       and v & (v - 1) == 0)), 1 << 20),
+        "k_max": (K_MAX_RULE, 6),
+        "qmc_points": (QMC_POINTS_RULE, 1 << 20),
     }),
     "convergence": Experiment(_exp_convergence, {
         "Ns": (_list(_int(1)), [8, 16, 32]),
         "n_samples": (Rule("an integer >= 2 or a list of them",
                            lambda v: _SAMPLES.ok(v) or _list(_SAMPLES).ok(v)),
                       [200_000, 400_000, 400_000]),
-        "rho_bar": (_RHO_BAR, 1.0),
-        "bin_halfwidth": (_POSITIVE, 0.15),
+        "rho_bar": (UNIT, 1.0),
+        "bin_halfwidth": (POSITIVE, 0.15),
     }, [(_one_count_per_n, "n_samples must be an integer or a list of one per N, "
                            "got {p.n_samples!r} for Ns {p.Ns!r}")]),
     "dynamics": Experiment(_exp_dynamics, {
         "model": (_choice("dyson", "distorted"), "dyson"),
         "n_paths": (_int(1), 1000),
-        "T": (_POSITIVE, 1.0),
-        "delta_sweep": (_list(_POSITIVE), [1e-3]),
-        "c_dt": (_POSITIVE, 2e-3),
-        "dt_max": (_POSITIVE, 1e-3),
+        "T": (POSITIVE, 1.0),
+        "delta_sweep": (_list(POSITIVE), [1e-3]),
+        "c_dt": (POSITIVE, 2e-3),
+        "dt_max": (POSITIVE, 1e-3),
         "N": (_int(1), 8),
-        "rho_bar": (_RHO_BAR, 0.5),
+        "rho_bar": (UNIT, 0.5),
         "window": (_INTERVAL, (-1.0, 1.0)),
         "n_nodes": (_NODES, 400),
         "example_trajectory": (Rule("true or false", lambda v: isinstance(v, bool)), False),
@@ -492,14 +438,14 @@ _EXPERIMENTS = {
          "model 'distorted' needs a full-line kernel, not {p.kernel.family}")]),
     "capacity": Experiment(_exp_capacity, {
         "variant": (_choice("log", "linear"), "log"),
-        "eps": (_list(_POSITIVE), [1e-2, 1e-3, 1e-4, 1e-5]),
+        "eps": (_list(POSITIVE), [1e-2, 1e-3, 1e-4, 1e-5]),
         "n_samples": (_SAMPLES, 20_000),
         "window": (_INTERVAL, (-3.0, 3.0)),
         "n_nodes": (_NODES, 256),
         "inner": (_INTERVAL, (-2.0, 2.0)),
-        "intensity": (_POSITIVE, 2.0),
+        "intensity": (POSITIVE, 2.0),
         "box": (_BOX, Box([[0.0, 1.2]] * 3)),
-        "inner_pad": (Rule("a number >= 0", lambda v: _is_real(v) and v >= 0, float), 0.2),
+        "inner_pad": (Rule("a number >= 0", lambda v: is_real(v) and v >= 0, float), 0.2),
     }, [_kernel_for("variant", "log"),
        (_log_eps_span_two_decades, "the log variant needs at least 3 eps values in (0, 1) "
                                    "spanning two decades, got {p.eps}"),
@@ -608,8 +554,8 @@ def run(cfg: ExperimentConfig, out_dir=None) -> int:
     artifacts = [_write(out, name, text) for name, text in files.items()]
     manifest = {
         "experiment": cfg.experiment,
-        "config": {key: getattr(cfg, key)
-                   for key in ("experiment", "seed", "kernel", "window", "params", "workers")},
+        # the output directory is where the run went, not what it ran
+        "config": {key: value for key, value in vars(cfg).items() if key != "output"},
         "seed": cfg.seed,
         "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
                      "scipy": scipy.__version__, "dyson_lab": __version__,

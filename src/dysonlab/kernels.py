@@ -11,8 +11,9 @@ product   K(x,y) = m(x) k(x-y) m(y) with m(x) = exp(-(x/scale)^2),
 custom    tabulated grid values with bilinear interpolation (negative tests)
 
 Each family is one row of `_FAMILIES`: its evaluator factory, its domain
-("half_line" x >= 0 for bessel, else "full_line") and each parameter's check,
-conversion, default and description.  A kernel's domain is its row's, never set.
+("half_line" x >= 0 for bessel, else "full_line") and a row (Rule, default)
+per parameter, checked by `rules.check_table` as the CLI's config entries
+are.  A kernel's domain is its row's, never set.
 
 All evaluators are pure and vectorized; instances are immutable after
 construction and safe to share between threads.
@@ -38,6 +39,7 @@ import numpy as np
 
 from . import spectral
 from .errors import KernelParameterError
+from .rules import POSITIVE, REQUIRED, UNIT, Rule, check_table, is_real
 
 _DIAG_SWITCH = 1e-6
 
@@ -153,35 +155,35 @@ def _custom_eval(grid, values):
     return ev
 
 
-class _Param(NamedTuple):
-    desc: str                 # what the parameter accepts
-    fails: Callable           # rejects the converted value
-    to: Callable = float      # the conversion
-    default: object = None    # None: required; None never converts to a passing value
+def _numbers(desc: str, ndim: int, ok: Callable = lambda table: True) -> Rule:
+    """Finite numbers on ndim axes whose float table `ok` accepts, converted to it."""
+    def accepts(value) -> bool:
+        try:
+            table = np.asarray(value, dtype=object)
+        except ValueError:
+            return False
+        return (table.ndim == ndim and all(map(is_real, table.flat))
+                and bool(ok(table.astype(float))))
+    return Rule(desc, accepts, lambda value: np.asarray(value, dtype=float))
 
 
 class _Family(NamedTuple):
-    factory: Callable         # the evaluator, from the converted parameters by name
+    factory: Callable         # the evaluator, from the checked parameters by name
     domain: str               # "full_line", or "half_line" (x >= 0)
-    params: dict              # name -> _Param, in order
+    params: dict              # name -> (Rule, default), in order
 
 
 _FAMILIES = {
-    "sine": _Family(_sine_eval, "full_line", {
-        "rho_bar": _Param("a number in (0, 1]", lambda v: not 0.0 < v <= 1.0, default=1.0)}),
+    "sine": _Family(_sine_eval, "full_line", {"rho_bar": (UNIT, 1.0)}),
     "airy": _Family(_airy_eval, "full_line", {}),
     "bessel": _Family(_bessel_eval, "half_line", {
-        "order": _Param("a number > -1", lambda v: not v > -1.0, default=0.0)}),
+        "order": (Rule("a number > -1", lambda v: is_real(v) and v > -1, float), 0.0)}),
     "product": _Family(_product_eval, "full_line", {
-        "alpha": _Param("a number in (0, 1]", lambda v: not 0.0 < v <= 1.0, default=1.0),
-        "scale": _Param("a number > 0", lambda v: not v > 0.0, default=1.0)}),
+        "alpha": (UNIT, 1.0), "scale": (POSITIVE, 1.0)}),
     "custom": _Family(_custom_eval, "full_line", {
-        "grid": _Param("a strictly increasing list of 2 or more numbers",
-                       lambda g: g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0),
-                       lambda v: np.asarray(v, dtype=float)),
-        "values": _Param("an (n, n) table of finite numbers over the grid",
-                         lambda v: v.ndim != 2 or not np.all(np.isfinite(v)),
-                         lambda v: np.asarray(v, dtype=float))}),
+        "grid": (_numbers("a strictly increasing list of 2 or more numbers", 1,
+                          lambda g: g.size >= 2 and np.all(np.diff(g) > 0)), REQUIRED),
+        "values": (_numbers("an (n, n) table of finite numbers over the grid", 2), REQUIRED)}),
 }
 
 
@@ -192,14 +194,7 @@ def construct_kernel(family: str, **params) -> Kernel:
     if family not in _FAMILIES:
         raise KernelParameterError(f"unknown kernel family {family!r}")
     row = _FAMILIES[family]
-    unknown = set(params) - set(row.params)
-    if unknown:
-        raise KernelParameterError(f"unknown parameters for {family}: {sorted(unknown)}")
-    values = {}
-    for key, param in row.params.items():
-        values[key] = param.to(params.get(key, param.default))
-        if param.fails(values[key]):
-            raise KernelParameterError(f"{family} kernel: {key} must be {param.desc}")
+    values = check_table(row.params, params, f"the {family} kernel", KernelParameterError)
     return Kernel(family, values, row.factory(**values))
 
 
@@ -237,8 +232,7 @@ def validate_kernel(kernel: Kernel, window, tol: float = 1e-8,
     a, b = float(window[0]), float(window[1])
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise KernelParameterError("validation window must be a bounded interval")
-    if tol <= 0:
-        raise KernelParameterError("tol must be positive")
+    tol = POSITIVE("tol", tol, KernelParameterError)
 
     messages: list[str] = []
     xs = np.linspace(a, b, min(2 * n_nodes, 512))

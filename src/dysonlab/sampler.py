@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import SamplingError
 from .rng import RngStream, stream_generators
+from .rules import POSITIVE, UNIT
 from .spectral import SpectralDecomposition, _extension, eigenfunction_values
 
 log = logging.getLogger(__name__)
@@ -255,8 +256,7 @@ def lambda_n(n: int, rho_bar: float) -> float:
 def _check_log_gas(n: int, rho_bar: float) -> float:
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not 0.0 < rho_bar <= 1.0:
-        raise ValueError("rho_bar must lie in (0, 1]")
+    UNIT("rho_bar", rho_bar, ValueError)
     return lambda_n(n, rho_bar)
 
 
@@ -353,8 +353,7 @@ def log_gas_window_counts(n: int, rho_bar: float, seed: int, n_samples: int,
 def sample_poisson(intensity: float, region: Box, rng: RngStream) -> Configuration:
     """Homogeneous Poisson configuration on a box: Poisson(intensity * volume)
     many i.i.d. uniform points."""
-    if intensity <= 0:
-        raise ValueError("intensity must be positive")
+    POSITIVE("intensity", intensity, ValueError)
     region = region if isinstance(region, Box) else Box(region)
     gen = rng.generator()
     count = int(gen.poisson(intensity * region.volume))

@@ -47,6 +47,7 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .rules import Rule, is_int
 from .sampler import Configuration
 from .spectral import (SpectralDecomposition, fredholm_det, l_matrix,
                        nystrom_decompose)
@@ -55,6 +56,12 @@ _QMC_SEED = 202406           # pinned: reruns must be byte-identical
 _CHUNK = 1 << 17             # Sobol points per kernel-evaluation chunk
 _SOBOL_BITS = 30             # scipy's default: a sequence of 2^30 points
 _SOBOL_DIMS = 21201          # rows of the direction numbers, the largest k
+# one Sobol dimension per order k; the half-sample error compares two
+# balanced nets of one sequence, so the point count is a power of two
+K_MAX_RULE = Rule(f"an integer from 0 to {_SOBOL_DIMS}",
+                  lambda v: is_int(v) and 0 <= v <= _SOBOL_DIMS, int)
+QMC_POINTS_RULE = Rule(f"a power of two from 2 to 2^{_SOBOL_BITS}", lambda v: is_int(v)
+                       and 2 <= v <= 1 << _SOBOL_BITS and v & (v - 1) == 0, int)
 # Resolution error from the node-count-vs-quarter difference: for an
 # O(n^-a) route the unknown error E satisfies diff = E (4^a - 1), so
 # 2 * diff covers every a >= 1/2.  Against a rule with four times the
@@ -394,18 +401,10 @@ class SeriesEvaluator:
 
     def __init__(self, decomp: SpectralDecomposition, k_max: int = 6,
                  qmc_points: int = 1 << 20):
-        if not 0 <= k_max <= _SOBOL_DIMS:
-            raise ValueError(f"k_max must be from 0 to {_SOBOL_DIMS}, the dimensions "
-                             "of the Sobol direction numbers")
-        self.qmc_points = int(qmc_points)
-        if (not 2 <= self.qmc_points <= 1 << _SOBOL_BITS
-                or self.qmc_points & (self.qmc_points - 1)):
-            raise ValueError(f"qmc_points must be a power of two from 2 to 2^{_SOBOL_BITS}, "
-                             "so that the half-sample error compares two balanced "
-                             "nets of one Sobol sequence")
+        self.k_max = K_MAX_RULE("k_max", k_max, ValueError)
+        self.qmc_points = QMC_POINTS_RULE("qmc_points", qmc_points, ValueError)
         self.decomp = decomp
         self.kernel = decomp.kernel
-        self.k_max = k_max
         a, b = decomp.window
         self.window = (a, b)
         self.length = b - a
@@ -482,7 +481,6 @@ class DensityValue:
     points: tuple
     value_series: float
     value_fredholm: float
-    truncation_k: int
     truncation_bound: float
     components: dict = field(default_factory=dict)
 
@@ -539,7 +537,7 @@ def crosscheck_density(decomp: SpectralDecomposition, tuples,
         out.append(DensityValue(
             order=pts.size, points=tuple(pts.tolist()),
             value_series=float(terms[i]), value_fredholm=fred[i],
-            truncation_k=k_max, truncation_bound=bound,
+            truncation_bound=bound,
             components={"remainder": remainder, "qmc": qmc_err,
                         "resolution": resolution}))
     return out

@@ -633,6 +633,13 @@ MALFORMED = [
     ("density-crosscheck", dict(params_of("density-crosscheck", qmc_points=1 << 31),
                                 kernel=HOLDER)),
     ("density-crosscheck", dict(params_of("density-crosscheck", k_max=21202), kernel=HOLDER)),
+    # kernel params follow the number rules: no bool, string or infinity
+    ("validate", dict(params_of("validate"), window=[-1, 1],
+                      kernel={"family": "product", "params": {"alpha": True}})),
+    ("validate", dict(params_of("validate"), window=[-1, 1],
+                      kernel={"family": "product", "params": {"alpha": "0.5"}})),
+    ("validate", dict(params_of("validate"), window=[-1, 1],
+                      kernel={"family": "product", "params": {"scale": float("inf")}})),
 ]
 
 
@@ -812,17 +819,28 @@ BAD_VALUES = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
 
 @st.composite
 def mutated_configs(draw):
+    """A small valid config with one entry, param or kernel parameter set to a
+    bad value; whether that value must exit 2."""
     experiment, base = draw(st.sampled_from(SMALL_VALID))
     table = cli._EXPERIMENTS[experiment].params
+    family = base.get("kernel", {}).get("family")
+    kernel_keys = [f"kernel.{k}" for k in dl.kernels._FAMILIES[family].params] if family else []
     keys = sorted({"seed", "workers", "kernel", "window", *table})
+    # a base with a kernel mutates one of its parameters half the time
+    if kernel_keys and draw(st.booleans()):
+        keys = kernel_keys
     key, value = draw(st.sampled_from(keys)), draw(BAD_VALUES)
     cfg = dict(base, experiment=experiment, seed=3, workers=1,
                params=dict(base["params"]))
-    if key in cli._TOP:
+    if key in kernel_keys:
+        params = {**cfg["kernel"].get("params", {}), key.removeprefix("kernel."): value}
+        cfg["kernel"] = dict(cfg["kernel"], params=params)
+    elif key in cli._TOP:
         cfg[key] = value
     else:
         cfg["params"][key] = value
-    return experiment, cfg
+    # no bad value is a positive number, and every kernel parameter must be one
+    return experiment, cfg, key in kernel_keys
 
 
 def no_pool(*a, **kw):
@@ -835,14 +853,14 @@ def no_pool(*a, **kw):
 def test_mutated_configs_never_end_in_a_traceback(tmp_path, monkeypatch, case):
     monkeypatch.delenv("DYSON_LAB_THREADS", raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    experiment, cfg = case
+    experiment, cfg, must_fail = case
     with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
         cfg = dict(cfg, output=str(Path(tmp) / "out"))
         path = write_config(Path(tmp), cfg)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = cli.main([experiment, "--config", path])
-    assert code in (0, 2, 3, 4)
+    assert code in ((2,) if must_fail else (0, 2, 3, 4))
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("config error:")

@@ -5,7 +5,7 @@ import json
 import re
 from pathlib import Path
 
-from dysonlab import Box, cli, kernels
+from dysonlab import Box, cli, kernels, rules
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,7 +20,7 @@ def test_readme_quick_start_runs(capsys):
 
 def documented(default):
     """A table default as read_default reads it from the README."""
-    if default is cli.REQUIRED:
+    if default is rules.REQUIRED:
         return "required"
     if default is None:
         return "none"
@@ -47,11 +47,7 @@ def test_readme_params_lists_match_the_tables():
             rows[m.group(1)] = (m.group(2), read_default(m.group(3)))
     tables = {"top level": cli._TOP,
               **{name: spec.params for name, spec in cli._EXPERIMENTS.items()},
-              # a kernel parameter without a default (None) is required
-              **{f"{name} kernel": {key: (param, cli.REQUIRED if param.default is None
-                                              else param.default)
-                                    for key, param in row.params.items()}
-                 for name, row in kernels._FAMILIES.items()}}
+              **{f"{name} kernel": row.params for name, row in kernels._FAMILIES.items()}}
     assert listed.keys() == tables.keys()
     for name, table in tables.items():
         assert listed[name].keys() == table.keys(), name

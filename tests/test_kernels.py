@@ -161,9 +161,21 @@ def test_parameter_validation():
     with pytest.raises(KernelParameterError):
         dl.construct_kernel("sine", rho_bar=0.5, bogus=1)
     for grid, values in [([0, 0, 1], np.eye(3)), ([0], np.eye(1)), ([0, 1], np.eye(3)),
-                         ([0, 1], None), (None, np.eye(2))]:
+                         ([0, 1], None), (None, np.eye(2)), ("ab", np.eye(2)),
+                         (["a", "b"], np.eye(2)), ([0, True], np.eye(2)),
+                         ([0, np.inf], np.eye(2)), ([0, 1], [[1, 0], [0, "x"]])]:
         with pytest.raises(KernelParameterError):
             dl.construct_kernel("custom", grid=grid, values=values)
+    # a bool, a string, None and +-inf are not numbers, as in the CLI's rules
+    for bad in (True, "0.5", None, np.inf, -np.inf, np.bool_(True)):
+        for family, key in [("sine", "rho_bar"), ("bessel", "order"), ("product", "alpha"),
+                            ("product", "scale")]:
+            with pytest.raises(KernelParameterError, match=key):
+                dl.construct_kernel(family, **{key: bad})
+    # numpy numbers are numbers, stored as Python floats
+    k = dl.construct_kernel("product", alpha=np.float32(0.5), scale=np.int64(2))
+    assert k.params == {"alpha": 0.5, "scale": 2.0}
+    assert all(type(v) is float for v in k.params.values())
 
 
 @pytest.mark.parametrize("family, params, domain", [
