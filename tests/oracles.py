@@ -23,6 +23,12 @@ det K(x, z_i, z_j) node by node, with no algebra at all, and the Sobol
 oracle averages det K(x u y) over the series route's Sobol points the same
 way, with no Schur complement and no conditioning test.
 
+The whole-vector Sobol oracle is the series route's k >= 3 pass with
+each tuple's full integrand vector stored and summed by numpy at the end;
+_sobol_integrals, which keeps one sum per slice, must match it bit for bit.
+The product-kernel oracle is the kernel's formula with a fresh array per
+step; the evaluator, which works in one buffer, must match it bit for bit.
+
 The resolvent oracle solves the Nystrom system of L = K + K (Id - K)^-1 K
 directly from the kernel and the quadrature rule, with no eigenvectors;
 l_matrix and the log det L behind PairDriftTable are checked against it.
@@ -60,7 +66,8 @@ from dysonlab.errors import (IntegrationFailureError, KernelParameterError,
                              KernelValidityError, SamplingError,
                              SingularConfigurationError)
 from dysonlab.spectral import RETAIN_CUTOFF, _extension
-from dysonlab.statistics import _QMC_SEED, palm_integrals
+from dysonlab.statistics import (_QMC_SEED, _det_small, _ldl_blocks, _schur_point_last,
+                                 _sobol_slices, palm_integrals)
 
 
 def bin_counts_oracle(samples, bins) -> np.ndarray:
@@ -320,6 +327,48 @@ def sobol_det_oracle(kernel, x, y, volume):
     x = np.asarray(x, dtype=float)
     z = np.concatenate([np.broadcast_to(x, (y.shape[0], x.size)), y], axis=1)
     return volume * float(np.mean(np.linalg.det(kernel.eval(z[:, :, None], z[:, None, :]))))
+
+
+def sobol_integrals_oracle(ev, tuples, k):
+    """SeriesEvaluator._sobol_integrals with every tuple's whole integrand
+    vector kept, weighted and summed at once, and its error from the sum of
+    the vector's first half."""
+    a, b = ev.window
+    n_y = ev.qmc_points
+    vals = [np.empty(n_y) for _ in tuples]
+    start = 0
+    for u in _sobol_slices(k, _QMC_SEED + k, n_y):
+        y = a + (b - a) * u
+        yt = np.ascontiguousarray(y.T)
+        det_c, ill, f = _ldl_blocks(ev.kernel, yt)
+        for x, v in zip(tuples, vals):
+            out = v[start:start + y.shape[0]]
+            if x.size == 0:
+                out[:] = det_c
+            else:
+                r = ev.kernel.eval(yt[:, None, :], x[None, :, None])
+                out[:] = det_c * _det_small(_schur_point_last(
+                    ev.kernel.eval(x[:, None], x[None, :]), r, f))
+            if ill.any():
+                z = np.concatenate([np.broadcast_to(x, (int(ill.sum()), x.size)), y[ill]],
+                                   axis=1)
+                out[ill] = np.linalg.det(ev.kernel.eval(z[:, :, None], z[:, None, :]))
+        start += y.shape[0]
+    w = ev.length ** k / n_y
+    integs = [v * w for v in vals]
+    totals = np.array([integ.sum() for integ in integs])
+    halves = np.array([integ[:n_y // 2].sum() for integ in integs])
+    return totals, np.abs(totals - 2.0 * halves)
+
+
+def product_kernel_oracle(alpha, scale, x, y):
+    """The product kernel m(x) k(x - y) m(y) with a fresh array per step."""
+    def envelope(x):
+        return np.exp(-((np.asarray(x, dtype=float) / scale) ** 2))
+
+    def radial(t):
+        return np.exp(-np.abs(np.asarray(t, dtype=float)) ** alpha)
+    return envelope(x) * radial(x - y) * envelope(y)
 
 
 def resolvent_l_oracle(kernel, z, w, x):

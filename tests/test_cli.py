@@ -640,6 +640,11 @@ MALFORMED = [
                       kernel={"family": "product", "params": {"alpha": "0.5"}})),
     ("validate", dict(params_of("validate"), window=[-1, 1],
                       kernel={"family": "product", "params": {"scale": float("inf")}})),
+    # a count numpy cannot take as an array size
+    ("sample", params_of("sample", sampler="log_gas", N=10 ** 30, n_samples=1)),
+    # a kernel's params are an object
+    ("validate", dict(params_of("validate"), window=[-3, 3],
+                      kernel={"family": "sine", "params": [1]})),
 ]
 
 
@@ -653,6 +658,14 @@ def test_malformed_config_exits_2_before_any_output(tmp_path, capsys, monkeypatc
     assert cli.main([experiment, "--config", path]) == 2
     assert_one_line_config_error(capsys)
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_kernel_params_that_are_not_an_object_exit_2(tmp_path, capsys):
+    cfg = dict(params_of("validate"), window=[-3, 3], kernel={"family": "sine", "params": [1]})
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: kernel: params must be an object\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("via", ["output", "--out", "plot"])

@@ -9,7 +9,7 @@ import pytest
 
 import dysonlab as dl
 from dysonlab.errors import KernelParameterError
-from oracles import holder_envelope_check
+from oracles import holder_envelope_check, product_kernel_oracle
 
 # Reference values computed once with mpmath at 50 digits and frozen here.
 AIRY_REF = [
@@ -145,6 +145,23 @@ def test_product_trivial_origin():
     assert k.eval(0.0, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 0.3])
+def test_product_kernel_matches_its_formula_bit_for_bit(alpha):
+    # one buffer for every step, but the formula's operations in its order;
+    # 0-d inputs give a numpy scalar, as the formula does
+    k = dl.construct_kernel("product", alpha=alpha, scale=0.8)
+    gen = np.random.default_rng(4)
+    pts = gen.uniform(-2, 2, 50)
+    stack, x = gen.uniform(-2, 2, (4, 1, 300)), gen.uniform(-2, 2, (1, 3, 1))
+    for a, b in [(0.3, -0.4), (0.2, 0.2), (0.0, pts), (pts, 1.5), (pts, pts),
+                 (pts[:, None], pts[None, :]), (stack, x), (x, stack)]:
+        got = k.eval(a, b)
+        want = product_kernel_oracle(alpha, 0.8, np.asarray(a, dtype=float),
+                                     np.asarray(b, dtype=float))
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_parameter_validation():
     with pytest.raises(KernelParameterError):
         dl.construct_kernel("sine", rho_bar=0.0)
@@ -197,6 +214,12 @@ def test_kernel_domain_comes_from_its_family(family, params, domain):
     for bad in ({"kind": other}, {"kind": domain, "bounds": [0, 1]}, domain):
         with pytest.raises(KernelParameterError):
             dl.kernel_from_json(dict(data, domain=bad))
+
+
+@pytest.mark.parametrize("params", [[1], 0.5, "rho_bar", None])
+def test_kernel_json_params_must_be_an_object(params):
+    with pytest.raises(KernelParameterError, match="^params must be an object$"):
+        dl.kernel_from_json({"family": "sine", "params": params})
 
 
 @pytest.mark.parametrize("case", [

@@ -12,7 +12,9 @@ from dysonlab import RngStream
 from dysonlab.statistics import palm_integrals
 from dysonlab.statistics import (_CHUNK, _QMC_SEED, _SOBOL_DIMS, _bin_counts,
                                  _elementary_symmetric_tail, _sobol_slices, _sobol_table)
-from oracles import bin_counts_oracle, bordered_det_oracle, sobol_det_oracle, sobol_points
+from dysonlab import statistics
+from oracles import (bin_counts_oracle, bordered_det_oracle, sobol_det_oracle,
+                     sobol_integrals_oracle, sobol_points)
 
 
 def test_rho_det_values(sine_kernel):
@@ -275,6 +277,36 @@ def test_sobol_term_memory_does_not_grow_by_blocks(product_lip_decomp):
         finally:
             tracemalloc.stop()
     assert peak(1 << 20) - peak(1 << 19) < (1 << 19) * 3 * 3 * 8
+
+
+def test_sobol_term_memory_does_not_grow_with_qmc_points(product_lip_decomp):
+    # a stored integrand vector per tuple would add 6 MiB from 2^18 to 2^20 points
+    def peak(n_points):
+        ev = dl.SeriesEvaluator(product_lip_decomp, k_max=3, qmc_points=n_points)
+        tracemalloc.start()
+        try:
+            ev.term([(0.1, 0.3)], 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(1 << 20) - peak(1 << 18) < 1 << 20
+
+
+@pytest.mark.parametrize("chunk", [None, 256], ids=["chunk-default", "chunk-256"])
+def test_sobol_integrals_match_whole_vector_sums(product_half_decomp, monkeypatch, chunk):
+    # numpy's pairwise sum of a power-of-two vector of 256 or more values is
+    # the sum of its halves' sums, so the slices' sums add up bit for bit
+    if chunk is not None:
+        monkeypatch.setattr(statistics, "_CHUNK", chunk)
+    size = statistics._CHUNK
+    tuples = [np.array([]), np.array([0.3]), np.array([-0.4, 0.5]), np.array([0.2, 0.2]),
+              np.array([-0.9, 0.1, 0.7])]
+    for k in (3, 4):
+        for n in (2, 4, 128, size // 2, size, 2 * size, 8 * size):
+            ev = dl.SeriesEvaluator(product_half_decomp, k_max=k, qmc_points=n)
+            got, want = ev._sobol_integrals(tuples, k), sobol_integrals_oracle(ev, tuples, k)
+            for g, o in zip(got, want):
+                assert g.tobytes() == o.tobytes(), (k, n)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
