@@ -17,7 +17,7 @@ from .kernels import (Kernel, ValidationReport, construct_kernel, kernel_from_js
 from .rng import RngStream, map_streams, stream_generators
 from .sampler import (Box, Configuration, DppSampler, lambda_n,
                       log_gas_window_counts, sample_dpp_batch, sample_log_gas,
-                      sample_log_gas_batch, sample_poisson, sample_poisson_batch)
+                      sample_log_gas_batch, sample_poisson_batch)
 from .spectral import (SpectralDecomposition, eigenfunction_values, fredholm_det,
                        l_matrix, nystrom_decompose)
 from .statistics import (CorrelationEstimate, DensityValue, SeriesEvaluator,
@@ -27,6 +27,5 @@ from .dynamics import (EnsembleRun, HittingStats, PairDriftTable, Trajectory,
                        conditioned_pair_initials, distorted_pair_collision_probe,
                        dyson_collision_probe, dyson_drift, integrate_ensemble,
                        wilson_interval)
-from .capacity import (CapacityEstimate, DecayFit, decay_fit,
-                       estimate_I_eps_from_samples, h_eps, h_lin, pair_energy,
-                       poisson_pair_count_oracle)
+from .capacity import (CapacityEstimate, DecayFit, decay_fit, estimate_I_eps_from_samples,
+                       h_eps, h_lin, poisson_pair_count_oracle)

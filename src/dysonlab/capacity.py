@@ -10,18 +10,23 @@ window, of h(x_i - x_j).  Two profiles are shipped:
                   0 beyond.
 
 The energy density of a configuration is half the squared gradient of g,
-with the almost-everywhere derivative of h and one term per unordered
-partner in the sum (a pair sitting exactly on a kink uses the inner-side
-derivative).  Averaging the energy and g^2 over equilibrium samples gives
-the capacity upper-bound functional energy + l2; it decays like
-C / |log eps| as eps -> 0 when the two-point density vanishes linearly in
-the gap, which decay_fit certifies by a through-the-origin fit.
+with the almost-everywhere derivative h' and one term per unordered
+partner in the sum: the gradient component of inner point i is the sum of
+h'(x_i - x_j) over its inner partners j (times the unit vector of x_i - x_j
+when d >= 2; a pair sitting exactly on a kink uses the inner-side
+derivative), and the energy density is 1/2 sum_i |grad_i g|^2.  Both g and
+the energy are 0 when fewer than two points are inner.  Averaging the
+energy and g^2 over equilibrium samples gives the capacity upper-bound
+functional energy + l2; it decays like C / |log eps| as eps -> 0 when the
+two-point density vanishes linearly in the gap, which decay_fit certifies
+by a through-the-origin fit.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from math import gamma, pi
 
 import numpy as np
 
@@ -33,6 +38,8 @@ log = logging.getLogger(__name__)
 
 # the Poisson pair-count oracle's Monte Carlo sample, pinned for reruns
 _ORACLE_MC_POINTS, _ORACLE_SEED = 200_000, 7
+# pair-difference entries scored at once: bounds memory whatever the batch
+_BLOCK_ENTRIES = 1 << 20
 
 
 def h_eps(t, eps: float):
@@ -51,16 +58,14 @@ def h_eps_prime(t, eps: float):
     Kink points use the inner-side value."""
     t = np.asarray(t, dtype=float)
     a = np.abs(t)
-    on = (a > eps) & (a <= 1.0)   # at |t| = 1 keep the inner-side derivative
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = 2.0 / (t * np.log(eps))
-    out = np.where(on, val, 0.0)
+        out = np.where((a > eps) & (a <= 1.0), 2.0 / (t * np.log(eps)), 0.0)
     return out if out.ndim else float(out)
 
 
 def h_lin(t, eps: float):
     """Piecewise-linear cutoff profile; plateau 2 inside eps, support |t| < 2 eps."""
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     t = np.abs(np.asarray(t, dtype=float))
     out = np.where(t <= eps, 2.0, np.where(t >= 2.0 * eps, 0.0, -(2.0 / eps) * t + 4.0))
@@ -70,8 +75,7 @@ def h_lin(t, eps: float):
 def h_lin_prime(t, eps: float):
     t = np.asarray(t, dtype=float)
     a = np.abs(t)
-    on = (a > eps) & (a <= 2.0 * eps)
-    out = np.where(on, -(2.0 / eps) * np.sign(t), 0.0)
+    out = np.where((a > eps) & (a <= 2.0 * eps), -(2.0 / eps) * np.sign(t), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -84,43 +88,6 @@ def _inner_mask(cfg: Configuration, inner) -> np.ndarray:
     if isinstance(inner, Box):
         return inner.contains(cfg.points.reshape(cfg.count, cfg.dim))
     return (cfg.points >= inner[0]) & (cfg.points <= inner[1])
-
-
-def pair_energy(cfg: Configuration, eps: float, inner_window,
-                variant: str = "log") -> tuple[float, float]:
-    """(energy_density, g_value) for one configuration.
-
-    g_value counts ordered pairs, one h term each; the gradient component
-    of point i sums h'(x_i - x_j) over its partners (times the unit vector
-    of the difference when d >= 2), and the energy density is
-    half * sum_i |grad_i g|^2.  Both vanish when no pair is active.
-    """
-    if variant not in _PROFILES:
-        raise ValueError(f"unknown variant {variant!r}")
-    h, hp = _PROFILES[variant]
-    mask = _inner_mask(cfg, inner_window)
-    pts = cfg.points[mask]
-    m = pts.shape[0]
-    if m < 2:
-        return 0.0, 0.0
-    if cfg.dim == 1:
-        diff = pts[:, None] - pts[None, :]
-        np.fill_diagonal(diff, np.inf)
-        kinks = (eps, 1.0) if variant == "log" else (eps, 2.0 * eps)
-        if np.isin(np.abs(diff), kinks).any():
-            log.debug("pair exactly at a profile kink; inner-side derivative used")
-        g_value = float(np.sum(h(diff, eps)))
-        grad = np.sum(hp(diff, eps), axis=1)
-        energy = 0.5 * float(np.sum(grad * grad))
-    else:
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        np.fill_diagonal(dist, np.inf)
-        g_value = float(np.sum(h(dist, eps)))
-        radial = hp(dist, eps) / np.where(np.isfinite(dist), dist, np.inf)
-        grad = np.einsum("ij,ijk->ik", radial, diff)
-        energy = 0.5 * float(np.sum(grad * grad))
-    return energy, g_value
 
 
 @dataclass
@@ -138,21 +105,56 @@ class CapacityEstimate:
 
 def estimate_I_eps_from_samples(samples: list[Configuration], eps: float,
                                 variant: str, inner_window) -> CapacityEstimate:
+    """Mean energy density and mean g^2 over the samples, with std/sqrt(n) errors.
+    Rows with equal inner counts m >= 2 are scored together, each bit for bit as alone."""
     if not samples:
         raise ValueError("empty sample batch")
-    e = np.empty(len(samples))
-    g2 = np.empty(len(samples))
-    for i, cfg in enumerate(samples):
-        en, gv = pair_energy(cfg, eps, inner_window, variant)
-        e[i] = en
-        g2[i] = gv * gv
+    if variant not in _PROFILES:
+        raise ValueError(f"unknown variant {variant!r}")
+    _PROFILES[variant][0](0.0, eps)   # each profile checks its eps range
+    # every point at once: configuration i's are counts[i] from inner[first[i]]
+    pooled = Configuration(np.concatenate([cfg.points for cfg in samples]), None)
+    mask = _inner_mask(pooled, inner_window)
+    inner = pooled.points[mask]
+    owner = np.repeat(np.arange(len(samples)), [cfg.count for cfg in samples])
+    counts = np.bincount(owner[mask], minlength=len(samples))
+    first = np.cumsum(counts) - counts
+    e, g = np.zeros((2, len(samples)))
+    for m in np.unique(counts[counts >= 2]):
+        group = np.flatnonzero(counts == m)
+        step = max(1, _BLOCK_ENTRIES // (m * m * pooled.dim))   # m * m * d per row
+        for rows in (group[s:s + step] for s in range(0, group.size, step)):
+            e[rows], g[rows] = _energy_and_g(inner[first[rows, None] + np.arange(m)],
+                                             eps, variant)
+    g2 = g * g
     n_active = int(np.count_nonzero(e > 0.0))
-    degenerate = n_active == 0
-    if degenerate:
+    if not n_active:
         log.warning("no active samples at eps=%g; degenerate interval", eps)
     return CapacityEstimate(eps, float(e.mean()), float(standard_error(e)),
                             float(g2.mean()), float(standard_error(g2)),
-                            len(samples), n_active, variant, degenerate)
+                            len(samples), n_active, variant, n_active == 0)
+
+
+def _energy_and_g(pts: np.ndarray, eps: float, variant: str):
+    """Energy densities and g values of the rows of pts, (G, m) or (G, m, d)."""
+    h, hp = _PROFILES[variant]
+    diag = (slice(None), *np.diag_indices(pts.shape[1]))
+    if pts.ndim == 2:
+        diff = pts[:, :, None] - pts[:, None, :]
+        diff[diag] = np.inf
+        kinks = (eps, 1.0) if variant == "log" else (eps, 2.0 * eps)
+        if np.isin(np.abs(diff), kinks).any():
+            log.debug("pair exactly at a profile kink; inner-side derivative used")
+        g_value = np.sum(h(diff, eps), axis=(1, 2))
+        grad = np.sum(hp(diff, eps), axis=2)
+    else:
+        diff = pts[:, :, None, :] - pts[:, None, :, :]
+        dist = np.linalg.norm(diff, axis=3)
+        dist[diag] = np.inf
+        g_value = np.sum(h(dist, eps), axis=(1, 2))
+        radial = hp(dist, eps) / np.where(np.isfinite(dist), dist, np.inf)
+        grad = np.einsum("gij,gijk->gik", radial, diff)
+    return 0.5 * np.sum(grad * grad, axis=tuple(range(1, grad.ndim))), g_value
 
 
 @dataclass
@@ -181,19 +183,15 @@ def decay_fit(eps_series, estimates: list[CapacityEstimate]) -> DecayFit:
         raise ValueError("need at least 3 eps values spanning two decades")
     order = np.argsort(eps_arr)[::-1]
     eps_arr = eps_arr[order]
-    ests = [estimates[i] for i in order]
-    y = np.array([c.energy for c in ests])
-    se = np.array([c.energy_se for c in ests])
+    y = np.array([estimates[i].energy for i in order])
+    se = np.array([estimates[i].energy_se for i in order])
     x = 1.0 / np.abs(np.log(eps_arr))
     C = float(np.sum(x * y) / np.sum(x * x))
     resid = float(np.linalg.norm(y - C * x) / max(np.linalg.norm(y), 1e-300))
-    msgs = []
-    inconclusive = False
-    for i in range(len(y) - 1):
-        # decreasing eps should not increase the energy beyond noise
-        if y[i + 1] - y[i] > 2.0 * np.hypot(se[i], se[i + 1]):
-            inconclusive = True
-            msgs.append(f"energy increased from eps={eps_arr[i]:g} to {eps_arr[i + 1]:g}")
+    # decreasing eps should not increase the energy beyond noise
+    up = np.flatnonzero(np.diff(y) > 2.0 * np.hypot(se[:-1], se[1:]))
+    msgs = [f"energy increased from eps={eps_arr[i]:g} to {eps_arr[i + 1]:g}" for i in up]
+    inconclusive = bool(up.size)
     if resid >= 0.2:
         msgs.append(f"relative residual {resid:.3f} does not certify the decay law")
     return DecayFit(C, resid, inconclusive, msgs)
@@ -217,12 +215,7 @@ def poisson_pair_count_oracle(intensity: float, inner: Box, eps: float) -> float
     r = (eps ** d + (2 ** d - 1) * eps ** d * gen.random(n_mc)) ** (1.0 / d)
     y = x + u * r[:, None]
     p_in = np.mean(np.all((y >= lo) & (y <= hi), axis=1))
-    shell_vol = _ball_volume(d) * ((2 * eps) ** d - eps ** d)
+    shell_vol = pi ** (d / 2) / gamma(d / 2 + 1) * ((2 * eps) ** d - eps ** d)
     expected_pairs = 0.5 * intensity ** 2 * inner.volume * shell_vol * p_in
     # an isolated active pair contributes 1/2 * 2 * (2/eps)^2 to the energy
     return float(expected_pairs * 4.0 / eps ** 2)
-
-
-def _ball_volume(d: int) -> float:
-    from math import gamma, pi
-    return pi ** (d / 2) / gamma(d / 2 + 1)

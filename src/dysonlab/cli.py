@@ -53,8 +53,8 @@ from .svg import Figure
 # config checks: one row (rule, default) per key
 # ---------------------------------------------------------------------------
 
-# a count stays below 2^_SIZE_BITS, the bound of numpy's array sizes; a count
-# below it may still ask for more memory than there is
+# a count, and an array's bytes, stay below 2^_SIZE_BITS, the bound of numpy's
+# array sizes; neither check sees whether there is that much memory
 _SIZE_BITS = np.iinfo(np.intp).bits - 1
 
 
@@ -328,18 +328,18 @@ def _exp_capacity(p) -> tuple[int, dict, dict]:
     extra: dict = {"variant": p.variant}
     fit = None
     if p.variant == "log":
-        samples = _dpp_samples(p)
-        rows = [estimate_I_eps_from_samples(samples, eps, "log", p.inner) for eps in p.eps]
-        fit = decay_fit(p.eps, rows)
-        extra.update(C=fit.C, residual=fit.residual, inconclusive=fit.inconclusive,
-                     messages=fit.messages)
+        samples, inner = _dpp_samples(p), p.inner
     else:
         inner = Box(p.box.bounds + [p.inner_pad, -p.inner_pad])
         samples = map_streams(partial(sample_poisson_batch, p.intensity, p.box),
                               p.seed, 0, p.n_samples, p.workers)
-        rows = [estimate_I_eps_from_samples(samples, eps, "linear", inner) for eps in p.eps]
         extra.update(oracle={eps: poisson_pair_count_oracle(p.intensity, inner, eps)
                              for eps in p.eps})
+    rows = [estimate_I_eps_from_samples(samples, eps, p.variant, inner) for eps in p.eps]
+    if p.variant == "log":
+        fit = decay_fit(p.eps, rows)
+        extra.update(C=fit.C, residual=fit.residual, inconclusive=fit.inconclusive,
+                     messages=fit.messages)
     fit_cols = [_r(fit.C), _r(fit.residual)] if fit else ["", ""]
     return (4 if extra.get("inconclusive") else 0), extra, {
         "capacity.csv": _csv("eps,energy,energy_se,l2,l2_se,n_active,C_fit,residual",
@@ -359,6 +359,12 @@ def _on_the_kernel_domain(key: str) -> tuple:
     return (lambda p: p.kernel is None or p.kernel.domain == "full_line"
             or getattr(p, key) is None or min(np.ravel(getattr(p, key))) >= 0,
             f"{key} {{p.{key}!r}} reaches below 0, off the {{p.kernel.family}} kernel's half line")
+
+
+def _addressable(entries: Callable) -> tuple:
+    """entries(p) floats, the largest array a run sizes from N, fit numpy's bound."""
+    return (lambda p: 8 * entries(p) < 1 << _SIZE_BITS,
+            f"an array sized from N {{p.N}} would pass numpy's 2^{_SIZE_BITS}-byte bound")
 
 
 def _one_count_per_n(p) -> bool:
@@ -399,7 +405,9 @@ _EXPERIMENTS = {
         "rho_bar": (Rule(UNIT.desc, UNIT.ok), 1.0),  # the header echoes it as given
         "intensity": (POSITIVE, 1.0),
         "box": (_BOX, Box([[0.0, 1.0]] * 3)),
-    }, [_kernel_for("sampler", "dpp")]),
+    }, [_kernel_for("sampler", "dpp"),
+        # the (n_samples, N) draws or an N x N matrix
+        _addressable(lambda p: p.N * max(p.n_samples, p.N) * (p.sampler == "log_gas"))]),
     "correlations": Experiment(_exp_correlations, {
         "kernel": (_KERNEL, REQUIRED),
         "window": (_INTERVAL, (-3.0, 3.0)),
@@ -439,6 +447,8 @@ _EXPERIMENTS = {
         "n_nodes": (_NODES, 400),
         "example_trajectory": (Rule("true or false", lambda v: isinstance(v, bool)), False),
     }, [_kernel_for("model", "distorted"),
+        # the drift's (n_paths, N, N) pair differences of every delta, in one call
+        _addressable(lambda p: len(p.delta_sweep) * p.n_paths * p.N ** 2 * (p.model == "dyson")),
         # the drift table evaluates the kernel at pairs outside the window
         (lambda p: p.model != "distorted" or p.kernel.domain == "full_line",
          "model 'distorted' needs a full-line kernel, not {p.kernel.family}")]),

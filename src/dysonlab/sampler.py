@@ -48,8 +48,9 @@ log = logging.getLogger(__name__)
 
 _ZERO_DENSITY = 1e-12
 _MAX_POINT_RETRIES = 100
-# log-gas draws per block: bounds memory whatever n_samples is
-_LOG_GAS_BLOCK = 4096
+# log-gas draws per block, and matrix entries per dense block (32 MiB): they
+# bound memory whatever n_samples and n are
+_LOG_GAS_BLOCK, _DENSE_ENTRIES = 4096, 4096 * 32 ** 2
 # DPP draws placed in lockstep per block: each holds an (m, k) frame, about
 # 50 KB on the sine field at 256 nodes, so this bounds memory
 _DPP_BLOCK = 64
@@ -278,11 +279,6 @@ def _tridiagonal_batch(n: int, lam: float, seed: int, m: int,
     return diag, off
 
 
-def _blocks(n_samples: int):
-    for s in range(0, n_samples, _LOG_GAS_BLOCK):
-        yield s, min(s + _LOG_GAS_BLOCK, n_samples)
-
-
 def sample_log_gas(n: int, rho_bar: float, rng: RngStream) -> Configuration:
     """n points of the quadratic-confinement log-gas, sorted ascending: row 0
     of the batch on stream ``rng``.  A tie (probability zero) raises
@@ -298,12 +294,14 @@ def sample_log_gas_batch(n: int, rho_bar: float, seed: int, n_samples: int,
     """(n_samples, n) array of sorted draws, one stream per sample.
 
     Each stream's draws are fixed, so the result is identical however the
-    batch is chunked; matrices are eigensolved in stacked blocks.
+    batch is chunked; matrices are eigensolved _DENSE_ENTRIES entries at a time.
     """
     lam = _check_log_gas(n, rho_bar)
     out = np.empty((n_samples, n))
     idx = np.arange(n)
-    for s, e in _blocks(n_samples):
+    block = min(_LOG_GAS_BLOCK, max(1, _DENSE_ENTRIES // (n * n)))
+    for s in range(0, n_samples, block):
+        e = min(s + block, n_samples)
         diag, off = _tridiagonal_batch(n, lam, seed, e - s, base_stream + s)
         mats = np.zeros((e - s, n, n))
         mats[:, idx, idx] = diag
@@ -343,29 +341,27 @@ def log_gas_window_counts(n: int, rho_bar: float, seed: int, n_samples: int,
     lam = _check_log_gas(n, rho_bar)
     shifts = np.array([[half], [-half]])
     counts = np.empty(n_samples, dtype=np.int64)
-    for s, e in _blocks(n_samples):
+    for s in range(0, n_samples, _LOG_GAS_BLOCK):
+        e = min(s + _LOG_GAS_BLOCK, n_samples)
         diag, off = _tridiagonal_batch(n, lam, seed, e - s, base_stream + s)
         below = _count_below(diag, off * off, shifts)
         counts[s:e] = below[0] - below[1]
     return counts
 
 
-def sample_poisson(intensity: float, region: Box, rng: RngStream) -> Configuration:
-    """Homogeneous Poisson configuration on a box: Poisson(intensity * volume)
-    many i.i.d. uniform points."""
-    POSITIVE("intensity", intensity, ValueError)
-    region = region if isinstance(region, Box) else Box(region)
-    gen = rng.generator()
-    count = int(gen.poisson(intensity * region.volume))
-    lo, hi = region.bounds[:, 0], region.bounds[:, 1]
-    pts = gen.uniform(lo, hi, size=(count, region.dim))
-    if region.dim == 1:
-        return Configuration(np.sort(pts[:, 0]), (float(lo[0]), float(hi[0])))
-    return Configuration(pts, region)
-
-
 def sample_poisson_batch(intensity: float, region: Box, seed: int, n_samples: int,
                          base_stream: int = 0) -> list[Configuration]:
-    """n_samples independent Poisson configurations on streams base_stream + i."""
-    return [sample_poisson(intensity, region, RngStream(seed, base_stream + i))
-            for i in range(n_samples)]
+    """n_samples homogeneous Poisson configurations on a box, on streams
+    base_stream + i: each draws a Poisson(intensity * volume) count, then
+    that many i.i.d. uniform points."""
+    POSITIVE("intensity", intensity, ValueError)
+    region = region if isinstance(region, Box) else Box(region)
+    mean = intensity * region.volume
+    lo, width = region.bounds[:, 0], region.bounds[:, 1] - region.bounds[:, 0]
+    out = []
+    for gen in stream_generators(seed, base_stream, n_samples):
+        # gen.uniform(lo, hi, size) bit for bit, without its per-call checks
+        pts = lo + width * gen.random((int(gen.poisson(mean)), region.dim))
+        out.append(Configuration(np.sort(pts[:, 0]), tuple(map(float, region.bounds[0])))
+                   if region.dim == 1 else Configuration(pts, region))
+    return out

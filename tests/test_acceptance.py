@@ -223,8 +223,7 @@ def test_criterion_7_capacity_decay(sine_samples, capacity_lip_samples):
     intensity, okp = 2.0, True
     box = dl.Box([[0.0, 1.2]] * 3)
     pinner = dl.Box([[0.2, 1.0]] * 3)
-    psamples = [dl.sample_poisson(intensity, box, RngStream(70_007, i))
-                for i in range(100_000)]
+    psamples = dl.sample_poisson_batch(intensity, box, 70_007, 100_000)
     prev = None
     ratios = []
     for e in (0.1, 0.05, 0.025):

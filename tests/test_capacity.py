@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 import dysonlab as dl
-from dysonlab import RngStream
+from dysonlab import capacity
 from dysonlab.capacity import (CapacityEstimate, estimate_I_eps_from_samples,
                                h_eps_prime, h_lin_prime)
+from dysonlab.statistics import standard_error
+
+
+def scored_alone(cfg, eps, inner=(-2, 2), variant="log"):
+    """(energy, g^2) of one configuration: the estimate of [cfg, cfg]."""
+    est = estimate_I_eps_from_samples([cfg, cfg], eps, variant, inner)
+    return est.energy, est.l2_term
 
 
 def test_log_profile_pinned_values():
@@ -48,14 +55,14 @@ def test_profile_monotone_in_eps():
 
 def test_pair_energy_single_point():
     cfg = dl.Configuration(np.array([0.3]), (-3.0, 3.0))
-    assert dl.pair_energy(cfg, 1e-2, (-2, 2)) == (0.0, 0.0)
+    assert scored_alone(cfg, 1e-2) == (0.0, 0.0)
 
 
 def test_pair_energy_plateau_pair():
     eps = 1e-2
     cfg = dl.Configuration(np.array([0.0, eps / 2]), (-3.0, 3.0))
-    energy, g = dl.pair_energy(cfg, eps, (-2, 2))
-    assert g == 4.0  # both ordered pairs on the plateau
+    energy, g2 = scored_alone(cfg, eps)
+    assert g2 == 16.0  # g = 4: both ordered pairs on the plateau
     assert energy == 0.0
 
 
@@ -63,23 +70,22 @@ def test_pair_energy_active_pair():
     eps = 1e-2
     t0 = np.sqrt(eps)
     cfg = dl.Configuration(np.array([0.0, t0]), (-3.0, 3.0))
-    energy, g = dl.pair_energy(cfg, eps, (-2, 2))
+    energy, g2 = scored_alone(cfg, eps)
     assert energy == pytest.approx(4.0 / (eps * np.log(eps) ** 2), rel=1e-12)
-    assert g == pytest.approx(2 * dl.h_eps(t0, eps), rel=1e-12)
+    assert np.sqrt(g2) == pytest.approx(2 * dl.h_eps(t0, eps), rel=1e-12)
 
 
 def test_pair_energy_respects_inner_window():
     eps = 1e-2
     cfg = dl.Configuration(np.array([2.5, 2.5 + np.sqrt(eps)]), (-3.0, 3.0))
-    energy, g = dl.pair_energy(cfg, eps, (-2, 2))
-    assert energy == 0.0 and g == 0.0
+    assert scored_alone(cfg, eps) == (0.0, 0.0)
 
 
 def test_energy_zero_outside_active_band():
     eps = 1e-2
     for gap in (eps / 3, 1.2):
         cfg = dl.Configuration(np.array([0.0, gap]), (-3.0, 3.0))
-        energy, _ = dl.pair_energy(cfg, eps, (-2, 2))
+        energy, _ = scored_alone(cfg, eps)
         assert energy == 0.0
 
 
@@ -97,7 +103,7 @@ def test_gradient_bound_identity():
     for _ in range(50):
         pts = np.sort(gen.uniform(-2, 2, gen.integers(2, 7)))
         cfg = dl.Configuration(pts, (-3.0, 3.0))
-        energy, _ = dl.pair_energy(cfg, eps, (-2, 2))
+        energy, _ = scored_alone(cfg, eps)
         diff = np.abs(pts[:, None] - pts[None, :])
         np.fill_diagonal(diff, np.inf)
         active = (diff > eps) & (diff < 1.0)
@@ -113,9 +119,9 @@ def test_gradient_bound_identity():
 def test_g_value_bounded_by_pair_count(sine_samples):
     eps = 1e-3
     for cfg in sine_samples[:300]:
-        _, g = dl.pair_energy(cfg, eps, (-2, 2))
+        _, g2 = scored_alone(cfg, eps)
         m = np.count_nonzero((cfg.points >= -2) & (cfg.points <= 2))
-        assert 0.0 <= g <= 2.0 * m * max(m - 1, 0)
+        assert g2 <= (2.0 * m * max(m - 1, 0)) ** 2
 
 
 def test_estimate_with_common_samples_monotone(sine_samples):
@@ -133,16 +139,59 @@ def test_energy_errors_are_std_over_root_n(sine_samples):
     # every draw has its own stream: std / sqrt(n) of the per-sample values
     samples = sine_samples[:3000]
     est = estimate_I_eps_from_samples(samples, 1e-2, "log", (-2, 2))
-    energy, g = np.array([dl.pair_energy(c, 1e-2, (-2, 2)) for c in samples]).T
+    energy, g2 = np.array([scored_alone(c, 1e-2) for c in samples]).T
     root_n = np.sqrt(len(samples))
     assert est.energy_se == pytest.approx(energy.std(ddof=1) / root_n, rel=1e-12)
-    assert est.l2_se == pytest.approx((g * g).std(ddof=1) / root_n, rel=1e-12)
+    assert est.l2_se == pytest.approx(g2.std(ddof=1) / root_n, rel=1e-12)
 
 
 def test_degenerate_flag():
     cfgs = [dl.Configuration(np.array([0.0]), (-3.0, 3.0)) for _ in range(20)]
     est = estimate_I_eps_from_samples(cfgs, 1e-3, "log", (-2, 2))
     assert est.degenerate and est.energy == 0.0 and est.l2_term == 0.0
+
+
+@pytest.mark.parametrize("block", [capacity._BLOCK_ENTRIES, 64])
+@pytest.mark.parametrize("variant, eps", [("log", 1e-2), ("linear", 0.1)])
+def test_batch_estimate_is_the_mean_of_lone_scores(sine_samples, monkeypatch, block,
+                                                   variant, eps):
+    # a block of 64 pair-difference entries holds at most two configurations
+    monkeypatch.setattr(capacity, "_BLOCK_ENTRIES", block)
+    window = (-3.0, 3.0)
+    lines = [dl.Configuration(np.array(p, dtype=float), window)
+             for p in ([], [2.5], [0.0], [-0.05, 0.05], [0.0, 0.3, 2.5])]
+    box = dl.Box([[0.0, 1.2]] * 3)
+    for samples, inner in [(lines + sine_samples[:400], (-2.0, 2.0)),
+                           (dl.sample_poisson_batch(6.0, box, 17, 400),
+                            dl.Box([[0.2, 1.0]] * 3))]:
+        counts = {int(np.count_nonzero(capacity._inner_mask(c, inner))) for c in samples}
+        assert {0, 1, 2} < counts and max(counts) > 3
+        alone = [estimate_I_eps_from_samples([c, c], eps, variant, inner) for c in samples]
+        assert all(a.energy_se == 0.0 and a.l2_se == 0.0 for a in alone)
+        e = np.array([a.energy for a in alone])
+        g2 = np.array([a.l2_term for a in alone])
+        n_active = int(np.count_nonzero(e > 0.0))
+        assert n_active > 0
+        assert estimate_I_eps_from_samples(samples, eps, variant, inner) == CapacityEstimate(
+            eps, float(e.mean()), float(standard_error(e)), float(g2.mean()),
+            float(standard_error(g2)), len(samples), n_active, variant, False)
+
+
+@pytest.mark.parametrize("points", [[0.0], [0.0, 0.5]])
+@pytest.mark.parametrize("variant, eps", [("log", 5.0), ("log", 1.0), ("log", 0.0),
+                                          ("log", float("nan")), ("linear", 0.0),
+                                          ("linear", -0.1), ("linear", float("nan"))])
+def test_estimate_checks_eps_before_scoring(variant, eps, points):
+    cfg = dl.Configuration(np.array(points), (-3.0, 3.0))
+    with pytest.raises(ValueError, match="eps"):
+        estimate_I_eps_from_samples([cfg], eps, variant, (-2, 2))
+
+
+@pytest.mark.parametrize("points", [[0.0], [0.0, 0.5]])
+def test_estimate_checks_the_variant_before_scoring(points):
+    cfg = dl.Configuration(np.array(points), (-3.0, 3.0))
+    with pytest.raises(ValueError, match="unknown variant 'quadratic'"):
+        estimate_I_eps_from_samples([cfg], 1e-2, "quadratic", (-2, 2))
 
 
 def test_decay_fit_exact_model():
@@ -174,8 +223,7 @@ def test_poisson_linear_variant_against_pair_counting():
     intensity = 2.0
     box = dl.Box([[0.0, 1.2]] * 3)
     inner = dl.Box([[0.2, 1.0]] * 3)
-    samples = [dl.sample_poisson(intensity, box, RngStream(33, i))
-               for i in range(30_000)]
+    samples = dl.sample_poisson_batch(intensity, box, 33, 30_000)
     prev = None
     for eps in (0.1, 0.05):
         est = estimate_I_eps_from_samples(samples, eps, "linear", inner)
@@ -189,7 +237,7 @@ def test_poisson_linear_variant_against_pair_counting():
 
 def test_one_dimensional_box_and_interval_give_the_same_estimate():
     box = dl.Box([[0.0, 2.0]])
-    samples = [dl.sample_poisson(2.0, box, RngStream(5, i)) for i in range(200)]
+    samples = dl.sample_poisson_batch(2.0, box, 5, 200)
     assert samples[0].dim == 1
     for eps in (0.1, 0.05):
         assert (estimate_I_eps_from_samples(samples, eps, "linear", dl.Box([[0.2, 1.8]]))

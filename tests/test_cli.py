@@ -204,7 +204,7 @@ def test_capacity_rejects_unusable_eps_before_sampling(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize("eps", [[0.1, "abc"], [0.1, -0.05]])
 def test_capacity_linear_rejects_unusable_eps_before_sampling(tmp_path, capsys,
                                                               monkeypatch, eps):
-    monkeypatch.setattr(dl.sampler, "sample_poisson", no_sampling)
+    monkeypatch.setattr(cli, "sample_poisson_batch", no_sampling)
     path = write_config(tmp_path, {
         "experiment": "capacity", "seed": 13,
         "params": {"variant": "linear", "eps": eps, "n_samples": 100},
@@ -645,6 +645,9 @@ MALFORMED = [
     # a kernel's params are an object
     ("validate", dict(params_of("validate"), window=[-3, 3],
                       kernel={"family": "sine", "params": [1]})),
+    # a count below 2^63 that sizes an array of 2^63 bytes or more
+    ("sample", params_of("sample", sampler="log_gas", N=1 << 62, n_samples=1)),
+    ("dynamics", params_of("dynamics", N=10 ** 9)),
 ]
 
 

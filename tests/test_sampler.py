@@ -219,6 +219,23 @@ def test_log_gas_batch_is_chunk_invariant():
                           dl.log_gas_window_counts(5, 0.9, 6, 300, 0.3, base_stream=4020))
     single = dl.sample_log_gas(5, 0.9, RngStream(6, 4123))
     assert np.array_equal(single.points, full[4103])
+    # at N = 64 a dense block holds 1,024 draws: rows 1000..1100 straddle its edge
+    full = dl.sample_log_gas_batch(64, 0.9, 6, 1100, base_stream=20)
+    part = dl.sample_log_gas_batch(64, 0.9, 6, 100, base_stream=1020)
+    assert np.array_equal(full[1000:], part)
+    single = dl.sample_log_gas(64, 0.9, RngStream(6, 1050))
+    assert np.array_equal(single.points, full[1030])
+
+
+def test_log_gas_dense_blocks_are_bounded_in_bytes():
+    # 4,096 draws at N = 128 in one dense block would take 512 MiB
+    tracemalloc.start()
+    try:
+        dl.sample_log_gas_batch(128, 1.0, 3, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 << 20
 
 
 def test_log_gas_tie_raises_sampling_error(monkeypatch):
@@ -231,20 +248,33 @@ def test_log_gas_tie_raises_sampling_error(monkeypatch):
 
 def test_poisson_moments():
     box = dl.Box([[0, 1], [0, 1], [0, 1]])
-    counts = np.array([dl.sample_poisson(1.0, box, RngStream(4, i)).count
-                       for i in range(10_000)])
+    counts = np.array([c.count for c in dl.sample_poisson_batch(1.0, box, 4, 10_000)])
     se = counts.std(ddof=1) / np.sqrt(counts.size)
     assert abs(counts.mean() - 1.0) < 3 * se
-    counts2 = np.array([dl.sample_poisson(2.0, box, RngStream(5, i)).count
-                        for i in range(10_000)])
+    counts2 = np.array([c.count for c in dl.sample_poisson_batch(2.0, box, 5, 10_000)])
     var = counts2.var(ddof=1)
     se_var = var * np.sqrt(2.0 / counts2.size)
     assert abs(var - 2.0) < 3 * max(se_var, 0.05)
 
 
+def test_poisson_batch_draws_the_count_then_the_points_on_each_stream():
+    box = dl.Box([[0, 1], [0, 2], [-1, 1]])
+    for cfg, i in zip(dl.sample_poisson_batch(3.0, box, 8, 50, base_stream=7), range(7, 57)):
+        gen = RngStream(8, i).generator()
+        count = gen.poisson(3.0 * box.volume)
+        assert np.array_equal(cfg.points, gen.uniform([0, 0, -1], [1, 2, 1], size=(count, 3)))
+        assert cfg.window is box
+    line = dl.Box([[0.5, 2.0]])
+    for cfg, i in zip(dl.sample_poisson_batch(4.0, line, 8, 50), range(50)):
+        gen = RngStream(8, i).generator()
+        count = gen.poisson(4.0 * 1.5)
+        assert np.array_equal(cfg.points, np.sort(gen.uniform(0.5, 2.0, count)))
+        assert cfg.window == (0.5, 2.0)
+
+
 def test_poisson_empty_region():
     box = dl.Box([[0.5, 0.5], [0, 1]])
-    assert dl.sample_poisson(5.0, box, RngStream(1, 1)).count == 0
+    assert dl.sample_poisson_batch(5.0, box, 1, 1, base_stream=1)[0].count == 0
 
 
 @pytest.mark.parametrize("decomp", ["sine_decomp", "product_half_dyn_decomp"])
