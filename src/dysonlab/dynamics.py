@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import IntegrationFailureError, SingularConfigurationError
 from .rng import RngStream
-from .sampler import _DPP_BLOCK, DppSampler, lambda_n, sample_log_gas_batch
+from .sampler import _DENSE_ENTRIES, _DPP_BLOCK, DppSampler, lambda_n, sample_log_gas_batch
 from .spectral import SpectralDecomposition, l_matrix, nystrom_decompose
 
 _MAX_HALVINGS = 20
@@ -68,14 +68,21 @@ _TABLE_G_MIN, _TABLE_N_G, _TABLE_N_S, _TABLE_N_QUAD = 1e-5, 240, 161, 48
 
 def dyson_drift(points, lam: float) -> np.ndarray:
     """Pairwise-repulsion drift with quadratic confinement of one sorted
-    configuration (n,) or of a stack of them (..., n)."""
+    configuration (n,) or of a stack of them (..., n), whose pair
+    differences are built _DENSE_ENTRIES at a time, each row as if alone."""
     x = np.asarray(points, dtype=float)
     n = x.shape[-1]
     if n >= 2 and np.min(np.diff(x, axis=-1)) <= 0.0:
         raise SingularConfigurationError("points must be strictly sorted")
-    d = x[..., :, None] - x[..., None, :]
-    d[..., np.arange(n), np.arange(n)] = np.inf
-    return np.sum(1.0 / d, axis=-1) - lam * x
+    rows = x.reshape(int(np.prod(x.shape[:-1])), n)
+    out = np.empty_like(rows)
+    block, idx = max(1, _DENSE_ENTRIES // max(1, n * n)), np.arange(n)
+    for s in range(0, rows.shape[0], block):
+        r = rows[s:s + block]
+        d = r[:, :, None] - r[:, None, :]
+        d[:, idx, idx] = np.inf
+        out[s:s + block] = np.sum(np.divide(1.0, d, out=d), axis=-1) - lam * r
+    return out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

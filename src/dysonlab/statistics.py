@@ -46,12 +46,11 @@ from math import lgamma
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .rules import Rule, is_int
 from .sampler import Configuration
-from .spectral import (SpectralDecomposition, fredholm_det, l_matrix,
-                       nystrom_decompose)
+from .spectral import (SpectralDecomposition, _gauss_legendre, fredholm_det,
+                       l_matrix, nystrom_decompose)
 
 _QMC_SEED = 202406           # pinned: reruns must be byte-identical
 _CHUNK = 1 << 14             # Sobol points per slice; 2^16 and 2^17 ran 30-50% slower
@@ -151,7 +150,7 @@ def rho_det_box_mean(kernel, box) -> float:
     """Mean of rho_n over a box, one (lo, hi) interval per coordinate, by a
     tensor Gauss-Legendre rule with 16 nodes per coordinate; this is what a
     binned correlation estimate converges to."""
-    t, w = leggauss(16)
+    t, w = _gauss_legendre(16)
     axes = [0.5 * (hi - lo) * t + 0.5 * (hi + lo) for lo, hi in box]
     pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     ww = np.prod([g.ravel() for g in np.meshgrid(*[0.5 * w] * len(box),

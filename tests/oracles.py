@@ -29,6 +29,9 @@ _sobol_integrals, which keeps one sum per slice, must match it bit for bit.
 The product-kernel oracle is the kernel's formula with a fresh array per
 step; the evaluator, which works in one buffer, must match it bit for bit.
 
+The Gauss-Legendre oracle refines each node of a float rule to the exact
+root at 40 digits with mpmath, and gives the exact weight there.
+
 The resolvent oracle solves the Nystrom system of L = K + K (Id - K)^-1 K
 directly from the kernel and the quadrature rule, with no eigenvectors;
 l_matrix and the log det L behind PairDriftTable are checked against it.
@@ -43,7 +46,9 @@ The bin-count oracle counts each sample's points in each bin with a
 Python loop.
 
 The log-gas energy and the Holder envelope constants are closed-form
-references that only tests read.
+references that only tests read.  The one-piece log-gas drift builds the
+pair differences of a whole stack at once; dyson_drift, which builds them
+a block of rows at a time, must match it bit for bit.
 
 The gap oracles of criteria 4 and 5 check the collision probes from the
 side:
@@ -179,6 +184,16 @@ def loggas_energy(points, lam: float) -> float:
     if np.any(gaps == 0.0):
         return np.inf
     return conf - 4.0 * float(np.sum(np.log(gaps)))
+
+
+def dyson_drift_one_piece(points, lam: float) -> np.ndarray:
+    """The log-gas drift of a stack (..., n) from one (..., n, n) array of
+    pair differences."""
+    x = np.asarray(points, dtype=float)
+    n = x.shape[-1]
+    d = x[..., :, None] - x[..., None, :]
+    d[..., np.arange(n), np.arange(n)] = np.inf
+    return np.sum(1.0 / d, axis=-1) - lam * x
 
 
 def holder_envelope_check(kernel, alpha: float,
@@ -369,6 +384,28 @@ def product_kernel_oracle(alpha, scale, x, y):
     def radial(t):
         return np.exp(-np.abs(np.asarray(t, dtype=float)) ** alpha)
     return envelope(x) * radial(x - y) * envelope(y)
+
+
+def gauss_legendre_mp_oracle(n: int, nodes) -> tuple[list, list]:
+    """(roots, weights) of P_n at 40 digits, one for each float node: one
+    Newton step from a node within 1e-16 of its root leaves it within
+    about 1e-26, and P_n' is carried to the new point by P_n'' from
+    Legendre's equation, (1 - x^2) P'' = 2 x P' - n (n + 1) P."""
+    import mpmath
+    roots, weights = [], []
+    with mpmath.workdps(40):
+        for node in nodes:
+            x = mpmath.mpf(float(node))
+            p0, p1 = mpmath.mpf(1), x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (p0 - x * p1) / (1 - x * x)
+            d2p = (2 * x * dp - n * (n + 1) * p1) / (1 - x * x)
+            root = x - p1 / dp
+            dp += d2p * (root - x)
+            roots.append(root)
+            weights.append(2 / ((1 - root * root) * dp * dp))
+    return roots, weights
 
 
 def resolvent_l_oracle(kernel, z, w, x):

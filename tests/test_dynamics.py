@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -7,9 +9,10 @@ import dysonlab as dl
 from dysonlab import RngStream
 from dysonlab.errors import IntegrationFailureError, SingularConfigurationError
 from dysonlab.statistics import palm_integrals
-from oracles import (bessel_gap_hit_fraction, gap_dimension_fit, integrate_ensemble_oracle,
-                     integrate_sde_oracle, loggas_energy, pair_drift_stack_oracle,
-                     pair_table_drift_oracle, resolvent_l_oracle, series_sigma2_grid_oracle)
+from oracles import (bessel_gap_hit_fraction, dyson_drift_one_piece, gap_dimension_fit,
+                     integrate_ensemble_oracle, integrate_sde_oracle, loggas_energy,
+                     pair_drift_stack_oracle, pair_table_drift_oracle, resolvent_l_oracle,
+                     series_sigma2_grid_oracle)
 
 
 def one_path(points, drift, T, delta, rng, **kw):
@@ -58,6 +61,31 @@ def test_dyson_drift_stack_matches_rows():
     g = X[:, 1] - X[:, 0]
     pair = np.stack([-1.0 / g, 1.0 / g], axis=1) - 0.4 * X
     assert np.array_equal(dl.dyson_drift(X, 0.4), pair)
+
+
+@pytest.mark.parametrize("entries, shape", [
+    (None, (300, 128)),        # 256 rows a block at N = 128
+    (64, (3, 7, 5)),           # 2 rows a block: 21 rows, the last block short
+    (16, (4, 4)),              # 1 row a block
+])
+def test_dyson_drift_blocks_match_one_piece(monkeypatch, entries, shape):
+    if entries is not None:
+        monkeypatch.setattr(dl.dynamics, "_DENSE_ENTRIES", entries)
+    X = np.sort(np.random.default_rng(8).normal(0, 3, shape), axis=-1)
+    assert np.array_equal(dl.dyson_drift(X, 0.7), dyson_drift_one_piece(X, 0.7))
+
+
+def test_dyson_drift_memory_is_bounded_by_blocks():
+    # 1,000 paths at N = 128 in one piece had a traced peak of 263 MB; the
+    # blocks hold at most two _DENSE_ENTRIES arrays at once
+    X = np.sort(np.random.default_rng(9).normal(0, 3, (1000, 128)), axis=1)
+    tracemalloc.start()
+    try:
+        dl.dyson_drift(X, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * dl.sampler._DENSE_ENTRIES
 
 
 def test_loggas_energy_values():

@@ -1,11 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 
 import dysonlab as dl
 from dysonlab.errors import DegenerateProjectionError, KernelValidityError
+from dysonlab.spectral import _gauss_legendre
 
 from conftest import synthetic_rank1_decomposition, phi_of
-from oracles import resolvent_l_oracle
+from oracles import gauss_legendre_mp_oracle, resolvent_l_oracle
 
 
 def test_sine_trace(sine_decomp):
@@ -139,3 +142,90 @@ def test_nystrom_extension_matches_nodes(sine_decomp):
     strong = sine_decomp.eigenvalues[kept] > 1e-6
     assert np.allclose(vals[:, strong],
                        sine_decomp.eigenvectors[:8, kept[strong]], atol=1e-9)
+
+
+RULE_SIZES = (8, 9, 48, 256, 1024)
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_rule_matches_40_digit_rule_at_every_node(n):
+    # the nonnegative half; the mirror test covers the rest bit for bit
+    x, w = _gauss_legendre(n)
+    roots, weights = gauss_legendre_mp_oracle(n, x[n // 2:])
+    node_err = [abs(float(r - v)) for r, v in zip(roots, x[n // 2:])]
+    weight_err = [abs(float((m - v) / m)) for m, v in zip(weights, w[n // 2:])]
+    # measured: 6.2e-17 and 6.7 n eps at most over these sizes
+    assert max(node_err) <= EPS
+    assert max(weight_err) <= 16 * n * EPS
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_rule_integrates_even_powers_exactly(n):
+    x, w = _gauss_legendre(n)
+    for k in range(n):                  # degrees 0, 2, ..., 2n - 2
+        assert np.sum(w * x ** (2 * k)) == pytest.approx(2 / (2 * k + 1), rel=16 * n * EPS)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3) + RULE_SIZES + (255, 4096))
+def test_rule_is_mirrored_bit_for_bit(n):
+    x, w = _gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0
+
+
+def test_rule_of_4096_nodes_takes_under_a_second():
+    t0 = time.perf_counter()
+    _gauss_legendre(4096)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def _gram_and_eigh_calls(monkeypatch, kernel, window, n):
+    """The decomposition, its symmetrized Gram on the same rule, and the
+    orders of the eigh calls the decomposition made."""
+    calls, eigh = [], np.linalg.eigh
+
+    def counting_eigh(a):
+        calls.append(a.shape[0])
+        return eigh(a)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    d = dl.nystrom_decompose(kernel, window, n)
+    sw = np.sqrt(d.weights)
+    gram = sw[:, None] * kernel.eval(d.nodes[:, None], d.nodes[None, :]) * sw[None, :]
+    return d, 0.5 * (gram + gram.T), calls
+
+
+@pytest.mark.parametrize("family, params, window", [
+    ("product", {"alpha": 0.5, "scale": 1.0}, (-1.0, 1.0)),
+    ("sine", {"rho_bar": 1.0}, (-3.0, 3.0)),
+])
+@pytest.mark.parametrize("n", (48, 400, 1024))
+def test_flip_symmetric_gram_splits_into_half_size_eigensolves(monkeypatch, family,
+                                                               params, window, n):
+    kernel = dl.construct_kernel(family, **params)
+    d, gram, calls = _gram_and_eigh_calls(monkeypatch, kernel, window, n)
+    assert np.array_equal(gram, gram[::-1, ::-1]) and calls == [n // 2, n // 2]
+    assert np.all(np.diff(d.raw_eigenvalues) <= 0)
+    assert np.max(np.abs(d.raw_eigenvalues - np.linalg.eigh(gram)[0][::-1])) <= 1e-14
+    v = d.eigenvectors * np.sqrt(d.weights)[:, None]
+    assert np.max(np.linalg.norm(gram @ v - v * d.raw_eigenvalues, axis=0)) <= 1e-14
+    orth = d.eigenvectors.T @ (d.weights[:, None] * d.eigenvectors)
+    assert np.max(np.abs(orth - np.eye(n))) <= 1e-13
+
+
+@pytest.mark.parametrize("family, params, window, n", [
+    ("sine", {"rho_bar": 1.0}, (0.0, 6.0), 256),        # off-centre window
+    ("bessel", {"order": 0.5}, (0.0, 10.0), 64),        # half-line kernel
+    ("product", {"alpha": 0.5, "scale": 1.0}, (-1.0, 1.0), 49),   # odd n
+])
+def test_other_grams_take_one_full_eigh_bit_for_bit(monkeypatch, family, params,
+                                                   window, n):
+    kernel = dl.construct_kernel(family, **params)
+    d, gram, calls = _gram_and_eigh_calls(monkeypatch, kernel, window, n)
+    assert calls == [n]
+    lam, vecs = np.linalg.eigh(gram)
+    assert np.array_equal(d.raw_eigenvalues, lam[::-1])
+    assert np.array_equal(d.eigenvectors, vecs[:, ::-1] / np.sqrt(d.weights)[:, None])
