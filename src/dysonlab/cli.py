@@ -336,12 +336,15 @@ def _exp_capacity(p) -> tuple[int, dict, dict]:
         extra.update(oracle={eps: poisson_pair_count_oracle(p.intensity, inner, eps)
                              for eps in p.eps})
     rows = [estimate_I_eps_from_samples(samples, eps, p.variant, inner) for eps in p.eps]
+    extra["degenerate_eps"] = [e.eps for e in rows if e.degenerate]
     if p.variant == "log":
         fit = decay_fit(p.eps, rows)
         extra.update(C=fit.C, residual=fit.residual, inconclusive=fit.inconclusive,
                      messages=fit.messages)
     fit_cols = [_r(fit.C), _r(fit.residual)] if fit else ["", ""]
-    return (4 if extra.get("inconclusive") else 0), extra, {
+    # a run that scores no pair at any eps measures nothing
+    unscored = len(extra["degenerate_eps"]) == len(rows)
+    return (4 if extra.get("inconclusive") or unscored else 0), extra, {
         "capacity.csv": _csv("eps,energy,energy_se,l2,l2_se,n_active,C_fit,residual",
                              [(*map(_r, (e.eps, e.energy, e.energy_se, e.l2_term, e.l2_se)),
                                str(e.n_active), *fit_cols) for e in rows])}

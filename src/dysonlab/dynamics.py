@@ -11,12 +11,16 @@ one path.  It integrates two drift fields:
 * the gradient field half * grad log sigma_2 of a windowed determinantal
   density in the two-point sector, interpolated from a PairDriftTable of
   log det L (spectral.l_matrix).  The caller builds one table per
-  decomposition and passes it to every probe on it.
+  decomposition and passes it to every probe on it.  Its probes start
+  from equilibrium conditioned on exactly two points, drawn exactly from
+  the sampler's two-point sector (conditioned_pair_initials).
 
 The step rule is dt = min(dt_max, c_dt * g_min^2) with g_min the current
 minimum gap; a proposal that breaks the strict ordering is rejected and
 retried with dt/2 (at most 20 halvings, after which the path is counted as
-an integration failure).  Paths are independent jobs keyed by stream id.
+an integration failure).  A path whose step no longer moves its time
+(t + dt == t) stops as a failure too.  Paths are independent jobs keyed
+by stream id.
 
 An iteration makes one drift call on the active paths of every job and,
 per job with active paths, one normal draw of shape (active, n) in path
@@ -48,12 +52,10 @@ import numpy as np
 
 from .errors import IntegrationFailureError, SingularConfigurationError
 from .rng import RngStream
-from .sampler import _DENSE_ENTRIES, _DPP_BLOCK, DppSampler, lambda_n, sample_log_gas_batch
+from .sampler import _DENSE_ENTRIES, DppSampler, lambda_n, sample_log_gas_batch
 from .spectral import SpectralDecomposition, l_matrix, nystrom_decompose
 
 _MAX_HALVINGS = 20
-# two-point draws allowed per conditioned initial pair
-_MAX_PAIR_TRIES = 400
 # the normal quantile of a two-sided 95% interval
 _Z95 = 1.959963984540054
 # PairDriftTable grid: log-spaced gaps from _TABLE_G_MIN to 2.2 window
@@ -93,7 +95,7 @@ class EnsembleRun(NamedTuple):
     """Per-path outcome of one job of integrate_ensemble."""
 
     hit: np.ndarray          # (n_paths,) bool
-    failed: np.ndarray       # (n_paths,) bool: step halvings exhausted
+    failed: np.ndarray       # (n_paths,) bool: halvings exhausted or a stalled step
     hit_time: np.ndarray     # (n_paths,) nan where no hit
     final: np.ndarray        # (n_paths, n) states at the end
     rejections: np.ndarray   # (n_paths,) proposals rejected for crossing
@@ -126,18 +128,17 @@ def integrate_ensemble(jobs, drift, T: float, dt_max: float = 1e-3, c_dt: float 
     job has the same n, and ``drift`` maps an (m, n) stack of states to its
     (m, n) drift row by row, so one call per iteration serves the sweep.
     A path stops at T, at its first hit of a minimum gap <= its job's delta
-    (delta = 0 disables hit detection), or when 20 halvings of its step
-    cannot keep the ordering (a failure).  The step dt = min(dt_max, c_dt g^2)
-    has no floor, so with delta = 0 a drift that drives a pair together
-    may shrink it without end and the path never reach T: one pair of the
-    alpha = 1/2 distorted probe from (-0.5, 0.5), with T = 2 (400-node
-    product decomposition, RngStream(3, 1)), had a gap of 1.4e-17 and had
-    not reached T after 200,000 iterations.  Each job draws the noise of its
-    active paths from its own rng, in path order, so its run is that of a
-    lone job bit for bit, and depends on the generator sequence but not on
-    the rest of the sweep or any worker decomposition.  With ``record``,
-    a job's frames hold copies of its (t, X) at the start and after every
-    iteration it had an active path in.
+    (delta = 0 disables hit detection), or as a failure: when 20 halvings
+    of its step cannot keep the ordering, or when its step no longer moves
+    its time (t + dt == t).  The step dt = min(dt_max, c_dt g^2) has no
+    floor, so with delta = 0 a drift that drives a pair together shrinks
+    it until the step falls below half an ulp of t, and the path stalls
+    there.  Each job draws the noise of its active paths from its own
+    rng, in path order, so its run is that of a lone job bit for bit, and
+    depends on the generator sequence but not on the rest of the sweep or
+    any worker decomposition.  With ``record``, a job's frames hold copies
+    of its (t, X) at the start and after every iteration it had an active
+    path in.
     """
     jobs = list(jobs)
     sizes = [len(init) for init, _, _ in jobs]
@@ -177,32 +178,32 @@ def integrate_ensemble(jobs, drift, T: float, dt_max: float = 1e-3, c_dt: float 
             dt = np.fmin(dt, c_dt * ga * ga)
         dr = drift(Xa)
         prop = Xa + dr * dt[:, None] + np.sqrt(dt)[:, None] * _normals(gens, counts, n)
-        failing = None
         if pairs:
             ga = _min_gaps(prop)
             bad = ga <= 0.0
             if np.count_nonzero(bad):
                 bad = _halve_crossed(bad, Xa, dr, dt, prop, ga, gens, job, idx, rejections)
                 if np.count_nonzero(bad):
-                    # an active path's gap exceeds delta, so exhaustion is a failure
+                    # exhausted: the path stays put with dt = 0, and stalls below
                     rejections[idx[bad]] += 1
-                    failed[idx[bad]] = True
                     prop[bad] = Xa[bad]
                     dt[bad] = 0.0
                     ga[bad] = _min_gaps(Xa[bad])
-                    failing = bad
-        ta = ta + dt
+        # a step that no longer moves the time stalls its path: a failure,
+        # unless the step hit
+        t_next = ta + dt
+        stuck = t_next == ta
+        ta = t_next
         Xa = prop
         newly = ga <= da
-        stop = (ta >= T) | newly
-        if failing is not None:
-            stop |= failing
+        stop = (ta >= T) | newly | stuck
         if record:
             X[idx] = Xa
             t[idx] = ta
             for j in np.flatnonzero(counts):
                 frames[j].append((t[rows[j]].copy(), X[rows[j]].copy()))
         if np.count_nonzero(stop):
+            failed[idx[stuck & ~newly]] = True
             hit[idx[newly]] = True
             hit_time[idx[newly]] = ta[newly]
             done = idx[stop]
@@ -388,21 +389,9 @@ class PairDriftTable:
 
 def conditioned_pair_initials(sampler: DppSampler, n_paths: int,
                               rng: RngStream) -> np.ndarray:
-    """Equilibrium samples conditioned on exactly two points: the first
-    n_paths two-point draws among streams rng.stream_id + i, drawn in the
-    sampler's lockstep blocks, for at most _MAX_PAIR_TRIES attempts per path."""
-    out = np.empty((n_paths, 2))
-    got = 0
-    tries = _MAX_PAIR_TRIES * n_paths
-    for s in range(0, tries, _DPP_BLOCK):
-        for cfg in sampler.sample_batch(rng.seed, min(_DPP_BLOCK, tries - s),
-                                        base_stream=rng.stream_id + s):
-            if cfg.count == 2:
-                out[got] = cfg.points
-                got += 1
-                if got == n_paths:
-                    return out
-    raise IntegrationFailureError("could not draw enough two-point configurations")
+    """Equilibrium samples conditioned on exactly two points: the sampler's
+    two-point sector draws on streams rng.stream_id + i (DppSampler.sample_pairs)."""
+    return sampler.sample_pairs(rng.seed, n_paths, rng.stream_id)
 
 
 def distorted_pair_collision_probe(table: PairDriftTable, sweep, T: float,

@@ -27,7 +27,7 @@ class IntegrationFailureError(DysonLabError):
 
 
 class SamplingError(DysonLabError):
-    """Rejection/retry budget exhausted while drawing a sample."""
+    """A retry budget ran out while drawing a sample, or its sector is empty."""
 
 
 class ConfigError(DysonLabError, ValueError):

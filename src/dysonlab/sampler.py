@@ -6,10 +6,14 @@ eigenfunction independently with probability lambda_i, then place as many
 points as survived by sequentially sampling the retained frame's diagonal
 and projecting the frame orthogonally to the evaluation at each placed
 point.  Point counts are therefore an exact Bernoulli(lambda_i) sum by
-construction.  DppSampler places a block of up to _DPP_BLOCK streams in
-lockstep, one step per point for all streams that kept the same number of
-eigenfunctions, and each draw is bit-identical to the draw of its stream
-alone (the one-at-a-time form is the oracle in tests/oracles.py).
+construction.  The two-point sector (the field given exactly two points)
+keeps instead a pair {i, j} with probability proportional to w_i w_j,
+w = lambda/(1 - lambda), the Bernoulli stage's law given a count of 2
+(Kulesza & Taskar 2012, Alg. 8, k = 2).  DppSampler places a block of up
+to _DPP_BLOCK streams in lockstep, one step per point for all streams that
+kept the same number of eigenfunctions, and each draw is bit-identical to
+the draw of its stream alone (the one-at-a-time form is the oracle in
+tests/oracles.py).
 
 The log-gas sampler realizes the quadratic-confinement ensemble
 
@@ -36,13 +40,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import SamplingError
 from .rng import RngStream, stream_generators
 from .rules import POSITIVE, UNIT
-from .spectral import SpectralDecomposition, _extension, eigenfunction_values
+from .spectral import (SpectralDecomposition, _extension, _non_projection_eigenvalues,
+                       eigenfunction_values)
 
 log = logging.getLogger(__name__)
 
@@ -117,14 +123,15 @@ class DppSampler:
 
     Draws are made in lockstep blocks of up to _DPP_BLOCK streams.  Each
     stream keeps its own generator and draws its uniforms in the order a
-    lone draw would: the Bernoulli stage, then one per placement attempt.
-    Streams that kept the same number k of eigenfunctions are then placed
-    together, in k steps whose density, CDF, extension and projection work
-    runs on stacked arrays, item by item with the products a lone draw
-    makes.  So every draw is bit-identical to a lone draw of its stream,
-    whatever block it shares.  The rare paths (an extra uniform in a flat
-    cell, a retry after a zero projected density, the redraw of a tie on
-    the stream's child(1)) stay with the stream that takes them.
+    lone draw would: the selection stage (Bernoulli or two-point sector),
+    then one per placement attempt.  Streams that kept the same number k
+    of eigenfunctions are then placed together, in k steps whose density,
+    CDF, extension and projection work runs on stacked arrays, item by
+    item with the products a lone draw makes.  So every draw is
+    bit-identical to a lone draw of its stream, whatever block it shares.
+    The rare paths (an extra uniform in a flat cell, a retry after a zero
+    projected density, the redraw of a tie on the stream's child(1), in
+    its sector) stay with the stream that takes them.
     """
 
     def __init__(self, decomp: SpectralDecomposition):
@@ -138,22 +145,53 @@ class DppSampler:
 
     def sample(self, rng: RngStream) -> Configuration:
         """One draw on stream ``rng``: a block of one."""
-        return self._draw([rng])[0]
+        return self._draw([rng], self._bernoulli)[0]
 
     def sample_batch(self, seed: int, n_samples: int,
                      base_stream: int = 0) -> list[Configuration]:
         """n_samples draws on streams base_stream + i, in lockstep blocks of
         _DPP_BLOCK, so memory is bounded whatever n_samples is."""
+        return self._blocks(self._bernoulli, seed, n_samples, base_stream)
+
+    def sample_pairs(self, seed: int, n_samples: int, base_stream: int = 0) -> np.ndarray:
+        """(n_samples, 2) two-point sector draws on streams base_stream + i, in
+        sample_batch's blocks.  An eigenvalue numerically at 1 raises
+        DegenerateProjectionError, an empty sector SamplingError."""
+        lam = _non_projection_eigenvalues(self.decomp)[self.kept]
+        if lam.size < 2:
+            raise SamplingError(f"{lam.size} kept eigenfunction(s): no draw has two points")
+        cfgs = self._blocks(partial(self._pair_sector, lam / (1.0 - lam)), seed, n_samples,
+                            base_stream)
+        return np.array([cfg.points for cfg in cfgs]).reshape(n_samples, 2)
+
+    def _blocks(self, select, seed: int, n_samples: int, base_stream: int) -> list:
         out: list[Configuration] = []
         for s in range(0, n_samples, _DPP_BLOCK):
             e = min(s + _DPP_BLOCK, n_samples)
-            out += self._draw([RngStream(seed, base_stream + i) for i in range(s, e)])
+            out += self._draw([RngStream(seed, base_stream + i) for i in range(s, e)], select)
         return out
 
-    def _draw(self, rngs: list[RngStream]) -> list[Configuration]:
-        gens = [rng.generator() for rng in rngs]
+    def _bernoulli(self, gens: list) -> np.ndarray:
+        """(n, n_kept) masks of the retained eigenfunctions: one uniform per eigenvalue."""
         u = np.array([gen.random(self.lam.size) for gen in gens])
-        keep = u[:, self.kept] < self.lam[self.kept]      # (n, n_kept): the Bernoulli stage
+        return u[:, self.kept] < self.lam[self.kept]
+
+    def _pair_sector(self, w: np.ndarray, gens: list) -> np.ndarray:
+        """(n, n_kept) masks of a pair i < j kept with probability ~ w_i w_j:
+        j with weight w_j (w_0 + ... + w_{j-1}), then i < j with weight w_i.
+        Prefix sums of positive terms cannot cancel."""
+        below = np.cumsum(w)
+        upper = np.cumsum(w[1:] * below[:-1])
+        u = np.array([gen.random(2) for gen in gens])
+        # the clamps catch u * total rounded up to the total
+        j = 1 + np.minimum(np.searchsorted(upper, u[:, 0] * upper[-1], "right"), w.size - 2)
+        i = np.minimum(np.searchsorted(below, u[:, 1] * below[j - 1], "right"), j - 1)
+        k = np.arange(w.size)
+        return (k == i[:, None]) | (k == j[:, None])
+
+    def _draw(self, rngs: list[RngStream], select) -> list[Configuration]:
+        gens = [rng.generator() for rng in rngs]
+        keep = select(gens)                   # (n, n_kept): the selection stage
         counts = np.count_nonzero(keep, axis=1)
         out: list = [None] * len(rngs)
         for k in np.unique(counts):
@@ -165,7 +203,7 @@ class DppSampler:
             for i, p, tie in zip(group, pts, tied):
                 if tie:
                     log.warning("tie in sampled configuration, resampling")
-                    out[i] = self._draw([rngs[i].child(1)])[0]
+                    out[i] = self._draw([rngs[i].child(1)], select)[0]
                 else:
                     out[i] = Configuration(p, self.decomp.window)
         return out

@@ -39,8 +39,10 @@ l_matrix and the log det L behind PairDriftTable are checked against it.
 The DPP draw oracle is the two-stage spectral sampler one draw at a
 time: each stream places its points alone, with scalar inverse-CDF steps
 and one projection at a time.  DppSampler, which places a block of streams
-in lockstep, must match it bit for bit, rare paths and errors included;
-the conditioned-pair oracle is the attempt loop over those lone draws.
+in lockstep, must match it bit for bit, rare paths and errors included.
+The conditioned-pair oracle selects each stream's pair of the two-point
+sector with scalar prefix-sum loops and places it through the same lone
+draw.
 
 The bin-count oracle counts each sample's points in each bin with a
 Python loop.
@@ -66,11 +68,11 @@ from scipy.stats import qmc
 
 from dysonlab import (Configuration, EnsembleRun, HittingStats, RngStream, Trajectory,
                       integrate_ensemble, sampler)
-from dysonlab.dynamics import _MAX_HALVINGS, _MAX_PAIR_TRIES, _stats_from_run
-from dysonlab.errors import (IntegrationFailureError, KernelParameterError,
-                             KernelValidityError, SamplingError,
+from dysonlab.dynamics import _MAX_HALVINGS, _stats_from_run
+from dysonlab.errors import (DegenerateProjectionError, IntegrationFailureError,
+                             KernelParameterError, KernelValidityError, SamplingError,
                              SingularConfigurationError)
-from dysonlab.spectral import RETAIN_CUTOFF, _extension
+from dysonlab.spectral import _PROJECTION_EPS, RETAIN_CUTOFF, _extension
 from dysonlab.statistics import (_QMC_SEED, _det_small, _ldl_blocks, _schur_point_last,
                                  _sobol_slices, palm_integrals)
 
@@ -109,14 +111,20 @@ def dpp_place_oracle(table, density, gen):
     return table.grid[s] + xi * table.dx
 
 
-def dpp_sample_oracle(table, rng) -> Configuration:
-    """One draw on stream rng from a DppSampler's tables, placed alone; the
-    retry limit and zero-density threshold are read from dysonlab.sampler
-    at each call, so a test that patches them patches both samplers."""
+def bernoulli_oracle(table, gen) -> np.ndarray:
+    """The eigenfunctions one draw retains: one uniform per eigenvalue."""
+    u = gen.random(table.lam.size)
+    return np.flatnonzero((u < table.lam) & (table.lam > RETAIN_CUTOFF))
+
+
+def dpp_sample_oracle(table, rng, select=bernoulli_oracle) -> Configuration:
+    """One draw on stream rng from a DppSampler's tables, placed alone after
+    ``select(table, gen)`` picks the retained eigenfunctions; the retry
+    limit and zero-density threshold are read from dysonlab.sampler at each
+    call, so a test that patches them patches both samplers."""
     extend = _extension(table.decomp)[0]
     gen = rng.generator()
-    u = gen.random(table.lam.size)
-    retained = np.flatnonzero((u < table.lam) & (table.lam > RETAIN_CUTOFF))
+    retained = select(table, gen)
     k = retained.size
     if k == 0:
         return Configuration(np.empty(0), table.decomp.window)
@@ -146,7 +154,7 @@ def dpp_sample_oracle(table, rng) -> Configuration:
     if k >= 2 and np.min(np.diff(pts)) <= 0.0:
         # ties have probability zero; redraw the whole configuration
         sampler.log.warning("tie in sampled configuration, resampling")
-        return dpp_sample_oracle(table, rng.child(1))
+        return dpp_sample_oracle(table, rng.child(1), select)
     return Configuration(pts, table.decomp.window)
 
 
@@ -156,19 +164,33 @@ def dpp_batch_oracle(table, seed, n_samples, base_stream=0) -> list[Configuratio
             for i in range(n_samples)]
 
 
+def pair_sector_oracle(table, gen) -> np.ndarray:
+    """The pair i < j of the two-point sector that one draw retains: j with
+    weight w_j (w_0 + ... + w_{j-1}), then i < j with weight w_i, over the
+    kept eigenfunctions, w = lambda / (1 - lambda), by scalar loops."""
+    lam = table.lam[table.kept]
+    w = lam / (1.0 - lam)
+    below, upper = [w[0]], []
+    for j in range(1, w.size):
+        upper.append((upper[-1] if upper else 0.0) + w[j] * below[-1])
+        below.append(below[-1] + w[j])
+    u_upper, u_below = gen.random(2)
+    j = 1 + min(sum(c <= u_upper * upper[-1] for c in upper), w.size - 2)
+    i = min(sum(c <= u_below * below[j - 1] for c in below), j - 1)
+    return table.kept[[i, j]]
+
+
 def conditioned_pair_initials_oracle(table, n_paths, rng) -> np.ndarray:
-    """The first n_paths two-point draws among streams rng.stream_id + i,
-    one lone draw at a time, for at most _MAX_PAIR_TRIES attempts per path."""
-    out = np.empty((n_paths, 2))
-    got = 0
-    for i in range(_MAX_PAIR_TRIES * n_paths):
-        cfg = dpp_sample_oracle(table, RngStream(rng.seed, rng.stream_id + i))
-        if cfg.count == 2:
-            out[got] = cfg.points
-            got += 1
-            if got == n_paths:
-                return out
-    raise IntegrationFailureError("could not draw enough two-point configurations")
+    """The two-point sector's draws on streams rng.stream_id + i, one lone
+    draw at a time."""
+    lam = table.lam[table.kept]
+    if lam.size and lam.max() >= 1.0 - _PROJECTION_EPS:
+        raise DegenerateProjectionError("an eigenvalue is numerically 1")
+    if lam.size < 2:
+        raise SamplingError("fewer than two kept eigenfunctions")
+    return np.array([dpp_sample_oracle(table, RngStream(rng.seed, rng.stream_id + i),
+                                       pair_sector_oracle).points
+                     for i in range(n_paths)]).reshape(n_paths, 2)
 
 
 def loggas_energy(points, lam: float) -> float:
@@ -428,7 +450,8 @@ def integrate_sde_oracle(initial, drift_fn, T, delta, rng, dt_max=1e-3, c_dt=2e-
 
     Each step draws dt = min(dt_max, c_dt g^2, T - t) and halves it, with a
     fresh normal draw, until the proposal keeps the ordering (at most 20
-    halvings).  Returns a Trajectory of every accepted step.
+    halvings); a step that no longer moves t raises too.  Returns a
+    Trajectory of every accepted step.
     """
     x = np.asarray(initial, dtype=float).copy()
     if x.size >= 2 and np.min(np.diff(x)) <= 0.0:
@@ -453,6 +476,8 @@ def integrate_sde_oracle(initial, drift_fn, T, delta, rng, dt_max=1e-3, c_dt=2e-
         else:
             raise IntegrationFailureError(
                 f"step size underflow at t={t:.6g} with gap {_min_gap(x):.3e}")
+        if t + dt == t:
+            raise IntegrationFailureError(f"step {dt:.3e} no longer moves t={t:.6g}")
         x = prop
         t += dt
         g_new = _min_gap(x)
@@ -514,11 +539,14 @@ def integrate_ensemble_oracle(initials, drift, T, delta, rng, dt_max=1e-3, c_dt=
             prop[bad] = Xa[bad]
             dt[bad] = 0.0
         X[idx] = prop
-        t[idx] = t[idx] + dt
+        t_before = t[idx]
+        t[idx] = t_before + dt
         if n >= 2 and delta > 0:
             newly = np.diff(prop, axis=1).min(axis=1) <= delta
             hit[idx[newly]] = True
             hit_time[idx[newly]] = t[idx[newly]]
+        # a step that no longer moves the time is a failure, unless it hit
+        failed[idx[(t[idx] == t_before) & ~hit[idx]]] = True
         if record:
             frames.append((t.copy(), X.copy()))
         active = ~hit & ~failed & (t < T)

@@ -448,6 +448,20 @@ def test_capacity_linear_on_a_one_dimensional_box(tmp_path):
     assert cli.main(["capacity", "--config", path]) == 0
     rows = (tmp_path / "cap" / "capacity.csv").read_text().splitlines()[1:]
     assert [float(r.split(",")[0]) for r in rows] == [0.1, 0.05]
+    summary = json.loads((tmp_path / "cap" / "manifest.json").read_text())["summary"]
+    assert summary["degenerate_eps"] == []
+
+
+def test_capacity_that_scores_no_pair_exits_4(tmp_path):
+    # at the default eps no Poisson pair in the d = 3 box comes close enough
+    path = write_config(tmp_path, {"experiment": "capacity", "seed": 1,
+                                   "params": {"variant": "linear"},
+                                   "output": str(tmp_path / "cap")})
+    assert cli.main(["capacity", "--config", path]) == 4
+    summary = json.loads((tmp_path / "cap" / "manifest.json").read_text())["summary"]
+    assert summary["degenerate_eps"] == [1e-2, 1e-3, 1e-4, 1e-5]
+    rows = (tmp_path / "cap" / "capacity.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[5] for r in rows] == ["0"] * 4
 
 
 def test_capacity_experiment_and_plot(tmp_path):

@@ -454,6 +454,18 @@ def test_failed_path_has_no_trajectory():
         dl.Trajectory.from_run(run)
 
 
+def test_a_step_that_no_longer_moves_time_is_a_failure(product_half_drift_table):
+    # with delta = 0 the alpha = 1/2 pair drift drives this pair together
+    # until c_dt g^2 falls below half an ulp of t
+    init = np.array([[-0.5, 0.5]])
+    [run] = dl.integrate_ensemble([(init, 0.0, RngStream(3, 1))],
+                                  product_half_drift_table.drift, 2.0)
+    assert run.failed[0] and not run.hit[0] and run.rejections[0] == 0
+    assert run.iterations == 14_760 and np.diff(run.final[0])[0] < 1e-6
+    assert_same_run(run, integrate_ensemble_oracle(init, product_half_drift_table.drift, 2.0,
+                                                   0.0, RngStream(3, 1)))
+
+
 def test_dyson_pair_no_hits():
     # a lone pair is the dimension-3 radial case: delta-approaches are rare
     [stats_] = dl.dyson_collision_probe(2, 1000, [(1e-3, RngStream(60, 0))], T=1.0,

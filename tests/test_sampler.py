@@ -7,13 +7,14 @@ from functools import partial
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss, legvander
 from scipy import stats
 
 import dysonlab as dl
 from dysonlab import RngStream
 
 import oracles
-from conftest import InlinePool, synthetic_rank1_decomposition, phi_of
+from conftest import CallableKernel, InlinePool, synthetic_rank1_decomposition, phi_of
 from oracles import (check_density_matches_energy, conditioned_pair_initials_oracle,
                      dpp_batch_oracle, dpp_place_oracle, metropolis_pair_sample)
 
@@ -358,13 +359,57 @@ def test_lockstep_draws_match_the_lone_draw_oracle(request, decomp):
 def test_conditioned_pairs_match_the_lone_draw_loop(product_half_dyn_decomp):
     table = dl.DppSampler(product_half_dyn_decomp)
     rng = RngStream(23, 5 << 32)
+    # 150 paths cross two _DPP_BLOCK edges
+    assert 150 > 2 * dl.sampler._DPP_BLOCK
     assert np.array_equal(dl.conditioned_pair_initials(table, 150, rng),
                           conditioned_pair_initials_oracle(table, 150, rng))
-    # one point in every draw: both give up after _MAX_PAIR_TRIES draws
-    rank1 = dl.DppSampler(synthetic_rank1_decomposition(eigenvalue=1.0))
-    for fn in (dl.conditioned_pair_initials, conditioned_pair_initials_oracle):
-        with pytest.raises(dl.IntegrationFailureError):
-            fn(rank1, 1, rng)
+    # rank one: a projection raises at once, and an eigenvalue of 0.5 has no pair
+    for eigenvalue, error in ((1.0, dl.DegenerateProjectionError), (0.5, dl.SamplingError)):
+        rank1 = dl.DppSampler(synthetic_rank1_decomposition(eigenvalue=eigenvalue))
+        for fn in (dl.conditioned_pair_initials, conditioned_pair_initials_oracle):
+            with pytest.raises(error):
+                fn(rank1, 1, rng)
+
+
+def _polynomial_kernel(lam: np.ndarray) -> CallableKernel:
+    """sum_i lam_i psi_i(x) psi_i(y) on [-1, 1]: psi the orthonormal Legendre
+    polynomials of degree below lam.size, mixed by Givens rotations so that
+    no psi has a parity.  A 48-node rule integrates every product exactly,
+    so the decomposition and its Nystrom extensions are exact."""
+    r = lam.size
+    rot = np.eye(r)
+    for k in range(r - 1):
+        giv = np.eye(r)
+        giv[[k, k + 1], [k, k + 1]] = np.cos(0.7)
+        giv[k, k + 1], giv[k + 1, k] = -np.sin(0.7), np.sin(0.7)
+        rot = rot @ giv
+
+    def psi(x):
+        return (legvander(x, r - 1) * np.sqrt(np.arange(r) + 0.5)) @ rot
+    return CallableKernel(lambda x, y: np.sum(psi(x) * lam * psi(y), axis=-1))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_pair_draws_follow_the_exact_two_point_law(alpha):
+    # the top of the 48-node product spectrum on a basis where 48 nodes are
+    # exact: the product kernel's own extensions are not orthonormal on the
+    # window at 48 nodes (L2 norms down to 0.71 at alpha = 0.5), which biases
+    # placement beyond this test's resolution
+    lam = dl.nystrom_decompose(dl.construct_kernel("product", alpha=alpha), (-1.0, 1.0),
+                               48).eigenvalues[:8]
+    decomp = dl.nystrom_decompose(_polynomial_kernel(lam), (-1.0, 1.0), 48)
+    pairs = dl.conditioned_pair_initials(dl.DppSampler(decomp), 20_000, RngStream(29, 0))
+    # sigma_2 over x1 < x2 on a tensor rule in (g, t): g = x2 - x1, x1 = -1 + (2 - g) t
+    u, w = leggauss(24)
+    g, t = np.meshgrid(1.0 + u, 0.5 + 0.5 * u, indexing="ij")
+    x1 = -1.0 + (2.0 - g) * t
+    sigma = np.array([dl.sigma_fredholm(decomp, [a, a + b])
+                      for a, b in zip(x1.ravel(), g.ravel())]).reshape(g.shape)
+    mass = np.outer(w, 0.5 * w) * (2.0 - g) * sigma
+    for draws, f in ((pairs[:, 1] - pairs[:, 0], g), (pairs.sum(axis=1), 2.0 * x1 + g)):
+        exact = np.sum(mass * f) / np.sum(mass)
+        se = draws.std(ddof=1) / np.sqrt(draws.size)
+        assert abs(draws.mean() - exact) < 4.0 * se, (draws.mean(), exact, se)
 
 
 def test_retries_match_the_oracle(monkeypatch, sine_decomp):
@@ -393,9 +438,14 @@ def test_ties_are_redrawn_as_the_oracle_redraws_them(monkeypatch, caplog, sine_d
         draws = table.sample_batch(3, 100, base_stream=7)
         ties = len(caplog.records)
         expected = dpp_batch_oracle(table, 3, 100, 7)
-    assert ties > 0 and len(caplog.records) == 2 * ties
+        # a tied pair of the two-point sector is redrawn inside the sector
+        pairs = table.sample_pairs(3, 100, base_stream=7)
+        pair_ties = len(caplog.records) - 2 * ties
+        expected_pairs = conditioned_pair_initials_oracle(table, 100, RngStream(3, 7))
+    assert ties > 0 and pair_ties > 0 and len(caplog.records) == 2 * (ties + pair_ties)
     assert all("tie" in r.getMessage() for r in caplog.records)
     assert _same_draws(draws, expected)
+    assert np.array_equal(pairs, expected_pairs) and np.all(np.diff(pairs, axis=1) > 0)
 
 
 @pytest.mark.parametrize("threshold, vanish, message", [
