@@ -16,7 +16,7 @@ from .kernels import (Kernel, ValidationReport, construct_kernel, kernel_from_js
                       validate_kernel)
 from .rng import RngStream, map_streams, stream_generators
 from .sampler import (Box, Configuration, DppSampler, lambda_n,
-                      log_gas_window_counts, sample_dpp_batch, sample_log_gas,
+                      log_gas_window_counts, sample_log_gas,
                       sample_log_gas_batch, sample_poisson_batch)
 from .spectral import (SpectralDecomposition, eigenfunction_values, fredholm_det,
                        l_matrix, nystrom_decompose)

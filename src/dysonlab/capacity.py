@@ -113,7 +113,7 @@ def estimate_I_eps_from_samples(samples: list[Configuration], eps: float,
         raise ValueError(f"unknown variant {variant!r}")
     _PROFILES[variant][0](0.0, eps)   # each profile checks its eps range
     # every point at once: configuration i's are counts[i] from inner[first[i]]
-    pooled = Configuration(np.concatenate([cfg.points for cfg in samples]), None)
+    pooled = Configuration(np.concatenate([cfg.points for cfg in samples]))
     mask = _inner_mask(pooled, inner_window)
     inner = pooled.points[mask]
     owner = np.repeat(np.arange(len(samples)), [cfg.count for cfg in samples])

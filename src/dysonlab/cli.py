@@ -42,7 +42,7 @@ from .kernels import kernel_from_json, validate_kernel
 from .rng import RngStream, map_streams
 from .rules import POSITIVE, REQUIRED, UNIT, Rule, check_table, is_int, is_real
 from .sampler import (Box, Configuration, DppSampler, lambda_n,
-                      log_gas_window_counts, sample_dpp_batch, sample_log_gas,
+                      log_gas_window_counts, sample_log_gas,
                       sample_log_gas_batch, sample_poisson_batch)
 from .spectral import nystrom_decompose
 from .statistics import (K_MAX_RULE, QMC_POINTS_RULE, crosscheck_density,
@@ -200,9 +200,10 @@ def _take_earlier_manifest(out: Path) -> set[str]:
 # ---------------------------------------------------------------------------
 
 def _dpp_samples(p):
-    """n_samples DPP draws on streams 0.., from one decomposition shared by every worker."""
-    decomp = nystrom_decompose(p.kernel, p.window, p.n_nodes)
-    return map_streams(partial(sample_dpp_batch, decomp), p.seed, 0, p.n_samples, p.workers)
+    """n_samples DPP draws on streams 0.., from one decomposition and one set
+    of sampling tables, built here and shared by every worker."""
+    sampler = DppSampler(nystrom_decompose(p.kernel, p.window, p.n_nodes))
+    return map_streams(sampler.sample_batch, p.seed, 0, p.n_samples, p.workers)
 
 
 def _exp_validate(p) -> tuple[int, dict, dict]:
@@ -221,7 +222,7 @@ def _exp_sample(p) -> tuple[int, dict, dict]:
     elif p.sampler == "log_gas":
         pts = map_streams(partial(sample_log_gas_batch, p.N, p.rho_bar), p.seed, 0,
                           p.n_samples, p.workers)
-        samples = [Configuration(row, (-np.inf, np.inf)) for row in pts]
+        samples = [Configuration(row) for row in pts]
         header.update(N=p.N, rho_bar=p.rho_bar)
     else:
         samples = map_streams(partial(sample_poisson_batch, p.intensity, p.box),

@@ -47,7 +47,7 @@ import numpy as np
 from .errors import SamplingError
 from .rng import RngStream, stream_generators
 from .rules import POSITIVE, UNIT
-from .spectral import (SpectralDecomposition, _extension, _non_projection_eigenvalues,
+from .spectral import (SpectralDecomposition, _non_projection_eigenvalues, _project,
                        eigenfunction_values)
 
 log = logging.getLogger(__name__)
@@ -91,14 +91,10 @@ class Box:
 
 @dataclass
 class Configuration:
-    """Finite point set together with the region it was sampled on.
-
-    One-dimensional points are stored sorted ascending in a flat array;
-    d >= 2 uses an (n, d) array and a :class:`Box` window.
-    """
+    """Finite point set: one-dimensional points sorted ascending in a flat
+    array, d >= 2 as an (n, d) array."""
 
     points: np.ndarray
-    window: object
 
     @property
     def count(self) -> int:
@@ -132,6 +128,9 @@ class DppSampler:
     The rare paths (an extra uniform in a flat cell, a retry after a zero
     projected density, the redraw of a tie on the stream's child(1), in
     its sector) stay with the stream that takes them.
+
+    The tables are plain arrays beside the decomposition, so a sampler
+    pickles: map_streams hands the built tables to its workers.
     """
 
     def __init__(self, decomp: SpectralDecomposition):
@@ -140,8 +139,9 @@ class DppSampler:
         self.grid = np.linspace(a, b, max(_MIN_FINE, _FINE_PER_NODE * decomp.n_nodes))
         self.dx = self.grid[1] - self.grid[0]
         self.ext, self.kept = eigenfunction_values(decomp, self.grid)
-        self._extend = _extension(decomp)[0]  # for each placed point
         self.lam = decomp.eigenvalues
+        # each placed point's extension; another layout of the block changes the sums
+        self.block, self.lam_kept = decomp.eigenvectors[:, self.kept], self.lam[self.kept]
 
     def sample(self, rng: RngStream) -> Configuration:
         """One draw on stream ``rng``: a block of one."""
@@ -174,7 +174,7 @@ class DppSampler:
     def _bernoulli(self, gens: list) -> np.ndarray:
         """(n, n_kept) masks of the retained eigenfunctions: one uniform per eigenvalue."""
         u = np.array([gen.random(self.lam.size) for gen in gens])
-        return u[:, self.kept] < self.lam[self.kept]
+        return u[:, self.kept] < self.lam_kept
 
     def _pair_sector(self, w: np.ndarray, gens: list) -> np.ndarray:
         """(n, n_kept) masks of a pair i < j kept with probability ~ w_i w_j:
@@ -205,7 +205,7 @@ class DppSampler:
                     log.warning("tie in sampled configuration, resampling")
                     out[i] = self._draw([rngs[i].child(1)], select)[0]
                 else:
-                    out[i] = Configuration(p, self.decomp.window)
+                    out[i] = Configuration(p)
         return out
 
     def _place_group(self, cols: np.ndarray, gens: list) -> np.ndarray:
@@ -246,7 +246,8 @@ class DppSampler:
         eigenfunction values projected off the rows of basis (G, j, k), and
         the squared norms of those projections."""
         x = self._place(density, gens)
-        v = self._extend(x[:, None])[:, 0][np.arange(x.size)[:, None], cols]
+        ext = _project(self.decomp, x[:, None], self.block)[:, 0] / self.lam_kept
+        v = ext[np.arange(x.size)[:, None], cols]
         for i in range(basis.shape[1]):
             e = basis[:, i]
             v = v - (e[:, None] @ v[:, :, None])[:, 0] * e
@@ -277,14 +278,6 @@ class DppSampler:
             xi[i] = gens[i].random()
         xi = np.minimum(np.maximum(xi, 0.0), 1.0)
         return self.grid[s] + xi * self.dx
-
-
-def sample_dpp_batch(decomp: SpectralDecomposition, seed: int, n_samples: int,
-                     base_stream: int = 0) -> list[Configuration]:
-    """n_samples independent draws on streams base_stream + i, placed in
-    lockstep blocks (DppSampler.sample_batch); each draw is bit-identical to
-    DppSampler.sample on its stream."""
-    return DppSampler(decomp).sample_batch(seed, n_samples, base_stream)
 
 
 def lambda_n(n: int, rho_bar: float) -> float:
@@ -324,7 +317,7 @@ def sample_log_gas(n: int, rho_bar: float, rng: RngStream) -> Configuration:
     ev = sample_log_gas_batch(n, rho_bar, rng.seed, 1, base_stream=rng.stream_id)[0]
     if n >= 2 and np.min(np.diff(ev)) <= 0.0:
         raise SamplingError("tied eigenvalues in log-gas draw")
-    return Configuration(ev, (-np.inf, np.inf))
+    return Configuration(ev)
 
 
 def sample_log_gas_batch(n: int, rho_bar: float, seed: int, n_samples: int,
@@ -400,6 +393,5 @@ def sample_poisson_batch(intensity: float, region: Box, seed: int, n_samples: in
     for gen in stream_generators(seed, base_stream, n_samples):
         # gen.uniform(lo, hi, size) bit for bit, without its per-call checks
         pts = lo + width * gen.random((int(gen.poisson(mean)), region.dim))
-        out.append(Configuration(np.sort(pts[:, 0]), tuple(map(float, region.bounds[0])))
-                   if region.dim == 1 else Configuration(pts, region))
+        out.append(Configuration(np.sort(pts[:, 0]) if region.dim == 1 else pts))
     return out

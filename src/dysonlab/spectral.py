@@ -18,7 +18,10 @@ is, on the same rule and with r_i(x) = lambda_i phi_i(x),
 
     L(x, x') = K(x, x') + sum_i r_i(x) r_i(x') / (1 - lambda_i),
 
-so K(x, x') is used exactly and no eigenpair is dropped.
+so K(x, x') is used exactly and no eigenpair is dropped.  Both are one
+product, K(x, z) W times a block of node values (_project): the retained
+eigenvectors for the extension, which the sampler also makes at each
+placed point, and all of them for r.
 
 Eigenvalues are validated against the [0, 1] operator band and then
 clamped into it so that downstream Bernoulli sampling never sees
@@ -129,32 +132,26 @@ def _eigh_descending(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam[order], np.sqrt(0.5) * vecs.take(order, axis=1)   # C order, as the full route gives
 
 
-def _extension(decomp: SpectralDecomposition):
-    """(extend, kept): extend(x) is the Nystrom extension at the array x of
-    the eigenfunctions with lambda > RETAIN_CUTOFF, whose index array into
-    decomp.eigenvalues is kept; it has shape x.shape + (n_kept,).  Leading
-    axes of x are a stack, each item multiplied by the eigenvector block on
-    its own: an (r, 1) x gives each point the product a lone point gets.
-    The block is copied here, once, as the fancy index lays it out; a
-    different layout changes the sums."""
-    kept = np.flatnonzero(decomp.eigenvalues > RETAIN_CUTOFF)
-    block, lam = decomp.eigenvectors[:, kept], decomp.eigenvalues[kept]
-
-    def extend(x):
-        rows = decomp.kernel.eval(x[..., None], decomp.nodes) * decomp.weights
-        return rows @ block / lam
-    return extend, kept
+def _project(decomp: SpectralDecomposition, x: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """K(x, z) W block: the rule's row at each point of the array x times a
+    block of node values (n_nodes, c), with shape x.shape + (c,).  Leading
+    axes of x are a stack, each item multiplied by the block on its own: an
+    (r, 1) x gives each point the product a lone point gets.  The block's
+    layout is part of the sums, so a caller that needs the same bits passes
+    the same copy."""
+    return (decomp.kernel.eval(x[..., None], decomp.nodes) * decomp.weights) @ block
 
 
 def eigenfunction_values(decomp: SpectralDecomposition, x):
     """Nystrom extension of all eigenfunctions with lambda > RETAIN_CUTOFF.
 
-    Returns (values, kept) where values has shape (len(x), n_kept) and
-    kept is the index array into decomp.eigenvalues.
+    Returns (values, kept) where values has shape x.shape + (n_kept,) (a
+    scalar x counts as shape (1,)) and kept is the index array into
+    decomp.eigenvalues.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    extend, kept = _extension(decomp)
-    return extend(x), kept
+    kept = np.flatnonzero(decomp.eigenvalues > RETAIN_CUTOFF)
+    return _project(decomp, x, decomp.eigenvectors[:, kept]) / decomp.eigenvalues[kept], kept
 
 
 def _non_projection_eigenvalues(decomp: SpectralDecomposition) -> np.ndarray:
@@ -179,7 +176,6 @@ def l_matrix(decomp: SpectralDecomposition, points) -> np.ndarray:
     L = K + K (Id - K)^-1 K on the decomposition's rule."""
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     lam = _non_projection_eigenvalues(decomp)
-    k = decomp.kernel
-    r = (k.eval(pts[..., :, None], decomp.nodes) * decomp.weights) @ decomp.eigenvectors
-    return (k.eval(pts[..., :, None], pts[..., None, :])
+    r = _project(decomp, pts, decomp.eigenvectors)
+    return (decomp.kernel.eval(pts[..., :, None], pts[..., None, :])
             + (r / (1.0 - lam)) @ np.swapaxes(r, -1, -2))

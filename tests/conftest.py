@@ -116,7 +116,7 @@ def sine_decomp(sine_kernel):
 @pytest.fixture(scope="session")
 def sine_samples(sine_decomp):
     """10^4 exact draws of the sine field on [-3, 3] (seed 20240601)."""
-    return dl.sample_dpp_batch(sine_decomp, 20240601, 10_000)
+    return dl.DppSampler(sine_decomp).sample_batch(20240601, 10_000)
 
 
 @pytest.fixture(scope="session")

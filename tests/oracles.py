@@ -37,9 +37,10 @@ directly from the kernel and the quadrature rule, with no eigenvectors;
 l_matrix and the log det L behind PairDriftTable are checked against it.
 
 The DPP draw oracle is the two-stage spectral sampler one draw at a
-time: each stream places its points alone, with scalar inverse-CDF steps
-and one projection at a time.  DppSampler, which places a block of streams
-in lockstep, must match it bit for bit, rare paths and errors included.
+time: each stream places its points alone, with scalar inverse-CDF steps,
+one eigenfunction_values call per placed point and one projection at a
+time.  DppSampler, which places a block of streams in lockstep, must
+match it bit for bit, rare paths and errors included.
 The conditioned-pair oracle selects each stream's pair of the two-point
 sector with scalar prefix-sum loops and places it through the same lone
 draw.
@@ -60,7 +61,12 @@ side:
   effective radial dimension off the growth of E[g_t^2];
 - bessel_gap_hit_fraction runs the gap-scale Bessel process through
   dysonlab.integrate_ensemble, absorbed at delta.
+first_passage_probability is that process's exact hit probability in
+dimensions 1 and 3, the reference the engine's hit fractions are checked
+against.
 """
+
+import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -72,7 +78,7 @@ from dysonlab.dynamics import _MAX_HALVINGS, _stats_from_run
 from dysonlab.errors import (DegenerateProjectionError, IntegrationFailureError,
                              KernelParameterError, KernelValidityError, SamplingError,
                              SingularConfigurationError)
-from dysonlab.spectral import _PROJECTION_EPS, RETAIN_CUTOFF, _extension
+from dysonlab.spectral import _PROJECTION_EPS, RETAIN_CUTOFF, eigenfunction_values
 from dysonlab.statistics import (_QMC_SEED, _det_small, _ldl_blocks, _schur_point_last,
                                  _sobol_slices, palm_integrals)
 
@@ -122,12 +128,11 @@ def dpp_sample_oracle(table, rng, select=bernoulli_oracle) -> Configuration:
     ``select(table, gen)`` picks the retained eigenfunctions; the retry
     limit and zero-density threshold are read from dysonlab.sampler at each
     call, so a test that patches them patches both samplers."""
-    extend = _extension(table.decomp)[0]
     gen = rng.generator()
     retained = select(table, gen)
     k = retained.size
     if k == 0:
-        return Configuration(np.empty(0), table.decomp.window)
+        return Configuration(np.empty(0))
 
     cols = np.searchsorted(table.kept, retained)
     frame = table.ext[:, cols]                      # (m, k) retained eigenfunctions
@@ -137,7 +142,7 @@ def dpp_sample_oracle(table, rng, select=bernoulli_oracle) -> Configuration:
     for j in range(k):
         for attempt in range(sampler._MAX_POINT_RETRIES + 1):
             x = dpp_place_oracle(table, density, gen)
-            v = extend(np.array([x]))[0, cols]
+            v = eigenfunction_values(table.decomp, x)[0][0, cols]
             for e in basis:
                 v = v - np.dot(e, v) * e
             norm2 = float(np.dot(v, v))
@@ -155,7 +160,7 @@ def dpp_sample_oracle(table, rng, select=bernoulli_oracle) -> Configuration:
         # ties have probability zero; redraw the whole configuration
         sampler.log.warning("tie in sampled configuration, resampling")
         return dpp_sample_oracle(table, rng.child(1), select)
-    return Configuration(pts, table.decomp.window)
+    return Configuration(pts)
 
 
 def dpp_batch_oracle(table, seed, n_samples, base_stream=0) -> list[Configuration]:
@@ -672,3 +677,13 @@ def bessel_gap_hit_fraction(dim: float, g0s, delta: float, T: float,
 
     [run] = integrate_ensemble([(X, delta, rng)], drift, T)
     return _stats_from_run(run, delta, T, {"model": "bessel", "dim": dim})
+
+
+def first_passage_probability(dim: int, g0: float, delta: float, T: float) -> float:
+    """P(tau_delta <= T) for the gap process of bessel_gap_hit_fraction from
+    g0 > delta: erfc((g0 - delta) / (2 sqrt T)) in dimension 1, Brownian
+    motion of variance 2t by reflection, and (delta / g0) times that in
+    dimension 3, Brownian motion h-transformed by h(g) = g (Borodin &
+    Salminen 2002)."""
+    brownian = math.erfc((g0 - delta) / (2.0 * math.sqrt(T)))
+    return {1: brownian, 3: delta / g0 * brownian}[dim]

@@ -41,7 +41,7 @@ def capacity_lip_samples():
     # pair-distance weight near-stationary, so the linear gap law dominates
     kernel = dl.construct_kernel("product", alpha=1.0, scale=1.5)
     decomp = dl.nystrom_decompose(kernel, (-3.0, 3.0), 256)
-    return dl.sample_dpp_batch(decomp, 77_001, 40_000)
+    return dl.DppSampler(decomp).sample_batch(77_001, 40_000)
 
 
 def test_criterion_1_determinant_correlation(sine_samples, sine_kernel):
@@ -92,7 +92,7 @@ def test_criterion_2_count_law(sine_decomp, sine_samples, product_broad_decomps)
     t0 = time.time()
     pvals = {"sine": _count_law_pvalue(sine_decomp, sine_samples)}
     for alpha, decomp in product_broad_decomps.items():
-        samples = dl.sample_dpp_batch(decomp, 88_000 + int(100 * alpha), 10_000)
+        samples = dl.DppSampler(decomp).sample_batch(88_000 + int(100 * alpha), 10_000)
         pvals[f"product({alpha})"] = _count_law_pvalue(decomp, samples)
     elapsed = time.time() - t0
     ok = all(p > 0.01 for p in pvals.values()) and elapsed < 120
@@ -122,7 +122,7 @@ def test_criterion_3_density_oracle_equivalence(product_half_decomp,
         # void probability against the empty-sample fraction
         det = dl.fredholm_det(decomp)
         n = 6_000
-        empty = sum(c.count == 0 for c in dl.sample_dpp_batch(decomp, 99_100, n))
+        empty = sum(c.count == 0 for c in dl.DppSampler(decomp).sample_batch(99_100, n))
         se = np.sqrt(det * (1 - det) / n)
         assert abs(empty / n - det) <= 3 * se, (label, empty / n, det)
     elapsed = time.time() - t0

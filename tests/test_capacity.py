@@ -54,13 +54,13 @@ def test_profile_monotone_in_eps():
 
 
 def test_pair_energy_single_point():
-    cfg = dl.Configuration(np.array([0.3]), (-3.0, 3.0))
+    cfg = dl.Configuration(np.array([0.3]))
     assert scored_alone(cfg, 1e-2) == (0.0, 0.0)
 
 
 def test_pair_energy_plateau_pair():
     eps = 1e-2
-    cfg = dl.Configuration(np.array([0.0, eps / 2]), (-3.0, 3.0))
+    cfg = dl.Configuration(np.array([0.0, eps / 2]))
     energy, g2 = scored_alone(cfg, eps)
     assert g2 == 16.0  # g = 4: both ordered pairs on the plateau
     assert energy == 0.0
@@ -69,7 +69,7 @@ def test_pair_energy_plateau_pair():
 def test_pair_energy_active_pair():
     eps = 1e-2
     t0 = np.sqrt(eps)
-    cfg = dl.Configuration(np.array([0.0, t0]), (-3.0, 3.0))
+    cfg = dl.Configuration(np.array([0.0, t0]))
     energy, g2 = scored_alone(cfg, eps)
     assert energy == pytest.approx(4.0 / (eps * np.log(eps) ** 2), rel=1e-12)
     assert np.sqrt(g2) == pytest.approx(2 * dl.h_eps(t0, eps), rel=1e-12)
@@ -77,14 +77,14 @@ def test_pair_energy_active_pair():
 
 def test_pair_energy_respects_inner_window():
     eps = 1e-2
-    cfg = dl.Configuration(np.array([2.5, 2.5 + np.sqrt(eps)]), (-3.0, 3.0))
+    cfg = dl.Configuration(np.array([2.5, 2.5 + np.sqrt(eps)]))
     assert scored_alone(cfg, eps) == (0.0, 0.0)
 
 
 def test_energy_zero_outside_active_band():
     eps = 1e-2
     for gap in (eps / 3, 1.2):
-        cfg = dl.Configuration(np.array([0.0, gap]), (-3.0, 3.0))
+        cfg = dl.Configuration(np.array([0.0, gap]))
         energy, _ = scored_alone(cfg, eps)
         assert energy == 0.0
 
@@ -102,7 +102,7 @@ def test_gradient_bound_identity():
     eps = 1e-3
     for _ in range(50):
         pts = np.sort(gen.uniform(-2, 2, gen.integers(2, 7)))
-        cfg = dl.Configuration(pts, (-3.0, 3.0))
+        cfg = dl.Configuration(pts)
         energy, _ = scored_alone(cfg, eps)
         diff = np.abs(pts[:, None] - pts[None, :])
         np.fill_diagonal(diff, np.inf)
@@ -146,7 +146,7 @@ def test_energy_errors_are_std_over_root_n(sine_samples):
 
 
 def test_degenerate_flag():
-    cfgs = [dl.Configuration(np.array([0.0]), (-3.0, 3.0)) for _ in range(20)]
+    cfgs = [dl.Configuration(np.array([0.0])) for _ in range(20)]
     est = estimate_I_eps_from_samples(cfgs, 1e-3, "log", (-2, 2))
     assert est.degenerate and est.energy == 0.0 and est.l2_term == 0.0
 
@@ -157,8 +157,7 @@ def test_batch_estimate_is_the_mean_of_lone_scores(sine_samples, monkeypatch, bl
                                                    variant, eps):
     # a block of 64 pair-difference entries holds at most two configurations
     monkeypatch.setattr(capacity, "_BLOCK_ENTRIES", block)
-    window = (-3.0, 3.0)
-    lines = [dl.Configuration(np.array(p, dtype=float), window)
+    lines = [dl.Configuration(np.array(p, dtype=float))
              for p in ([], [2.5], [0.0], [-0.05, 0.05], [0.0, 0.3, 2.5])]
     box = dl.Box([[0.0, 1.2]] * 3)
     for samples, inner in [(lines + sine_samples[:400], (-2.0, 2.0)),
@@ -182,14 +181,14 @@ def test_batch_estimate_is_the_mean_of_lone_scores(sine_samples, monkeypatch, bl
                                           ("log", float("nan")), ("linear", 0.0),
                                           ("linear", -0.1), ("linear", float("nan"))])
 def test_estimate_checks_eps_before_scoring(variant, eps, points):
-    cfg = dl.Configuration(np.array(points), (-3.0, 3.0))
+    cfg = dl.Configuration(np.array(points))
     with pytest.raises(ValueError, match="eps"):
         estimate_I_eps_from_samples([cfg], eps, variant, (-2, 2))
 
 
 @pytest.mark.parametrize("points", [[0.0], [0.0, 0.5]])
 def test_estimate_checks_the_variant_before_scoring(points):
-    cfg = dl.Configuration(np.array(points), (-3.0, 3.0))
+    cfg = dl.Configuration(np.array(points))
     with pytest.raises(ValueError, match="unknown variant 'quadratic'"):
         estimate_I_eps_from_samples([cfg], 1e-2, "quadratic", (-2, 2))
 

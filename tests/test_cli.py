@@ -286,22 +286,34 @@ def test_artifacts_identical_for_one_and_two_workers(tmp_path, experiment, kerne
     assert runs[0] and runs[0] == runs[1]
 
 
-def test_parallel_correlations_decompose_once_in_the_parent(tmp_path, monkeypatch):
-    # forked workers inherit the patch, so each call records its process id
+def _parallel_correlations_pids(tmp_path, monkeypatch, owner, name) -> list[str]:
+    """The process id of each call to owner.name in a workers: 2
+    correlations run: forked workers inherit the patch."""
     calls = tmp_path / "pids"
-    decompose = cli.nystrom_decompose
+    fn = getattr(owner, name)
 
     def recorded(*a, **kw):
         with open(calls, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return decompose(*a, **kw)
-    monkeypatch.setattr(cli, "nystrom_decompose", recorded)
+        return fn(*a, **kw)
+    monkeypatch.setattr(owner, name, recorded)
     path = write_config(tmp_path, {
         "experiment": "correlations", "seed": 23, "kernel": SINE, "window": [-3, 3],
         "workers": 2, "output": str(tmp_path / "r"),
         "params": {"n_samples": 60, "n_nodes": 64, "n_bins": 6}})
     assert cli.main(["correlations", "--config", path]) == 0
-    assert calls.read_text().split() == [str(os.getpid())]
+    return calls.read_text().split()
+
+
+def test_parallel_correlations_decompose_once_in_the_parent(tmp_path, monkeypatch):
+    assert _parallel_correlations_pids(tmp_path, monkeypatch, cli, "nystrom_decompose") == [
+        str(os.getpid())]
+
+
+def test_parallel_correlations_build_the_sampler_once_in_the_parent(tmp_path, monkeypatch):
+    # the workers receive the built tables with the sampler
+    assert _parallel_correlations_pids(tmp_path, monkeypatch, dl.DppSampler, "__init__") == [
+        str(os.getpid())]
 
 
 @pytest.mark.parametrize("seed", ["abc", -1, 1.5, True, 2**64, None])

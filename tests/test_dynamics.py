@@ -9,10 +9,10 @@ import dysonlab as dl
 from dysonlab import RngStream
 from dysonlab.errors import IntegrationFailureError, SingularConfigurationError
 from dysonlab.statistics import palm_integrals
-from oracles import (bessel_gap_hit_fraction, dyson_drift_one_piece, gap_dimension_fit,
-                     integrate_ensemble_oracle, integrate_sde_oracle, loggas_energy,
-                     pair_drift_stack_oracle, pair_table_drift_oracle, resolvent_l_oracle,
-                     series_sigma2_grid_oracle)
+from oracles import (bessel_gap_hit_fraction, dyson_drift_one_piece, first_passage_probability,
+                     gap_dimension_fit, integrate_ensemble_oracle, integrate_sde_oracle,
+                     loggas_energy, pair_drift_stack_oracle, pair_table_drift_oracle,
+                     resolvent_l_oracle, series_sigma2_grid_oracle)
 
 
 def one_path(points, drift, T, delta, rng, **kw):
@@ -464,6 +464,21 @@ def test_a_step_that_no_longer_moves_time_is_a_failure(product_half_drift_table)
     assert run.iterations == 14_760 and np.diff(run.final[0])[0] < 1e-6
     assert_same_run(run, integrate_ensemble_oracle(init, product_half_drift_table.drift, 2.0,
                                                    0.0, RngStream(3, 1)))
+
+
+@pytest.mark.parametrize("dim, bias", [(3, 0.05), (1, 0.01)])
+def test_hit_fractions_against_the_exact_first_passage_law(dim, bias):
+    # hits are checked at step ends only, so the engine misses crossings
+    # between them and reads low: allow that one-sided bias, at most a
+    # fraction of the exact value, and no excess beyond sampling error
+    n, exact = 20_000, first_passage_probability(dim, 0.05, 0.005, 1.0)
+    stats_ = bessel_gap_hit_fraction(dim, np.full(n, 0.05), delta=0.005, T=1.0,
+                                     rng=RngStream(3_301, dim))
+    se = np.sqrt(exact * (1.0 - exact) / n)
+    print(f"dim {dim}: hit fraction {stats_.hit_fraction:.5f} against {exact:.5f}, "
+          f"{(stats_.hit_fraction - exact) / se:+.1f} se")
+    assert stats_.n_failures == 0
+    assert exact * (1.0 - bias) - 4 * se <= stats_.hit_fraction <= exact + 4 * se
 
 
 def test_dyson_pair_no_hits():

@@ -48,7 +48,7 @@ def test_zero_kernel_always_empty(zero_decomp):
 
 
 def test_rank1_projection_exactly_one_point():
-    draws = dl.sample_dpp_batch(synthetic_rank1_decomposition(eigenvalue=1.0), 9, 200)
+    draws = dl.DppSampler(synthetic_rank1_decomposition(eigenvalue=1.0)).sample_batch(9, 200)
     counts = {c.count for c in draws}
     assert counts == {1}
 
@@ -56,7 +56,7 @@ def test_rank1_projection_exactly_one_point():
 def test_rank1_projection_histogram():
     d = synthetic_rank1_decomposition(eigenvalue=1.0)
     phi = phi_of(d)
-    pts = np.array([c.points[0] for c in dl.sample_dpp_batch(d, 42, 10_000)])
+    pts = np.array([c.points[0] for c in dl.DppSampler(d).sample_batch(42, 10_000)])
     edges = np.linspace(-2.2, 2.2, 13)
     observed, _ = np.histogram(pts, bins=edges)
     fine = np.linspace(-3, 3, 4001)
@@ -264,13 +264,11 @@ def test_poisson_batch_draws_the_count_then_the_points_on_each_stream():
         gen = RngStream(8, i).generator()
         count = gen.poisson(3.0 * box.volume)
         assert np.array_equal(cfg.points, gen.uniform([0, 0, -1], [1, 2, 1], size=(count, 3)))
-        assert cfg.window is box
     line = dl.Box([[0.5, 2.0]])
     for cfg, i in zip(dl.sample_poisson_batch(4.0, line, 8, 50), range(50)):
         gen = RngStream(8, i).generator()
         count = gen.poisson(4.0 * 1.5)
         assert np.array_equal(cfg.points, np.sort(gen.uniform(0.5, 2.0, count)))
-        assert cfg.window == (0.5, 2.0)
 
 
 def test_poisson_empty_region():
@@ -278,23 +276,30 @@ def test_poisson_empty_region():
     assert dl.sample_poisson_batch(5.0, box, 1, 1, base_stream=1)[0].count == 0
 
 
+def _same_results(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    return len(a) == len(b) and all(np.array_equal(x.points, y.points)
+                                    for x, y in zip(a, b))
+
+
 @pytest.mark.parametrize("decomp", ["sine_decomp", "product_half_dyn_decomp"])
 def test_pickled_decomposition_draws_identically(request, decomp):
     d = request.getfixturevalue(decomp)
     copy = pickle.loads(pickle.dumps(d))
     assert copy.eigenvectors.flags.c_contiguous == d.eigenvectors.flags.c_contiguous
-    for a, b in zip(dl.sample_dpp_batch(d, 31, 400), dl.sample_dpp_batch(copy, 31, 400)):
-        assert np.array_equal(a.points, b.points) and a.window == b.window
+    assert _same_results(dl.DppSampler(d).sample_batch(31, 400),
+                         dl.DppSampler(copy).sample_batch(31, 400))
 
 
-def _same_results(a, b) -> bool:
-    if isinstance(a, np.ndarray):
-        return isinstance(b, np.ndarray) and np.array_equal(a, b)
-    def window(c):
-        return c.window.bounds if isinstance(c.window, dl.Box) else c.window
-    return len(a) == len(b) and all(np.array_equal(x.points, y.points) and
-                                    np.array_equal(window(x), window(y))
-                                    for x, y in zip(a, b))
+@pytest.mark.parametrize("decomp", ["sine_decomp", "product_half_dyn_decomp"])
+def test_pickled_sampler_draws_identically(request, decomp):
+    # a sampler is plain data: workers receive its tables as they were built
+    table = dl.DppSampler(request.getfixturevalue(decomp))
+    copy = pickle.loads(pickle.dumps(table))
+    assert _same_results(copy.sample_batch(31, 400), table.sample_batch(31, 400))
+    assert _same_results(copy.sample_pairs(32, 150, base_stream=9),
+                         table.sample_pairs(32, 150, base_stream=9))
 
 
 @pytest.mark.parametrize("count, workers", [(801, 2), (3, 5), (0, 2)])
@@ -302,7 +307,7 @@ def test_map_streams_matches_serial(monkeypatch, sine_decomp, count, workers):
     # with 8 cores assumed, count and workers alone set the process count
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     box = dl.Box([[0.0, 1.0], [0.0, 2.0]])
-    for fn in (partial(dl.sample_dpp_batch, sine_decomp),
+    for fn in (dl.DppSampler(sine_decomp).sample_batch,
                partial(dl.log_gas_window_counts, 4, 1.0, half=0.3),
                partial(dl.sample_log_gas_batch, 3, 0.5),
                partial(dl.sample_poisson_batch, 2.0, box)):
@@ -334,11 +339,6 @@ def test_bessel_draws_on_a_window_from_zero():
 N_ORACLE, BASE_ORACLE = 3 * dl.sampler._DPP_BLOCK + 37, 1_000
 
 
-def _same_draws(a, b) -> bool:
-    return len(a) == len(b) and all(np.array_equal(x.points, y.points)
-                                    and x.window == y.window for x, y in zip(a, b))
-
-
 @pytest.mark.parametrize("decomp", ["sine_decomp", "product_half_dyn_decomp", "bessel",
                                     "zero_decomp", "rank1"])
 def test_lockstep_draws_match_the_lone_draw_oracle(request, decomp):
@@ -349,11 +349,11 @@ def test_lockstep_draws_match_the_lone_draw_oracle(request, decomp):
     else:
         d = request.getfixturevalue(decomp)
     table = dl.DppSampler(d)
-    draws = dl.sample_dpp_batch(d, 17, N_ORACLE, base_stream=BASE_ORACLE)
-    assert _same_draws(draws, dpp_batch_oracle(table, 17, N_ORACLE, BASE_ORACLE))
+    draws = table.sample_batch(17, N_ORACLE, base_stream=BASE_ORACLE)
+    assert _same_results(draws, dpp_batch_oracle(table, 17, N_ORACLE, BASE_ORACLE))
     for i in (0, dl.sampler._DPP_BLOCK - 1, dl.sampler._DPP_BLOCK, N_ORACLE - 1):
         rng = RngStream(17, BASE_ORACLE + i)
-        assert _same_draws([table.sample(rng)], [draws[i]])
+        assert _same_results([table.sample(rng)], [draws[i]])
 
 
 def test_conditioned_pairs_match_the_lone_draw_loop(product_half_dyn_decomp):
@@ -422,7 +422,7 @@ def test_retries_match_the_oracle(monkeypatch, sine_decomp):
                         lambda self, d, gens: placed.append(len(gens)) or place(self, d, gens))
     draws = table.sample_batch(3, 100, base_stream=7)
     assert sum(placed) > sum(c.count for c in draws)
-    assert _same_draws(draws, dpp_batch_oracle(table, 3, 100, 7))
+    assert _same_results(draws, dpp_batch_oracle(table, 3, 100, 7))
 
 
 def test_ties_are_redrawn_as_the_oracle_redraws_them(monkeypatch, caplog, sine_decomp):
@@ -444,7 +444,7 @@ def test_ties_are_redrawn_as_the_oracle_redraws_them(monkeypatch, caplog, sine_d
         expected_pairs = conditioned_pair_initials_oracle(table, 100, RngStream(3, 7))
     assert ties > 0 and pair_ties > 0 and len(caplog.records) == 2 * (ties + pair_ties)
     assert all("tie" in r.getMessage() for r in caplog.records)
-    assert _same_draws(draws, expected)
+    assert _same_results(draws, expected)
     assert np.array_equal(pairs, expected_pairs) and np.all(np.diff(pairs, axis=1) > 0)
 
 

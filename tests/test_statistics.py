@@ -80,7 +80,7 @@ def test_bin_counts_match_per_sample_loop():
     for i in range(60):
         n = 0 if i % 3 == 0 else int(gen.integers(1, 9))
         pts = np.unique(gen.integers(-16, 17, n) / 8.0)
-        samples.append(dl.Configuration(pts, (-2.0, 2.0)))
+        samples.append(dl.Configuration(pts))
     edges = np.linspace(-2.0, 2.0, 17)
     bins1 = [(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])]
     bins2 = [(-0.5, 0.5), (0.0, 1.0), (0.25, 0.5), (-2.0, 2.0)]
@@ -388,7 +388,7 @@ def test_resolution_term_covers_node_count_error(product_half_decomp,
 def test_void_probability_matches_sampling(product_lip_decomp):
     det = dl.fredholm_det(product_lip_decomp)
     n = 3000
-    empty = sum(c.count == 0 for c in dl.sample_dpp_batch(product_lip_decomp, 55, n))
+    empty = sum(c.count == 0 for c in dl.DppSampler(product_lip_decomp).sample_batch(55, n))
     frac = empty / n
     se = np.sqrt(det * (1 - det) / n)
     assert abs(frac - det) <= 3 * se
@@ -396,7 +396,7 @@ def test_void_probability_matches_sampling(product_lip_decomp):
 
 def test_count_sum_identity(product_lip_decomp):
     lam = product_lip_decomp.eigenvalues
-    counts = np.array([c.count for c in dl.sample_dpp_batch(product_lip_decomp, 56, 3000)])
+    counts = np.array([c.count for c in dl.DppSampler(product_lip_decomp).sample_batch(56, 3000)])
     se = counts.std(ddof=1) / np.sqrt(counts.size)
     assert abs(counts.mean() - lam.sum()) <= 3 * se
 
