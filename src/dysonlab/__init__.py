@@ -23,9 +23,8 @@ from .spectral import (SpectralDecomposition, eigenfunction_values, fredholm_det
 from .statistics import (CorrelationEstimate, DensityValue, SeriesEvaluator,
                          crosscheck_density, estimate_correlation, rho_det,
                          sigma_fredholm)
-from .dynamics import (EnsembleRun, HittingStats, PairDriftTable, Trajectory,
-                       conditioned_pair_initials, distorted_pair_collision_probe,
-                       dyson_collision_probe, dyson_drift, integrate_ensemble,
-                       wilson_interval)
+from .dynamics import (EnsembleRun, PairDriftTable, conditioned_pair_initials,
+                       distorted_pair_collision_probe, dyson_collision_probe, dyson_drift,
+                       integrate_ensemble, wilson_interval)
 from .capacity import (CapacityEstimate, DecayFit, decay_fit, estimate_I_eps_from_samples,
                        h_eps, h_lin, poisson_pair_count_oracle)

@@ -34,10 +34,10 @@ import scipy
 from . import __version__
 from .capacity import (_spans_two_decades, decay_fit, estimate_I_eps_from_samples,
                        poisson_pair_count_oracle)
-from .dynamics import (PairDriftTable, Trajectory, conditioned_pair_initials,
+from .dynamics import (PairDriftTable, conditioned_pair_initials,
                        distorted_pair_collision_probe, dyson_collision_probe,
-                       dyson_drift, hitting_stats_json, integrate_ensemble)
-from .errors import ConfigError, DysonLabError
+                       dyson_drift, integrate_ensemble)
+from .errors import ConfigError, DysonLabError, IntegrationFailureError
 from .kernels import kernel_from_json, validate_kernel
 from .rng import RngStream, map_streams
 from .rules import POSITIVE, REQUIRED, UNIT, Rule, check_table, is_int, is_real
@@ -293,8 +293,8 @@ def _exp_dynamics(p) -> tuple[int, dict, dict]:
     # delta k runs on stream k << 32; every delta is integrated in one pass
     rngs = [RngStream(p.seed, k << 32) for k in range(len(p.delta_sweep))]
     if p.model == "dyson":
-        probes = dyson_collision_probe(p.N, p.n_paths, list(zip(p.delta_sweep, rngs)), p.T,
-                                       rho_bar=p.rho_bar, dt_max=p.dt_max, c_dt=p.c_dt)
+        rows = dyson_collision_probe(p.N, p.n_paths, list(zip(p.delta_sweep, rngs)), p.T,
+                                     rho_bar=p.rho_bar, dt_max=p.dt_max, c_dt=p.c_dt)
     else:
         # one decomposition, drift table and sampler serve every delta
         decomp = nystrom_decompose(p.kernel, p.window, p.n_nodes)
@@ -302,11 +302,9 @@ def _exp_dynamics(p) -> tuple[int, dict, dict]:
         sampler = DppSampler(decomp)
         sweep = [(conditioned_pair_initials(sampler, p.n_paths, rng), delta, rng)
                  for delta, rng in zip(p.delta_sweep, rngs)]
-        probes = distorted_pair_collision_probe(table, sweep, p.T, dt_max=p.dt_max,
-                                                c_dt=p.c_dt)
-    results = [hitting_stats_json(stats) for stats in probes]
-    sde = [{"delta": stats.delta, **stats.counters} for stats in probes]
-    files = {"probe.json": _json_text(results)}
+        rows = distorted_pair_collision_probe(table, sweep, p.T, dt_max=p.dt_max, c_dt=p.c_dt)
+    sde = [row.pop("sde") for row in rows]
+    files = {"probe.json": _json_text(rows)}
     if p.example_trajectory:
         lam = lambda_n(p.N, p.rho_bar)
         init = sample_log_gas(p.N, p.rho_bar, RngStream(p.seed, 1 << 48))
@@ -314,15 +312,18 @@ def _exp_dynamics(p) -> tuple[int, dict, dict]:
                                          RngStream(p.seed, (1 << 48) + 1))],
                                        lambda X: dyson_drift(X, lam), T=min(p.T, 0.2),
                                        record=True)
-        traj = Trajectory.from_run(example)
+        if example.failed[0]:
+            raise IntegrationFailureError(
+                f"step size underflow with gap {np.min(np.diff(example.final[0])):.3e}")
+        # each frame's one path: its time, its state and its minimum gap
         files["trajectory.csv"] = _csv(
-            ",".join(["time", *(f"x{i}" for i in range(traj.states.shape[1])), "min_gap"]),
-            [list(map(_r, [t, *row, g]))
-             for t, row, g in zip(traj.times, traj.states, traj.min_gap_series)])
-    return ((4 if any(r["inconclusive"] for r in results) else 0),
+            ",".join(["time", *(f"x{i}" for i in range(p.N)), "min_gap"]),
+            [list(map(_r, [t[0], *X[0], np.min(np.diff(X[0]), initial=np.inf)]))
+             for t, X in example.frames])
+    return ((4 if any(row["inconclusive"] for row in rows) else 0),
             # the sweep's lockstep iterations, one drift call each
-            {"probes": len(results), "sde": sde,
-             "drift_calls": max(r["iterations"] for r in sde)}, files)
+            {"probes": len(rows), "sde": sde,
+             "drift_calls": max(s["iterations"] for s in sde)}, files)
 
 
 def _exp_capacity(p) -> tuple[int, dict, dict]:
@@ -451,8 +452,13 @@ _EXPERIMENTS = {
         "n_nodes": (_NODES, 400),
         "example_trajectory": (Rule("true or false", lambda v: isinstance(v, bool)), False),
     }, [_kernel_for("model", "distorted"),
-        # the drift's (n_paths, N, N) pair differences of every delta, in one call
-        _addressable(lambda p: len(p.delta_sweep) * p.n_paths * p.N ** 2 * (p.model == "dyson")),
+        # the sweep's (len(delta_sweep) * n_paths, N) states, or one N x N
+        # block of the drift's pair differences or of the log-gas draws
+        _addressable(lambda p: max(len(p.delta_sweep) * p.n_paths * p.N, p.N ** 2)
+                     * (p.model == "dyson")),
+        # the example trajectory is a path of the dyson log-gas
+        (lambda p: p.model == "dyson" or not p.example_trajectory,
+         "example_trajectory needs model 'dyson', not {p.model!r}"),
         # the drift table evaluates the kernel at pairs outside the window
         (lambda p: p.model != "distorted" or p.kernel.domain == "full_line",
          "model 'distorted' needs a full-line kernel, not {p.kernel.family}")]),

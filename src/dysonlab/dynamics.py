@@ -40,17 +40,18 @@ computational stand-in for a collision.  For a two-particle system with
 unit-noise coordinates the gap follows dg = sqrt(2) dW + ((d-1)/g) dt with
 d = 3 for the log-gas pair, and d = 1 + a for a gradient pair whose density
 vanishes like gap^a; d < 2 hits zero, d >= 2 does not, which is what the
-probes measure.
+probes measure.  Each probe returns, per delta, the row that probe.json
+writes: the hit fraction, its 95% Wilson interval, the counts of paths,
+hits and failures, and under "sde" the engine's counters for the manifest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IntegrationFailureError, SingularConfigurationError
+from .errors import SingularConfigurationError
 from .rng import RngStream
 from .sampler import _DENSE_ENTRIES, DppSampler, lambda_n, sample_log_gas_batch
 from .spectral import SpectralDecomposition, l_matrix, nystrom_decompose
@@ -237,30 +238,6 @@ def _halve_crossed(bad, Xa, dr, dt, prop, ga, gens, job, idx, rejections) -> np.
     return bad
 
 
-@dataclass
-class Trajectory:
-    times: np.ndarray
-    states: np.ndarray            # (n_times, n)
-    min_gap_series: np.ndarray
-    hit_flag: bool
-    hit_time: float | None
-    n_rejections: int = 0
-
-    @classmethod
-    def from_run(cls, run: EnsembleRun) -> "Trajectory":
-        """The recorded path of a one-path integrate_ensemble run."""
-        if run.failed[0]:
-            raise IntegrationFailureError(
-                f"step size underflow with gap {np.min(np.diff(run.final[0])):.3e}")
-        times = np.array([t[0] for t, _ in run.frames])
-        states = np.array([X[0] for _, X in run.frames])
-        gaps = (np.diff(states, axis=1).min(axis=1) if states.shape[1] >= 2
-                else np.full(times.size, np.inf))
-        hit = bool(run.hit[0])
-        return cls(times, states, gaps, hit, float(run.hit_time[0]) if hit else None,
-                   int(run.rejections[0]))
-
-
 # ---------------------------------------------------------------------------
 # hitting statistics
 # ---------------------------------------------------------------------------
@@ -279,41 +256,24 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass
-class HittingStats:
-    n_paths: int
-    n_hit: int
-    delta: float
-    T: float
-    ci_low: float
-    ci_high: float
-    n_failures: int = 0
-    inconclusive: bool = False
-    params: dict = field(default_factory=dict)
-    # how hard the engine worked; the manifest reports it, probe.json not
-    counters: dict = field(default_factory=dict)
-
-    @property
-    def hit_fraction(self) -> float:
-        return self.n_hit / self.n_paths if self.n_paths else 0.0
-
-
-def _stats_from_run(run: EnsembleRun, delta, T, params) -> HittingStats:
-    n_paths = run.hit.size
-    n_hit = int(run.hit.sum())
-    n_fail = int(run.failed.sum())
-    lo, hi = wilson_interval(n_hit, n_paths)
-    counters = {"iterations": run.iterations, "path_steps": int(run.steps.sum()),
-                "rejections": int(run.rejections.sum()), "failures": n_fail}
-    return HittingStats(n_paths, n_hit, delta, T, lo, hi, n_fail,
-                        inconclusive=(n_fail > 0.05 * n_paths), params=params,
-                        counters=counters)
+def _probe_row(run: EnsembleRun, delta, T, params) -> dict:
+    """The probe.json row of one job's run.  Its "sde" entry, the engine's
+    counters, is for the manifest: the caller pops it before writing."""
+    n_paths, n_hit, n_fail = run.hit.size, int(run.hit.sum()), int(run.failed.sum())
+    return {"hit_fraction": n_hit / n_paths if n_paths else 0.0,
+            "ci": list(wilson_interval(n_hit, n_paths)),
+            "n_paths": n_paths, "n_hit": n_hit, "n_failures": n_fail,
+            "inconclusive": n_fail > 0.05 * n_paths,
+            "delta": delta, "T": T, "params": params,
+            "sde": {"delta": delta, "iterations": run.iterations,
+                    "path_steps": int(run.steps.sum()),
+                    "rejections": int(run.rejections.sum()), "failures": n_fail}}
 
 
 def dyson_collision_probe(N: int, n_paths: int, sweep, T: float, rho_bar: float = 0.5,
-                          dt_max: float = 1e-3, c_dt: float = 2e-3) -> list[HittingStats]:
+                          dt_max: float = 1e-3, c_dt: float = 2e-3) -> list[dict]:
     """Hit frequency of the log-gas dynamics started in equilibrium, one
-    HittingStats per ``(delta, rng)`` of the sweep: n_paths initial states
+    probe row per ``(delta, rng)`` of the sweep: n_paths initial states
     from streams rng.stream_id + i, and the noise from rng.child(0), all
     deltas integrated in one lockstep pass."""
     lam = lambda_n(N, rho_bar)
@@ -321,7 +281,7 @@ def dyson_collision_probe(N: int, n_paths: int, sweep, T: float, rho_bar: float 
              delta, rng.child(0)) for delta, rng in sweep]
     runs = integrate_ensemble(jobs, lambda X: dyson_drift(X, lam), T, dt_max, c_dt)
     params = {"model": "dyson", "N": N, "rho_bar": rho_bar, "c_dt": c_dt, "dt_max": dt_max}
-    return [_stats_from_run(run, delta, T, dict(params)) for run, (_, delta, _) in zip(runs, jobs)]
+    return [_probe_row(run, delta, T, dict(params)) for run, (_, delta, _) in zip(runs, jobs)]
 
 
 class PairDriftTable:
@@ -396,26 +356,12 @@ def conditioned_pair_initials(sampler: DppSampler, n_paths: int,
 
 def distorted_pair_collision_probe(table: PairDriftTable, sweep, T: float,
                                    dt_max: float = 1e-3,
-                                   c_dt: float = 2e-3) -> list[HittingStats]:
+                                   c_dt: float = 2e-3) -> list[dict]:
     """Hit frequency of the gradient dynamics on the two-point sector, one
-    HittingStats per ``(initials, delta, rng)`` of the sweep: (n_paths, 2)
+    probe row per ``(initials, delta, rng)`` of the sweep: (n_paths, 2)
     initial pairs, e.g. conditioned_pair_initials, and the noise from
     rng.child(1), all deltas integrated in one lockstep pass."""
     jobs = [(initials, delta, rng.child(1)) for initials, delta, rng in sweep]
     runs = integrate_ensemble(jobs, table.drift, T, dt_max, c_dt)
     params = {"model": "distorted-pair", "c_dt": c_dt, "dt_max": dt_max}
-    return [_stats_from_run(run, delta, T, dict(params)) for run, (_, delta, _) in zip(runs, jobs)]
-
-
-def hitting_stats_json(stats: HittingStats) -> dict:
-    return {
-        "hit_fraction": stats.hit_fraction,
-        "ci": [stats.ci_low, stats.ci_high],
-        "n_paths": stats.n_paths,
-        "n_hit": stats.n_hit,
-        "n_failures": stats.n_failures,
-        "inconclusive": stats.inconclusive,
-        "delta": stats.delta,
-        "T": stats.T,
-        "params": stats.params,
-    }
+    return [_probe_row(run, delta, T, dict(params)) for run, (_, delta, _) in zip(runs, jobs)]

@@ -72,9 +72,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.stats import qmc
 
-from dysonlab import (Configuration, EnsembleRun, HittingStats, RngStream, Trajectory,
-                      integrate_ensemble, sampler)
-from dysonlab.dynamics import _MAX_HALVINGS, _stats_from_run
+from dysonlab import (Configuration, EnsembleRun, RngStream, integrate_ensemble, sampler)
+from dysonlab.dynamics import _MAX_HALVINGS, _probe_row
 from dysonlab.errors import (DegenerateProjectionError, IntegrationFailureError,
                              KernelParameterError, KernelValidityError, SamplingError,
                              SingularConfigurationError)
@@ -455,8 +454,9 @@ def integrate_sde_oracle(initial, drift_fn, T, delta, rng, dt_max=1e-3, c_dt=2e-
 
     Each step draws dt = min(dt_max, c_dt g^2, T - t) and halves it, with a
     fresh normal draw, until the proposal keeps the ordering (at most 20
-    halvings); a step that no longer moves t raises too.  Returns a
-    Trajectory of every accepted step.
+    halvings); a step that no longer moves t raises too.  Returns the
+    times, states and minimum gaps of the start and of every accepted step,
+    the hit time (nan without a hit) and the rejected proposals.
     """
     x = np.asarray(initial, dtype=float).copy()
     if x.size >= 2 and np.min(np.diff(x)) <= 0.0:
@@ -465,7 +465,7 @@ def integrate_sde_oracle(initial, drift_fn, T, delta, rng, dt_max=1e-3, c_dt=2e-
     t = 0.0
     times, states, gaps = [0.0], [x.copy()], [_min_gap(x)]
     hit = gaps[0] <= delta if delta > 0 else False
-    hit_time = 0.0 if hit else None
+    hit_time = 0.0 if hit else np.nan
     rejections = 0
 
     while t < T and not hit:
@@ -491,8 +491,7 @@ def integrate_sde_oracle(initial, drift_fn, T, delta, rng, dt_max=1e-3, c_dt=2e-
         gaps.append(g_new)
         if delta > 0 and g_new <= delta:
             hit, hit_time = True, t
-    return Trajectory(np.array(times), np.array(states), np.array(gaps),
-                      hit, hit_time, rejections)
+    return np.array(times), np.array(states), np.array(gaps), hit_time, rejections
 
 
 def integrate_ensemble_oracle(initials, drift, T, delta, rng, dt_max=1e-3, c_dt=2e-3,
@@ -663,8 +662,7 @@ def gap_dimension_fit(drift_batch, g0: float, rng, n_paths: int = 8000,
     return float(slope / 2.0)
 
 
-def bessel_gap_hit_fraction(dim: float, g0s, delta: float, T: float,
-                            rng) -> HittingStats:
+def bessel_gap_hit_fraction(dim: float, g0s, delta: float, T: float, rng) -> dict:
     """The gap-scale radial process dg = sqrt(2) dW + ((dim-1)/g) dt from
     the gaps g0s, integrated with the probes' step rule, absorbed at delta."""
     g0s = np.asarray(g0s, dtype=float)
@@ -676,7 +674,7 @@ def bessel_gap_hit_fraction(dim: float, g0s, delta: float, T: float,
         return np.stack([-b, b], axis=1)
 
     [run] = integrate_ensemble([(X, delta, rng)], drift, T)
-    return _stats_from_run(run, delta, T, {"model": "bessel", "dim": dim})
+    return _probe_row(run, delta, T, {"model": "bessel", "dim": dim})
 
 
 def first_passage_probability(dim: int, g0: float, delta: float, T: float) -> float:

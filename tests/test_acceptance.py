@@ -151,22 +151,22 @@ def test_criterion_5_non_collision():
     t0 = time.time()
     [probe] = dl.dyson_collision_probe(8, 1000, [(1e-3, RngStream(501_000, 0))], T=1.0,
                                        rho_bar=0.5)
-    ok_hits = probe.ci_high < 0.01 and not probe.inconclusive
+    ok_hits = probe["ci"][1] < 0.01 and not probe["inconclusive"]
     # oracle: dimension-3 radial gaps from the same equilibrium's min gaps
     initials = dl.sample_log_gas_batch(8, 0.5, 501_001, 1000)
     g0s = np.min(np.diff(initials, axis=1), axis=1)
     oracle = bessel_gap_hit_fraction(3.0, g0s, 1e-3, 1.0, RngStream(501_002, 0))
-    ok_oracle = (oracle.ci_high < 0.01
-                 and abs(oracle.hit_fraction - probe.hit_fraction) < 0.01)
+    ok_oracle = (oracle["ci"][1] < 0.01
+                 and abs(oracle["hit_fraction"] - probe["hit_fraction"]) < 0.01)
     lam = dl.lambda_n(2, 0.5)
     dim = gap_dimension_fit(lambda X: dl.dyson_drift(X, lam), 0.1, RngStream(72, 0))
     ok_dim = abs(dim - 3.0) <= 0.2
     elapsed = time.time() - t0
     ok = ok_hits and ok_oracle and ok_dim and elapsed < 900
     _report(5, ok, 900, elapsed,
-            f"hits {probe.n_hit}/1000 CI=({probe.ci_low:.4f},{probe.ci_high:.4f}); "
-            f"oracle {oracle.n_hit}/1000; gap dimension {dim:.2f}")
-    assert ok_hits, f"hit CI upper {probe.ci_high:.4f} not below 0.01"
+            f"hits {probe['n_hit']}/1000 CI=({probe['ci'][0]:.4f},{probe['ci'][1]:.4f}); "
+            f"oracle {oracle['n_hit']}/1000; gap dimension {dim:.2f}")
+    assert ok_hits, f"hit CI upper {probe['ci'][1]:.4f} not below 0.01"
     assert ok_oracle
     assert ok_dim, f"gap dimension {dim:.3f} vs 3 +- 0.2"
     assert elapsed < 900
@@ -179,20 +179,20 @@ def test_criterion_6_collision(product_half_dyn_decomp, product_lip_dyn_decomp,
 
     def probe(decomp, table):
         initials = dl.conditioned_pair_initials(dl.DppSampler(decomp), 1000, rng)
-        [stats_] = dl.distorted_pair_collision_probe(table, [(initials, 1e-3, rng)], T=1.0)
-        return stats_
+        [row] = dl.distorted_pair_collision_probe(table, [(initials, 1e-3, rng)], T=1.0)
+        return row
 
     holder = probe(product_half_dyn_decomp, product_half_drift_table)
     lipschitz = probe(product_lip_dyn_decomp, product_lip_drift_table)
-    ok_lower = holder.ci_low > 0.3 and not holder.inconclusive
-    ok_sep = holder.ci_low > lipschitz.ci_high and not lipschitz.inconclusive
+    ok_lower = holder["ci"][0] > 0.3 and not holder["inconclusive"]
+    ok_sep = holder["ci"][0] > lipschitz["ci"][1] and not lipschitz["inconclusive"]
     elapsed = time.time() - t0
     ok = ok_lower and ok_sep and elapsed < 900
     _report(6, ok, 900, elapsed,
-            f"alpha=0.5: {holder.n_hit}/1000 CI=({holder.ci_low:.3f},"
-            f"{holder.ci_high:.3f}); alpha=1.0: {lipschitz.n_hit}/1000 "
-            f"CI=({lipschitz.ci_low:.3f},{lipschitz.ci_high:.3f})")
-    assert ok_lower, f"hit CI lower {holder.ci_low:.3f} not above 0.3"
+            f"alpha=0.5: {holder['n_hit']}/1000 CI=({holder['ci'][0]:.3f},"
+            f"{holder['ci'][1]:.3f}); alpha=1.0: {lipschitz['n_hit']}/1000 "
+            f"CI=({lipschitz['ci'][0]:.3f},{lipschitz['ci'][1]:.3f})")
+    assert ok_lower, f"hit CI lower {holder['ci'][0]:.3f} not above 0.3"
     assert ok_sep, "no strict separation between the two regimes"
     assert elapsed < 900
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import dysonlab as dl
 from dysonlab import RngStream, cli
-from dysonlab.dynamics import hitting_stats_json
 from dysonlab.errors import ConfigError, SamplingError
 from dysonlab.statistics import rho_det_box_mean
 
@@ -377,8 +376,8 @@ def test_distorted_delta_sweep_decomposes_once(tmp_path, monkeypatch):
         initials = dl.conditioned_pair_initials(dl.DppSampler(fresh), 30, rng)
         [alone] = dl.distorted_pair_collision_probe(dl.PairDriftTable(fresh),
                                                     [(initials, delta, rng)], 0.05)
-        assert json.loads(json.dumps(hitting_stats_json(alone))) == sweep[k]
-        assert {"delta": delta, **alone.counters} == sde[k]
+        assert alone.pop("sde") == sde[k]
+        assert json.loads(json.dumps(alone)) == sweep[k]
 
 
 def test_dynamics_manifest_reports_sde_counters(tmp_path, monkeypatch):
@@ -450,6 +449,38 @@ def test_dynamics_experiment_and_probe_json(tmp_path):
     traj = (tmp_path / "d" / "trajectory.csv").read_text().splitlines()
     assert traj[0] == "time," + ",".join(f"x{i}" for i in range(4)) + ",min_gap"
     assert len(traj) > 10
+
+
+def test_failed_example_trajectory_exits_3(tmp_path, monkeypatch):
+    # a drift that pushes the example's pair through each other at every
+    # step size; the probe's own drift is dynamics.dyson_drift, untouched
+    def crush(X, lam):
+        return np.stack([np.full(len(X), 1e9), np.full(len(X), -1e9)], axis=1)
+
+    monkeypatch.setattr(cli, "dyson_drift", crush)
+    out = tmp_path / "d"
+    path = write_config(tmp_path, {
+        "experiment": "dynamics", "seed": 11, "output": str(out),
+        "params": {"model": "dyson", "N": 2, "n_paths": 4, "T": 0.01,
+                   "example_trajectory": True}})
+    assert cli.main(["dynamics", "--config", path]) == 3
+    manifest = assert_manifest_lists_every_file(out)
+    assert manifest["artifacts"] == []
+    assert manifest["summary"]["error"].startswith("step size underflow with gap ")
+
+
+@pytest.mark.parametrize("N, n_paths, ok", [(4096, 1 << 40, True), (1 << 31, 1, False)])
+def test_dyson_size_rule_sizes_the_states_and_one_block(N, n_paths, ok):
+    # the largest dyson arrays are the sweep's (n_paths, N) states and one
+    # N x N block: 2^55 and 2^27 bytes pass, 2^65 bytes of one block do not
+    cfg = cli.ExperimentConfig(experiment="dynamics", seed=1, workers=None, output=None,
+                               kernel=None, window=None,
+                               params={"model": "dyson", "N": N, "n_paths": n_paths})
+    if ok:
+        assert cfg.check().N == N
+    else:
+        with pytest.raises(ConfigError, match="numpy's 2\\^63-byte bound"):
+            cfg.check()
 
 
 def test_capacity_linear_on_a_one_dimensional_box(tmp_path):
@@ -673,7 +704,10 @@ MALFORMED = [
                       kernel={"family": "sine", "params": [1]})),
     # a count below 2^63 that sizes an array of 2^63 bytes or more
     ("sample", params_of("sample", sampler="log_gas", N=1 << 62, n_samples=1)),
-    ("dynamics", params_of("dynamics", N=10 ** 9)),
+    ("dynamics", params_of("dynamics", N=1 << 31)),
+    # the example trajectory is a path of the dyson log-gas
+    ("dynamics", dict(params_of("dynamics", model="distorted", n_paths=4,
+                                example_trajectory=True), kernel=HOLDER)),
 ]
 
 

@@ -7,7 +7,7 @@ from scipy import stats
 
 import dysonlab as dl
 from dysonlab import RngStream
-from dysonlab.errors import IntegrationFailureError, SingularConfigurationError
+from dysonlab.errors import SingularConfigurationError
 from dysonlab.statistics import palm_integrals
 from oracles import (bessel_gap_hit_fraction, dyson_drift_one_piece, first_passage_probability,
                      gap_dimension_fit, integrate_ensemble_oracle, integrate_sde_oracle,
@@ -16,10 +16,14 @@ from oracles import (bessel_gap_hit_fraction, dyson_drift_one_piece, first_passa
 
 
 def one_path(points, drift, T, delta, rng, **kw):
-    """Trajectory of a one-path ensemble started at ``points``."""
+    """Times, states and minimum gaps of the frames of a one-path ensemble
+    started at ``points``, whose path must not fail, and its run."""
     [run] = dl.integrate_ensemble([(np.array([points], dtype=float), delta, rng)], drift, T,
                                   record=True, **kw)
-    return dl.Trajectory.from_run(run)
+    assert not run.failed[0]
+    times = np.array([t[0] for t, _ in run.frames])
+    states = np.array([X[0] for _, X in run.frames])
+    return times, states, np.diff(states, axis=1).min(axis=1, initial=np.inf), run
 
 
 def test_dyson_drift_single_particle():
@@ -225,15 +229,17 @@ def test_one_path_ensemble_matches_single_path_oracle(points, lam, T, delta, rng
         drift = np.zeros_like
     else:
         drift = lambda x: dl.dyson_drift(x, lam)  # noqa: E731
-    ref = integrate_sde_oracle(np.array(points), drift, T, delta, rng, **kw)
-    traj = one_path(points, drift, T, delta, rng, **kw)
-    assert np.array_equal(traj.times, ref.times)
-    assert np.array_equal(traj.states, ref.states)
-    assert np.array_equal(traj.min_gap_series, ref.min_gap_series)
-    assert (traj.hit_flag, traj.hit_time) == (ref.hit_flag, ref.hit_time)
-    assert traj.n_rejections == ref.n_rejections
+    ref_times, ref_states, ref_gaps, ref_hit_time, ref_rejections = integrate_sde_oracle(
+        np.array(points), drift, T, delta, rng, **kw)
+    times, states, gaps, run = one_path(points, drift, T, delta, rng, **kw)
+    assert np.array_equal(times, ref_times)
+    assert np.array_equal(states, ref_states)
+    assert np.array_equal(gaps, ref_gaps)
+    assert run.hit[0] == (not np.isnan(ref_hit_time))
+    assert np.array_equal(run.hit_time[0], ref_hit_time, equal_nan=True)
+    assert run.rejections[0] == ref_rejections
     if lam is None:
-        assert traj.n_rejections >= 3
+        assert run.rejections[0] >= 3
 
 
 def assert_same_run(run, ref):
@@ -392,45 +398,45 @@ def test_sweep_matches_lone_runs_of_each_job():
 
 
 def test_brownian_increments_normal():
-    traj = one_path([0.0], lambda x: dl.dyson_drift(x, 0.0), T=1.0,
-                    delta=0.0, rng=RngStream(21, 0))
-    incr = np.diff(traj.states[:, 0])
-    dts = np.diff(traj.times)
+    times, states, _, _ = one_path([0.0], lambda x: dl.dyson_drift(x, 0.0), T=1.0,
+                                   delta=0.0, rng=RngStream(21, 0))
+    incr = np.diff(states[:, 0])
+    dts = np.diff(times)
     keep = dts > 1e-12
     z = incr[keep] / np.sqrt(dts[keep])
     res = stats.kstest(z, "norm")
     assert res.pvalue > 0.01
-    assert traj.times[-1] == pytest.approx(1.0)
+    assert times[-1] == pytest.approx(1.0)
 
 
 def test_trajectory_invariants():
-    traj = one_path([-1.0, 0.2, 1.4], lambda x: dl.dyson_drift(x, 0.5), T=0.2,
-                    delta=1e-4, rng=RngStream(22, 5))
-    assert np.all(np.diff(traj.times) > 0)
-    for row in traj.states:
+    times, states, min_gaps, run = one_path([-1.0, 0.2, 1.4], lambda x: dl.dyson_drift(x, 0.5),
+                                            T=0.2, delta=1e-4, rng=RngStream(22, 5))
+    assert np.all(np.diff(times) > 0)
+    for row in states:
         assert np.all(np.diff(row) > 0)
-    gaps = np.array([np.min(np.diff(row)) for row in traj.states])
-    assert np.allclose(gaps, traj.min_gap_series)
-    assert traj.hit_flag == (traj.hit_time is not None)
+    gaps = np.array([np.min(np.diff(row)) for row in states])
+    assert np.allclose(gaps, min_gaps)
+    assert run.hit[0] == (not np.isnan(run.hit_time[0]))
 
 
 def test_trajectory_deterministic_replay():
-    t1 = one_path([-0.5, 0.5], lambda x: dl.dyson_drift(x, 1.0), T=0.3,
-                  delta=0.0, rng=RngStream(7, 7))
-    t2 = one_path([-0.5, 0.5], lambda x: dl.dyson_drift(x, 1.0), T=0.3,
-                  delta=0.0, rng=RngStream(7, 7))
-    assert np.array_equal(t1.states, t2.states)
-    assert np.array_equal(t1.times, t2.times)
+    times1, states1, _, _ = one_path([-0.5, 0.5], lambda x: dl.dyson_drift(x, 1.0), T=0.3,
+                                     delta=0.0, rng=RngStream(7, 7))
+    times2, states2, _, _ = one_path([-0.5, 0.5], lambda x: dl.dyson_drift(x, 1.0), T=0.3,
+                                     delta=0.0, rng=RngStream(7, 7))
+    assert np.array_equal(states1, states2)
+    assert np.array_equal(times1, times2)
 
 
 def test_immediate_hit_when_delta_exceeds_gap():
-    traj = one_path([0.0, 0.05], lambda x: dl.dyson_drift(x, 0.0), T=0.1,
-                    delta=0.1, rng=RngStream(1, 1))
-    assert traj.hit_flag and traj.hit_time == 0.0
-    assert traj.times.size == 1
-    stats_ = bessel_gap_hit_fraction(3.0, np.full(50, 0.05), delta=0.1, T=0.1,
-                                     rng=RngStream(1, 2))
-    assert stats_.n_hit == 50
+    times, _, _, run = one_path([0.0, 0.05], lambda x: dl.dyson_drift(x, 0.0), T=0.1,
+                                delta=0.1, rng=RngStream(1, 1))
+    assert run.hit[0] and run.hit_time[0] == 0.0
+    assert times.size == 1
+    row = bessel_gap_hit_fraction(3.0, np.full(50, 0.05), delta=0.1, T=0.1,
+                                  rng=RngStream(1, 2))
+    assert row["n_hit"] == 50
 
 
 def test_engine_rejects_unsorted_initials():
@@ -450,8 +456,6 @@ def test_failed_path_has_no_trajectory():
     assert run.rejections[0] == 21
     assert_same_run(run, integrate_ensemble_oracle(np.array([[-0.5, 0.5]]), crush, 0.1, 0.0,
                                                    RngStream(1, 4), record=True))
-    with pytest.raises(IntegrationFailureError):
-        dl.Trajectory.from_run(run)
 
 
 def test_a_step_that_no_longer_moves_time_is_a_failure(product_half_drift_table):
@@ -472,32 +476,32 @@ def test_hit_fractions_against_the_exact_first_passage_law(dim, bias):
     # between them and reads low: allow that one-sided bias, at most a
     # fraction of the exact value, and no excess beyond sampling error
     n, exact = 20_000, first_passage_probability(dim, 0.05, 0.005, 1.0)
-    stats_ = bessel_gap_hit_fraction(dim, np.full(n, 0.05), delta=0.005, T=1.0,
-                                     rng=RngStream(3_301, dim))
+    row = bessel_gap_hit_fraction(dim, np.full(n, 0.05), delta=0.005, T=1.0,
+                                  rng=RngStream(3_301, dim))
     se = np.sqrt(exact * (1.0 - exact) / n)
-    print(f"dim {dim}: hit fraction {stats_.hit_fraction:.5f} against {exact:.5f}, "
-          f"{(stats_.hit_fraction - exact) / se:+.1f} se")
-    assert stats_.n_failures == 0
-    assert exact * (1.0 - bias) - 4 * se <= stats_.hit_fraction <= exact + 4 * se
+    print(f"dim {dim}: hit fraction {row['hit_fraction']:.5f} against {exact:.5f}, "
+          f"{(row['hit_fraction'] - exact) / se:+.1f} se")
+    assert row["n_failures"] == 0
+    assert exact * (1.0 - bias) - 4 * se <= row["hit_fraction"] <= exact + 4 * se
 
 
 def test_dyson_pair_no_hits():
     # a lone pair is the dimension-3 radial case: delta-approaches are rare
-    [stats_] = dl.dyson_collision_probe(2, 1000, [(1e-3, RngStream(60, 0))], T=1.0,
-                                        rho_bar=0.5)
-    assert stats_.n_hit <= 3
-    assert stats_.n_failures == 0
+    [row] = dl.dyson_collision_probe(2, 1000, [(1e-3, RngStream(60, 0))], T=1.0,
+                                     rho_bar=0.5)
+    assert row["n_hit"] <= 3
+    assert row["n_failures"] == 0
 
 
 def test_distorted_half_hits_from_small_gap(product_half_drift_table):
-    [stats_] = dl.distorted_pair_collision_probe(
+    [row] = dl.distorted_pair_collision_probe(
         product_half_drift_table, [(np.tile([-0.05, 0.05], (400, 1)), 1e-3, RngStream(61, 0))],
         T=1.0)
-    assert stats_.hit_fraction > 0.5
+    assert row["hit_fraction"] > 0.5
     oracle = bessel_gap_hit_fraction(1.5, np.full(400, 0.1), delta=1e-3,
                                      T=1.0, rng=RngStream(61, 9))
-    assert oracle.hit_fraction > 0.5
-    assert abs(stats_.hit_fraction - oracle.hit_fraction) < 0.2
+    assert oracle["hit_fraction"] > 0.5
+    assert abs(row["hit_fraction"] - oracle["hit_fraction"]) < 0.2
 
 
 def test_gap_dimension_dyson_pair():
@@ -521,11 +525,11 @@ def test_wilson_interval_brackets():
 
 def test_exchangeability_sorted_state():
     pts = np.array([0.9, -1.1, 0.1])
-    t1 = one_path(np.sort(pts), lambda x: dl.dyson_drift(x, 0.3), T=0.1,
-                  delta=0.0, rng=RngStream(30, 1))
-    t2 = one_path(np.sort(pts[::-1]), lambda x: dl.dyson_drift(x, 0.3), T=0.1,
-                  delta=0.0, rng=RngStream(30, 1))
-    assert np.array_equal(t1.states, t2.states)
+    _, states1, _, _ = one_path(np.sort(pts), lambda x: dl.dyson_drift(x, 0.3), T=0.1,
+                                delta=0.0, rng=RngStream(30, 1))
+    _, states2, _, _ = one_path(np.sort(pts[::-1]), lambda x: dl.dyson_drift(x, 0.3), T=0.1,
+                                delta=0.0, rng=RngStream(30, 1))
+    assert np.array_equal(states1, states2)
 
 
 def test_equilibrium_preserved_under_dynamics():

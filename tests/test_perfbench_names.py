@@ -92,3 +92,49 @@ def test_series_order_size_of_a_batched_term(zero_decomp):
         assert len(term(ev, tuples, k)[0]) == 3
         assert len(term(ev, tuples, k=k)[0]) == 3
     assert [span[4] for span in tracer.spans] == [0, 0, 1, 1, 2, 2, 3, 3]
+
+
+@pytest.fixture(scope="module")
+def small_sampler():
+    kernel = dl.construct_kernel("sine", rho_bar=1.0)
+    return dl.DppSampler(dl.nystrom_decompose(kernel, (-1.0, 1.0), 16))
+
+
+def _traced_calls(sampler, zero_decomp, table):
+    """Per tracing.SIZES name: the function the tracer wraps, arguments on
+    small inputs, and the size the call should record."""
+    rng = dl.RngStream(5, 3)
+    tuples = [(0.1, 0.2), (-0.3, 0.4)]
+    return {
+        # kernel entries returned: a 3 x 4 broadcast
+        "kernels.Kernel.eval": (dl.Kernel.eval, (sampler.decomp.kernel, np.zeros((3, 1)),
+                                                 np.ones((1, 4))), 12),
+        # draws
+        "sampler.sample_log_gas_batch": (dl.sample_log_gas_batch, (4, 1.0, 7, 5), 5),
+        "sampler.sample_log_gas": (dl.sample_log_gas, (4, 1.0, rng), 1),
+        # the draw's count, that of the same draw untraced
+        "sampler.DppSampler.sample": (dl.DppSampler.sample, (sampler, rng),
+                                      sampler.sample(rng).count),
+        # the series order
+        "statistics.SeriesEvaluator.term": (
+            dl.SeriesEvaluator.term, (dl.SeriesEvaluator(zero_decomp, k_max=2, qmc_points=64),
+                                      tuples, 2), 2),
+        # drift rows
+        "dynamics.PairDriftTable.drift": (dl.PairDriftTable.drift,
+                                          (table, np.array([[-0.5, 0.1], [0.0, 0.3],
+                                                            [0.2, 0.9]])), 3),
+        # pairs
+        "dynamics.conditioned_pair_initials": (dl.conditioned_pair_initials,
+                                               (sampler, 6, rng), 6),
+    }
+
+
+@pytest.mark.parametrize("name", _size_names())
+def test_traced_sizes_read_real_return_values(name, small_sampler, zero_decomp,
+                                              product_half_drift_table):
+    calls = _traced_calls(small_sampler, zero_decomp, product_half_drift_table)
+    assert name in calls, f"no small call for the traced size of {name!r}"
+    fn, args, size = calls[name]
+    tracer = _tracing().Tracer()
+    tracer.wrap(name, fn)(*args)
+    assert [span[4] for span in tracer.spans] == [size]
